@@ -226,6 +226,16 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, with_state: bool = True) -> None:
     parser.add_argument("file", metavar="FILE", help="game document path or fixture name")
     if with_state:
@@ -234,7 +244,9 @@ def _add_common(parser: argparse.ArgumentParser, with_state: bool = True) -> Non
             help="initial state (1-based; default: document's initial_state, else 1)",
         )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--digits", type=int, default=12, help="decimal digits shown")
+    parser.add_argument(
+        "--digits", type=_nonnegative_int, default=12, help="decimal digits shown (>= 0)"
+    )
     parser.add_argument(
         "--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
         help="cap on profile-matrix entries before refusing to build",

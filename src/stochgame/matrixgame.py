@@ -2,7 +2,10 @@
 
 A matrix game is identified with its rational payoff matrix (rows are the
 maximizer's pure actions, columns the minimizer's).  `solve_matrix_game`
-runs an exact rational simplex on the standard LP formulation;
+runs an exact simplex on the standard LP formulation, fraction-free over
+one common denominator: the tableau holds integers and each pivot divides
+exactly by the previous pivot (Edmonds 1967, the Bareiss scheme of
+`ratlinalg.int_det`), so no Fraction is normalised until the answer;
 `shapley_snow_value` recomputes the value by enumerating square kernels
 and certifying one, which serves as an independent cross-check of the LP
 throughout the test suite.
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlinalg import RatMatrix, RationalLike, int_det, to_fraction
+from .ratlinalg import RatMatrix, RationalLike, int_adjugate, to_fraction
 
 
 @dataclass(frozen=True)
@@ -51,57 +54,75 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
     Payoffs are shifted to be strictly positive (undone on output), then
     the minimizer's LP  max 1.w  s.t. M w <= 1, w >= 0  is solved with
     Bland's rule; the maximizer's strategy is read off the dual values.
+
+    The tableau is integer and fraction-free (Edmonds 1967): the shifted
+    matrix is scaled by the lcm D of its denominators, giving rows
+    [D*M | I | D], i.e. the slacks are scaled by D.  After each pivot every
+    entry equals det * (the rational tableau entry of that scaled LP), where
+    det is the current pivot (the basis determinant, always positive), so
+    all signs and ratio comparisons agree with a rational tableau and
+    Bland's rule takes the same pivots.  Each non-pivot row, the cost row
+    included, is updated to (x * piv - f * y) // det_prev, an exact division
+    by Sylvester's identity; the pivot row is left unchanged.  Fractions
+    are built only from the final integers.
     """
     p, q = payoff.shape
     low = min(min(row) for row in payoff.rows)
     shift = Fraction(1) - low if low <= 0 else Fraction(0)
     m = [[x + shift for x in row] for row in payoff.rows]
+    scale = math.lcm(*(x.denominator for row in m for x in row))
 
-    # tableau rows: [M | I | 1], reduced-cost row kept separately
-    tableau = [m[i] + [Fraction(int(i == r)) for r in range(p)] + [Fraction(1)] for i in range(p)]
-    cost = [Fraction(-1)] * q + [Fraction(0)] * p + [Fraction(0)]
+    # tableau rows: [D*M | I | D], reduced-cost row kept separately
+    tableau = [
+        [x.numerator * (scale // x.denominator) for x in m[i]]
+        + [int(i == r) for r in range(p)]
+        + [scale]
+        for i in range(p)
+    ]
+    cost = [-1] * q + [0] * (p + 1)
     basis = list(range(q, q + p))
+    det = 1
 
     while True:
         enter = next((j for j in range(q + p) if cost[j] < 0), None)
         if enter is None:
             break
+        # Bland's leaving rule: least ratio rhs/a over a > 0, ties to the
+        # smallest basic variable; ratios compared by cross-multiplication
         leave = None
-        best = None
         for i in range(p):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leave])
-                ):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:  # impossible with strictly positive columns
             raise ArithmeticError("unbounded matrix-game LP")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [x / pivot for x in tableau[leave]]
         pivot_row = tableau[leave]
+        piv = pivot_row[enter]
         for i in range(p):
-            if i != leave and tableau[i][enter] != 0:
+            if i != leave:
                 f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], pivot_row)]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, pivot_row)]
+                tableau[i] = [(x * piv - f * y) // det for x, y in zip(tableau[i], pivot_row)]
+        f = cost[enter]
+        cost = [(x * piv - f * y) // det for x, y in zip(cost, pivot_row)]
+        det = piv
         basis[leave] = enter
 
-    total = cost[-1]  # optimal 1.w = 1 / val(shifted game) > 0
-    w = [Fraction(0)] * q
+    # optimal 1.w = total / det = 1 / val(shifted game) > 0; the slack
+    # reduced costs are the duals over D, and det cancels from every ratio
+    total = cost[-1]
+    w = [0] * q
     for i, var in enumerate(basis):
         if var < q:
             w[var] = tableau[i][-1]
-    duals = cost[q : q + p]
-    value = 1 / total - shift
-    x_opt = tuple(u / total for u in duals)
-    y_opt = tuple(v / total for v in w)
+    value = Fraction(det, total) - shift
+    x_opt = tuple(Fraction(scale * u, total) for u in cost[q : q + p])
+    y_opt = tuple(Fraction(v, total) for v in w)
     return GameSolution(value=value, x_opt=x_opt, y_opt=y_opt)
 
 
@@ -128,22 +149,6 @@ def _minor_table(memo: dict, int_rows: list[list[int]], prefix: tuple[int, ...],
             table[cols] = acc
         memo[prefix] = table
     return table
-
-
-def _int_adjugate(sub: list[list[int]]) -> list[list[int]]:
-    """Adjugate of a small integer matrix via cofactor minors."""
-    size = len(sub)
-    if size == 1:
-        return [[1]]
-    idx = range(size)
-    out = [[0] * size for _ in idx]
-    for i in idx:
-        rows = [sub[r] for r in idx if r != i]
-        for j in idx:
-            minor = [[row[c] for c in idx if c != j] for row in rows]
-            cof = int_det(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
 
 
 def shapley_snow_certificate(payoff: RatMatrix) -> SnowCertificate:
@@ -225,7 +230,7 @@ def shapley_snow_certificate(payoff: RatMatrix) -> SnowCertificate:
                 # induced strategies: adjugate column/row sums over phi,
                 # computed on the integer view (the D**(s-1) scale and the
                 # sign of phi cancel out of every test below)
-                adj_int = _int_adjugate(sub_int)
+                adj_int = int_adjugate(sub_int)
                 phi_sign = 1 if phi_int > 0 else -1
                 col_sums = [sum(adj_int[i][j] for i in range(size)) for j in range(size)]
                 if any(cs * phi_sign < 0 for cs in col_sums):

@@ -249,22 +249,32 @@ def det(m: RatMatrix) -> Fraction:
     return Fraction(int_det(a), scale)
 
 
+def int_adjugate(a: list[list[int]]) -> list[list[int]]:
+    """Adjugate of an integer matrix via Bareiss cofactor minors."""
+    n = len(a)
+    if n == 1:
+        return [[1]]
+    idx = range(n)
+    out = [[0] * n for _ in idx]
+    for i in idx:
+        rows = [a[r] for r in idx if r != i]
+        for j in idx:
+            cof = int_det([[row[c] for c in idx if c != j] for row in rows])
+            out[j][i] = cof if (i + j) % 2 == 0 else -cof
+    return out
+
+
 def adjugate(m: RatMatrix) -> RatMatrix:
-    """Adjugate (transposed cofactor matrix); satisfies M @ adj(M) = det(M) I."""
+    """Adjugate (transposed cofactor matrix); satisfies M @ adj(M) = det(M) I.
+
+    Clears one common denominator D and uses adj(M) = adj(D M) / D**(n-1).
+    """
     if not m.is_square:
         raise ValueError(f"adjugate of non-square matrix {m.shape}")
-    n = m.n_rows
-    if n == 1:
-        return RatMatrix([[Fraction(1)]])
-    idx = range(n)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in idx:
-        keep_rows = [r for r in idx if r != i]
-        for j in idx:
-            keep_cols = [c for c in idx if c != j]
-            minor = m.submatrix(keep_rows, keep_cols)
-            out[j][i] = (-1) ** (i + j) * det(minor)
-    return RatMatrix(out)
+    denom = math.lcm(*(x.denominator for row in m.rows for x in row))
+    a = [[x.numerator * (denom // x.denominator) for x in row] for row in m.rows]
+    area = denom ** (m.n_rows - 1)
+    return RatMatrix([[Fraction(c, area) for c in row] for row in int_adjugate(a)])
 
 
 def cofactor_sum(m: RatMatrix) -> Fraction:

@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+from stochgame import cli
 from stochgame.cli import main
 from stochgame.gamefile import fixture_path
 
@@ -154,6 +157,26 @@ class TestExitCodes:
     def test_bad_lambda_is_validation_error(self, capsys):
         code = main(["discounted", "single_mp", "--lambda", "3/2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discounted", "two_state_2x2", "--lambda", "1/4", "--digits", "-1"],
+            ["value", "single_2x2", "--digits", "-1"],
+            ["oracle", "two_state_2x2", "--lambda", "1/4", "--digits", "-2"],
+            ["check", "two_state_2x2", "--digits", "-1"],
+        ],
+    )
+    def test_negative_digits_rejected_before_solving(self, argv, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("solved despite an invalid --digits")
+
+        for name in ("discounted_value", "limit_value", "value_iteration", "run_invariant_checks"):
+            monkeypatch.setattr(cli, name, must_not_run)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--digits: must be nonnegative" in capsys.readouterr().err
 
 
 def test_oracle_on_inexact_game(capsys):

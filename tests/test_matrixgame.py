@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import (
     affine_transform,
     shapley_snow_certificate,
     shapley_snow_value,
     solve_matrix_game,
 )
+from stochgame.pencil import build_pencil
 from stochgame.ratlinalg import RatMatrix
 
 from gens import rand_fraction, rand_matrix
@@ -25,6 +27,42 @@ payoff_matrices = st.integers(min_value=1, max_value=3).flatmap(
         max_size=3,
     )
 ).map(RatMatrix)
+
+# up to 4x4 with denominators up to 2**40: the simplex's common denominator
+# then runs to hundreds of bits
+wide_payoff_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda q: st.lists(
+        st.lists(
+            st.builds(
+                Fraction,
+                st.integers(min_value=-(2**40), max_value=2**40),
+                st.integers(min_value=1, max_value=2**40),
+            ),
+            min_size=q,
+            max_size=q,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+).map(RatMatrix)
+
+# the second pivot ties on the ratio test, and Bland's rule lets the
+# smallest basic variable (w_1, not the slack of row 1) leave
+BLAND_TIE = RatMatrix([[-2, -1], [2, -1]])
+# every entry <= 0, so the solver must shift before its LP is bounded
+NONPOSITIVE = RatMatrix([[0, "-3/2", -1], [-2, "-1/3", "-5/7"]])
+
+
+@pytest.fixture(scope="module")
+def anchor_rung_matrices(fixture_docs) -> list[RatMatrix]:
+    """Profile matrices of limit-ladder rungs lam = 2**-t: 600-4200-bit entries."""
+    out = []
+    for name in ("two_state_2x2", "big_match", "absorbing_mix"):
+        game, _, _ = affine_normalize(fixture_docs[name].game)
+        for t in (300, 700, 1000, 1400):
+            pencil = build_pencil(game, 1, Fraction(1, 2**t))
+            out += [pencil.matrix_at(z) for z in (Fraction(1, 3), Fraction(55, 128), Fraction(1, 2))]
+    return out
 
 
 def assert_solution_certifies(payoff: RatMatrix, sol) -> None:
@@ -61,10 +99,19 @@ class TestSolve:
         assert sol.value == 2
         assert_solution_certifies(RatMatrix([[2, 3], [0, 1]]), sol)
 
-    def test_random_solutions_certify(self):
+    def test_bland_tie_break(self):
+        sol = solve_matrix_game(BLAND_TIE)
+        assert sol.value == -1
+        # the other tie-break would pick the also optimal x = (3/4, 1/4)
+        assert sol.x_opt == (0, 1)
+        assert sol.y_opt == (0, 1)
+
+    def test_random_solutions_certify(self, anchor_rung_matrices):
         rng = random.Random(10)
         for _ in range(60):
             m = rand_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
+            assert_solution_certifies(m, solve_matrix_game(m))
+        for m in anchor_rung_matrices:
             assert_solution_certifies(m, solve_matrix_game(m))
 
     def test_value_sandwich(self):
@@ -140,10 +187,12 @@ class TestShapleySnow:
         # size-ascending lexicographic enumeration: first certified wins
         assert cert.row_support == (0,) and cert.col_support == (0,)
 
-    def test_agreement_with_lp(self):
+    def test_agreement_with_lp(self, anchor_rung_matrices):
         rng = random.Random(15)
         for _ in range(80):
             m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
+            assert shapley_snow_value(m) == solve_matrix_game(m).value
+        for m in anchor_rung_matrices:
             assert shapley_snow_value(m) == solve_matrix_game(m).value
 
     def test_certificate_strategies_are_optimal(self):
@@ -155,12 +204,16 @@ class TestShapleySnow:
 
 
 class TestPropertyBased:
-    @settings(max_examples=60, deadline=None)
-    @given(payoff_matrices)
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(payoff_matrices, wide_payoff_matrices))
+    @example(BLAND_TIE)
+    @example(NONPOSITIVE)
     def test_solution_always_certifies(self, m):
         assert_solution_certifies(m, solve_matrix_game(m))
 
-    @settings(max_examples=40, deadline=None)
-    @given(payoff_matrices)
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(payoff_matrices, wide_payoff_matrices))
+    @example(BLAND_TIE)
+    @example(NONPOSITIVE)
     def test_kernel_value_matches_lp(self, m):
         assert shapley_snow_value(m) == solve_matrix_game(m).value
