@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -86,7 +87,7 @@ def _print_result(
 def _cmd_discounted(args) -> int:
     doc = _load(args.file)
     k = _resolve_state(doc, args.state)
-    lam = parse_rational(args.lam)
+    lam = args.lam
     start = time.perf_counter()
     result = discounted_value(doc.game, k, lam, args.precision, max_entries=args.max_entries)
     elapsed = time.perf_counter() - start
@@ -144,8 +145,7 @@ def _cmd_value(args) -> int:
 
 def _cmd_oracle(args) -> int:
     doc = _load(args.file)
-    lam = parse_rational(args.lam)
-    tol = parse_rational(args.tol)
+    lam, tol = args.lam, args.tol
     start = time.perf_counter()
     values = value_iteration(doc.game, lam, tol)
     elapsed = time.perf_counter() - start
@@ -226,14 +226,28 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _nonnegative_int(text: str) -> int:
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_nonnegative_int = _int_at_least(0, "nonnegative")
+_positive_int = _int_at_least(1, "positive")
+
+
+def _rational(text: str) -> Fraction:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(parser: argparse.ArgumentParser, with_state: bool = True) -> None:
@@ -248,7 +262,7 @@ def _add_common(parser: argparse.ArgumentParser, with_state: bool = True) -> Non
         "--digits", type=_nonnegative_int, default=12, help="decimal digits shown (>= 0)"
     )
     parser.add_argument(
-        "--max-entries", type=int, default=DEFAULT_MAX_ENTRIES,
+        "--max-entries", type=_positive_int, default=DEFAULT_MAX_ENTRIES,
         help="cap on profile-matrix entries before refusing to build",
     )
 
@@ -263,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discounted", help="discounted value by exact bisection")
     _add_common(p)
-    p.add_argument("--lambda", dest="lam", required=True, metavar="P/Q",
+    p.add_argument("--lambda", dest="lam", type=_rational, required=True, metavar="P/Q",
                    help="discount rate in (0, 1], e.g. 1/4")
     p.add_argument("--precision", type=int, default=20, metavar="R",
                    help="approximation radius 2^-R (default 20)")
@@ -273,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("value", help="vanishing-discount value by exact bisection")
     _add_common(p)
     p.add_argument("--precision", type=int, default=20, metavar="R")
-    p.add_argument("--anchor-cap", type=int, default=DEFAULT_ANCHOR_EXPONENT_CAP,
+    p.add_argument("--anchor-cap", type=_positive_int, default=DEFAULT_ANCHOR_EXPONENT_CAP,
                    help="cap on the guaranteed ladder anchor exponent")
     p.add_argument("--compare-shallow", action="store_true",
                    help="also run the depth-1 heuristic ladder and report disagreements")
@@ -282,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="value iteration to a certified tolerance")
     _add_common(p, with_state=False)
-    p.add_argument("--lambda", dest="lam", required=True, metavar="P/Q")
-    p.add_argument("--tol", default="1/1048576", metavar="P/Q",
+    p.add_argument("--lambda", dest="lam", type=_rational, required=True, metavar="P/Q")
+    p.add_argument("--tol", type=_rational, default="1/1048576", metavar="P/Q",
                    help="sup-norm tolerance (default 1/2^20)")
     p.set_defaults(func=_cmd_oracle)
 

@@ -7,9 +7,17 @@ k-th column with lam * g.  Their ratio is the discounted payoff, and the
 pencil numerator - z * denominator defines, entry by entry, the matrix
 game whose value changes sign exactly at the discounted value.
 
+Both determinants are computed over the integers.  With lam = a/b, c = b - a
+and L the least common denominator of the game data, every system matrix
+scaled by b*L is the integer matrix b*L*Id - c*L*Q, and its Cramer matrix
+takes a*L*g as column k.  Their Bareiss determinants are the pair's
+denominator and numerator times the one scale (b*L)**n_states shared by the
+whole grid, so the grids are stored as integers over that scale and an
+entry at z = p/q is the single fraction (q*N - p*D) / (q*scale).
+
 `pencil_matrix_kronecker` rebuilds the same matrix from Kronecker products
-of per-state blocks, never forming a per-profile chain matrix, so the two
-constructions check each other.
+of per-state blocks over the rationals, never forming a per-profile chain
+matrix, so the two constructions check each other.
 
 Every entry is a pure function of its own profile pair, so grids may be
 filled independently (and in parallel) with no shared state; all results
@@ -25,7 +33,16 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceCapError
 from .gamecore import Game, check_discount
-from .ratlinalg import RatMatrix, RationalLike, det, kron, permutations_with_parity, to_fraction
+# `det` stays bound here: the benchmark's trace layer wraps `pencil.det` by name
+from .ratlinalg import (  # noqa: F401
+    RatMatrix,
+    RationalLike,
+    det,
+    int_det,
+    kron,
+    permutations_with_parity,
+    to_fraction,
+)
 
 DEFAULT_MAX_ENTRIES = 10**6
 
@@ -47,33 +64,64 @@ def profile_row_index(i_vec: Sequence[int], n_actions: int) -> int:
     return idx
 
 
-def _system_matrix(game: Game, i_vec, j_vec, lam: Fraction) -> RatMatrix:
-    beta = 1 - lam
-    n = game.n_states
-    return RatMatrix(
-        [
+class _IntegerSystem:
+    """The game's data at one discount rate lam = a/b, scaled to integers.
+
+    rows[l][i][j] is row l of b*L*Id - c*L*Q for actions (i, j) in state
+    l + 1, and rewards[l][i][j] is a*L*g there (c = b - a, L the game's
+    least common denominator).  Determinants of matrices assembled from
+    them equal the rational ones times scale = (b*L)**n_states.
+    """
+
+    __slots__ = ("rows", "rewards", "scale")
+
+    def __init__(self, game: Game, lam: Fraction):
+        big_l = game.denominator_lcm()
+        a, b = lam.numerator, lam.denominator
+        diag = b * big_l
+        c_l = (b - a) * big_l
+        a_l = a * big_l
+        self.rows = [
             [
-                Fraction(int(l == t)) - beta * game.transitions[l][i_vec[l]][j_vec[l]][t]
-                for t in range(n)
+                [
+                    [(diag if t == l else 0) - c_l // p.denominator * p.numerator
+                     for t, p in enumerate(dist)]
+                    for dist in row
+                ]
+                for row in state
             ]
-            for l in range(n)
+            for l, state in enumerate(game.transitions)
         ]
-    )
+        self.rewards = [
+            [[a_l // x.denominator * x.numerator for x in row] for row in state]
+            for state in game.rewards
+        ]
+        self.scale = diag**game.n_states
+
+    def system(self, i_vec, j_vec) -> list[list[int]]:
+        """Fresh scaled system matrix of one profile pair (int_det mutates it)."""
+        return [list(self.rows[l][i][j]) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
+
+    def cramer(self, system: list[list[int]], k: int, i_vec, j_vec) -> list[list[int]]:
+        """Copy of the scaled system with column k replaced by a*L*g."""
+        return [
+            row[: k - 1] + [self.rewards[l][i_vec[l]][j_vec[l]]] + row[k:]
+            for l, row in enumerate(system)
+        ]
 
 
 def payoff_denominator(game: Game, i_vec, j_vec, lam: RationalLike) -> Fraction:
     """det(Id - (1-lam) Q) for a pure profile; at least lam**n_states."""
-    lam = check_discount(lam)
-    return det(_system_matrix(game, i_vec, j_vec, lam))
+    ints = _IntegerSystem(game, check_discount(lam))
+    return Fraction(int_det(ints.system(i_vec, j_vec)), ints.scale)
 
 
 def payoff_numerator(game: Game, k: int, i_vec, j_vec, lam: RationalLike) -> Fraction:
     """Cramer numerator: column k of the system matrix replaced by lam * g."""
     lam = check_discount(lam)
     game.check_state(k)
-    system = _system_matrix(game, i_vec, j_vec, lam)
-    g = [lam * game.rewards[l][i_vec[l]][j_vec[l]] for l in range(game.n_states)]
-    return det(system.replace_column(k, g))
+    ints = _IntegerSystem(game, lam)
+    return Fraction(int_det(ints.cramer(ints.system(i_vec, j_vec), k, i_vec, j_vec)), ints.scale)
 
 
 def _check_cap(game: Game, max_entries: int) -> tuple[int, int]:
@@ -90,16 +138,21 @@ def _check_cap(game: Game, max_entries: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class GamePencil:
-    """Precomputed numerator/denominator grids for one (state, lam).
+    """Integer numerator/denominator grids over one scale, for one (state, lam).
 
-    The bisection over z reuses these: the matrix at z is assembled in
-    one pass as numerator - z * denominator.
+    Entry (r, c) of the pencil is numerators[r][c] / scale at z = 0 and
+    falls by denominators[r][c] / scale per unit of z, where scale is
+    (b*L)**n_states for lam = a/b and the game's least common denominator
+    L.  The bisection over z reuses these: the matrix at z = p/q is
+    assembled in one pass, one reduced fraction (q*N - p*D) / (q*scale)
+    per entry.
     """
 
     state: int
     lam: Fraction
-    numerators: tuple[tuple[Fraction, ...], ...]
-    denominators: tuple[tuple[Fraction, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
+    denominators: tuple[tuple[int, ...], ...]
+    scale: int
 
     @property
     def n_rows(self) -> int:
@@ -111,15 +164,14 @@ class GamePencil:
 
     def matrix_at(self, z: RationalLike) -> RatMatrix:
         z = to_fraction(z)
+        p, q = z.numerator, z.denominator
+        area = q * self.scale
         return RatMatrix(
             [
-                [num - z * den for num, den in zip(num_row, den_row)]
+                [Fraction(q * num - p * den, area) for num, den in zip(num_row, den_row)]
                 for num_row, den_row in zip(self.numerators, self.denominators)
             ]
         )
-
-    def max_denominator(self) -> Fraction:
-        return max(max(row) for row in self.denominators)
 
 
 def build_pencil(
@@ -128,6 +180,7 @@ def build_pencil(
     lam = check_discount(lam)
     game.check_state(k)
     _check_cap(game, max_entries)
+    ints = _IntegerSystem(game, lam)
     nums = []
     dens = []
     cols = list(player2_profiles(game))
@@ -135,14 +188,13 @@ def build_pencil(
         num_row = []
         den_row = []
         for j_vec in cols:
-            system = _system_matrix(game, i_vec, j_vec, lam)
-            g = [lam * game.rewards[l][i_vec[l]][j_vec[l]] for l in range(game.n_states)]
-            num_row.append(det(system.replace_column(k, g)))
-            den_row.append(det(system))
+            system = ints.system(i_vec, j_vec)
+            num_row.append(int_det(ints.cramer(system, k, i_vec, j_vec)))
+            den_row.append(int_det(system))
         nums.append(tuple(num_row))
         dens.append(tuple(den_row))
     return GamePencil(
-        state=k, lam=lam, numerators=tuple(nums), denominators=tuple(dens)
+        state=k, lam=lam, numerators=tuple(nums), denominators=tuple(dens), scale=ints.scale
     )
 
 

@@ -18,7 +18,7 @@ one is hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import GameValidationError, UndecidedSignError
@@ -87,6 +87,39 @@ def _check_precision(r: int) -> int:
     return r
 
 
+def _normalized(game: Game, r: int) -> tuple[Game, Fraction, Fraction, int]:
+    """Reward-normalized game, its (scale, offset) and the bisection's grid level."""
+    ngame, scale, offset = affine_normalize(game)
+    return ngame, scale, offset, r + max(0, _ceil_log2(scale))
+
+
+def _bisect(sign_at, r_eff: int, scale: Fraction, offset: Fraction) -> BisectionResult:
+    """Bisect z over [0, 1] down to width 2**-r_eff on exact signs sign_at(z).
+
+    A positive sign raises the lower bracket, a negative one lowers the
+    upper bracket, and an exact zero moves both onto the root.
+    """
+    tol = Fraction(1, 2**r_eff)
+    w_lo, w_hi = Fraction(0), Fraction(1)
+    trace: list[tuple[Fraction, int]] = []
+    while w_hi - w_lo > tol:
+        z = (w_lo + w_hi) / 2
+        s = sign_at(z)
+        trace.append((z, s))
+        if s >= 0:
+            w_lo = z
+        if s <= 0:
+            w_hi = z
+    return BisectionResult(
+        value_estimate=scale * w_lo + offset,
+        radius=scale * (w_hi - w_lo),
+        iterations=len(trace),
+        trace=tuple(trace),
+        scale=scale,
+        offset=offset,
+    )
+
+
 def pencil_value(
     game: Game,
     k: int,
@@ -115,27 +148,10 @@ def discounted_value(
     lam = check_discount(lam)
     game.check_state(k)
     _check_precision(r)
-    ngame, scale, offset = affine_normalize(game)
-    r_eff = r + max(0, _ceil_log2(scale))
+    ngame, scale, offset, r_eff = _normalized(game, r)
     pencil = build_pencil(ngame, k, lam, max_entries)
-    tol = Fraction(1, 2**r_eff)
-    w_lo, w_hi = Fraction(0), Fraction(1)
-    trace: list[tuple[Fraction, int]] = []
-    while w_hi - w_lo > tol:
-        z = (w_lo + w_hi) / 2
-        s = sign(solve_matrix_game(pencil.matrix_at(z)).value)
-        trace.append((z, s))
-        if s >= 0:
-            w_lo = z
-        if s <= 0:
-            w_hi = z
-    return BisectionResult(
-        value_estimate=scale * w_lo + offset,
-        radius=scale * (w_hi - w_lo),
-        iterations=len(trace),
-        trace=tuple(trace),
-        scale=scale,
-        offset=offset,
+    return _bisect(
+        lambda z: sign(solve_matrix_game(pencil.matrix_at(z)).value), r_eff, scale, offset
     )
 
 
@@ -211,6 +227,39 @@ def _anchored_sign(pencils, anchor: int, z: Fraction) -> int:
     return signs[0]
 
 
+def _anchored_evidence(
+    game: Game,
+    k: int,
+    z: Fraction,
+    pencils,
+    anchor: int,
+    compare_shallow: bool,
+    shallow_depth_cap: int,
+    max_entries: int,
+) -> SignEvidence:
+    """Anchored sign at z with its evidence, plus the shallow record if asked."""
+    result = _anchored_sign(pencils, anchor, z)
+    window = len(pencils)
+    shallow = None
+    shallow_depth = None
+    agrees = None
+    if compare_shallow:
+        shallow, shallow_depth = shallow_ladder_sign(
+            game, k, z, window=window, depth_cap=shallow_depth_cap, max_entries=max_entries
+        )
+        agrees = (shallow == result) if shallow is not None else None
+    return SignEvidence(
+        sign=result,
+        lambda_used=Fraction(1, 2 ** (anchor + window - 1)),
+        stabilized=True,
+        ladder_depth=anchor + window - 1,
+        anchor_exponent=anchor,
+        shallow_sign=shallow,
+        shallow_depth=shallow_depth,
+        shallow_agrees=agrees,
+    )
+
+
 def limit_sign(
     game: Game,
     k: int,
@@ -241,25 +290,8 @@ def limit_sign(
         raise GameValidationError("stabilization window must be at least 1")
     anchor = _checked_anchor(game, r, anchor_exponent_cap)
     pencils = _anchor_pencils(game, k, anchor, window, max_entries)
-    result = _anchored_sign(pencils, anchor, z)
-
-    shallow = None
-    shallow_depth = None
-    agrees = None
-    if compare_shallow:
-        shallow, shallow_depth = shallow_ladder_sign(
-            game, k, z, window=window, depth_cap=shallow_depth_cap, max_entries=max_entries
-        )
-        agrees = (shallow == result) if shallow is not None else None
-    return SignEvidence(
-        sign=result,
-        lambda_used=Fraction(1, 2 ** (anchor + window - 1)),
-        stabilized=True,
-        ladder_depth=anchor + window - 1,
-        anchor_exponent=anchor,
-        shallow_sign=shallow,
-        shallow_depth=shallow_depth,
-        shallow_agrees=agrees,
+    return _anchored_evidence(
+        game, k, z, pencils, anchor, compare_shallow, shallow_depth_cap, max_entries
     )
 
 
@@ -278,49 +310,19 @@ def limit_value(
     _check_precision(r)
     if window < 1:
         raise GameValidationError("stabilization window must be at least 1")
-    ngame, scale, offset = affine_normalize(game)
-    r_eff = r + max(0, _ceil_log2(scale))
-    tol = Fraction(1, 2**r_eff)
+    ngame, scale, offset, r_eff = _normalized(game, r)
     # the anchor depends only on the game and grid level, so the rung
     # pencils are shared by every bisection probe
     anchor = _checked_anchor(ngame, r_eff, anchor_exponent_cap)
     pencils = _anchor_pencils(ngame, k, anchor, window, max_entries)
-    w_lo, w_hi = Fraction(0), Fraction(1)
-    trace: list[tuple[Fraction, int]] = []
     evidence: list[SignEvidence] = []
-    while w_hi - w_lo > tol:
-        z = (w_lo + w_hi) / 2
-        s = _anchored_sign(pencils, anchor, z)
-        shallow = None
-        shallow_depth = None
-        agrees = None
-        if compare_shallow:
-            shallow, shallow_depth = shallow_ladder_sign(
-                ngame, k, z, window=window, depth_cap=shallow_depth_cap, max_entries=max_entries
-            )
-            agrees = (shallow == s) if shallow is not None else None
-        ev = SignEvidence(
-            sign=s,
-            lambda_used=Fraction(1, 2 ** (anchor + window - 1)),
-            stabilized=True,
-            ladder_depth=anchor + window - 1,
-            anchor_exponent=anchor,
-            shallow_sign=shallow,
-            shallow_depth=shallow_depth,
-            shallow_agrees=agrees,
+
+    def sign_at(z: Fraction) -> int:
+        ev = _anchored_evidence(
+            ngame, k, z, pencils, anchor, compare_shallow, shallow_depth_cap, max_entries
         )
-        trace.append((z, ev.sign))
         evidence.append(ev)
-        if ev.sign >= 0:
-            w_lo = z
-        if ev.sign <= 0:
-            w_hi = z
-    return BisectionResult(
-        value_estimate=scale * w_lo + offset,
-        radius=scale * (w_hi - w_lo),
-        iterations=len(trace),
-        trace=tuple(trace),
-        scale=scale,
-        offset=offset,
-        evidence=tuple(evidence),
-    )
+        return ev.sign
+
+    result = _bisect(sign_at, r_eff, scale, offset)
+    return replace(result, evidence=tuple(evidence))

@@ -127,6 +127,17 @@ class TestInfo:
         assert "big_match" in capsys.readouterr().out
 
 
+@pytest.fixture
+def no_solving(monkeypatch):
+    """Make every solver entry point of the CLI fail the test if it runs."""
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("solved despite an invalid flag value")
+
+    for name in ("discounted_value", "limit_value", "value_iteration", "run_invariant_checks"):
+        monkeypatch.setattr(cli, name, must_not_run)
+
+
 class TestExitCodes:
     def test_validation_error_on_missing_file(self, capsys):
         code = main(["info", "no_such_game_anywhere"])
@@ -167,16 +178,36 @@ class TestExitCodes:
             ["check", "two_state_2x2", "--digits", "-1"],
         ],
     )
-    def test_negative_digits_rejected_before_solving(self, argv, monkeypatch, capsys):
-        def must_not_run(*args, **kwargs):
-            raise AssertionError("solved despite an invalid --digits")
-
-        for name in ("discounted_value", "limit_value", "value_iteration", "run_invariant_checks"):
-            monkeypatch.setattr(cli, name, must_not_run)
+    def test_negative_digits_rejected_before_solving(self, argv, no_solving, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "--digits: must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["discounted", "single_2x2", "--lambda", "1/4x"], "--lambda"),
+            (["discounted", "single_2x2", "--lambda", "1/0"], "--lambda"),
+            (["oracle", "single_2x2", "--lambda", "one"], "--lambda"),
+            (["oracle", "single_2x2", "--lambda", "1/4", "--tol", "abc"], "--tol"),
+            (["oracle", "single_2x2", "--lambda", "1/4", "--tol", "0.5"], "--tol"),
+            (["discounted", "single_2x2", "--lambda", "1/4", "--max-entries", "-1"],
+             "--max-entries"),
+            (["value", "single_2x2", "--max-entries", "0"], "--max-entries"),
+            (["oracle", "single_2x2", "--lambda", "1/4", "--max-entries", "x"],
+             "--max-entries"),
+            (["check", "single_2x2", "--max-entries", "-1"], "--max-entries"),
+            (["value", "single_2x2", "--anchor-cap", "-5"], "--anchor-cap"),
+            (["value", "single_2x2", "--anchor-cap", "0"], "--anchor-cap"),
+            (["value", "single_2x2", "--anchor-cap", "2.5"], "--anchor-cap"),
+        ],
+    )
+    def test_bad_flag_value_rejected_before_solving(self, argv, flag, no_solving, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_oracle_on_inexact_game(capsys):

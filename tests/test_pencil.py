@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stochgame.errors import ResourceCapError
-from stochgame.gamecore import Game, StationaryStrategy
+from stochgame.gamecore import Game, StationaryStrategy, discounted_payoff
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import (
     build_pencil,
@@ -239,3 +240,78 @@ class TestMultilinearity:
         num = det(system.replace_column(k, [lam * gv for gv in g]))
         den = det(system)
         assert mixed_entry == num - z * den
+
+
+def _primes_above(start: int, count: int) -> list[int]:
+    found: list[int] = []
+    m = start | 1
+    while len(found) < count:
+        if all(m % d for d in range(3, int(m**0.5) + 1, 2)):
+            found.append(m)
+        m += 2
+    return found
+
+
+# distinct primes, so every reward and every transition row of a drawn game
+# has its own >= 30-bit denominator and the least common denominator L is
+# the product of all of them
+BIG_PRIMES = _primes_above(2**30, 24)
+# 1 makes c = b - a vanish; 2**-1400 is an anchored-ladder rung
+CROSS_CHECK_LAMBDAS = (
+    Fraction(2, 5), Fraction(3, 7), Fraction(5, 6), Fraction(1), Fraction(1, 2**1400)
+)
+
+
+@st.composite
+def coprime_games(draw) -> Game:
+    n = draw(st.integers(1, 3))
+    n1 = draw(st.integers(1, 2))
+    n2 = draw(st.integers(1, 3 if n < 3 else 2))
+    primes = iter(draw(st.permutations(BIG_PRIMES)))
+
+    def reward() -> Fraction:
+        den = next(primes)
+        return Fraction(draw(st.integers(-den, den)), den)
+
+    def transition_row() -> list[Fraction]:
+        den = next(primes)
+        cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)))
+        bounds = [0] + cuts + [den]
+        return [Fraction(hi - lo, den) for lo, hi in zip(bounds, bounds[1:])]
+
+    rewards = [[[reward() for _ in range(n2)] for _ in range(n1)] for _ in range(n)]
+    transitions = [[[transition_row() for _ in range(n2)] for _ in range(n1)] for _ in range(n)]
+    return Game(rewards, transitions)
+
+
+class TestIntegerGridCrossChecks:
+    """The integer grids against two routes that never scale to integers."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(coprime_games(), st.fractions(min_value=-2, max_value=2, max_denominator=2**40))
+    def test_grid_matches_kronecker_route(self, game, z):
+        for lam in CROSS_CHECK_LAMBDAS:
+            for k in range(1, game.n_states + 1):
+                assert (
+                    pencil_matrix(game, k, lam, z).payoff
+                    == pencil_matrix_kronecker(game, k, lam, z).payoff
+                )
+
+    @settings(max_examples=12, deadline=None)
+    @given(coprime_games())
+    def test_grid_matches_discounted_payoff(self, game):
+        n = game.n_states
+        for lam in CROSS_CHECK_LAMBDAS:
+            for k in range(1, n + 1):
+                at_zero = pencil_matrix(game, k, lam, 0).payoff
+                at_one = pencil_matrix(game, k, lam, 1).payoff
+                for r, i_vec in enumerate(player1_profiles(game)):
+                    x = StationaryStrategy.pure(i_vec, game.n_actions1)
+                    for c, j_vec in enumerate(player2_profiles(game)):
+                        y = StationaryStrategy.pure(j_vec, game.n_actions2)
+                        num = payoff_numerator(game, k, i_vec, j_vec, lam)
+                        den = payoff_denominator(game, i_vec, j_vec, lam)
+                        assert den >= lam**n
+                        assert num == discounted_payoff(game, x, y, lam)[k - 1] * den
+                        assert at_zero.entry(r, c) == num
+                        assert at_one.entry(r, c) == num - den
