@@ -17,7 +17,6 @@ from .errors import (
     GameValidationError,
     ResourceCapError,
     SingularMatrixError,
-    UndecidedSignError,
 )
 from .gamecore import (
     Game,
@@ -64,13 +63,10 @@ from .ratlinalg import (
 )
 from .solver import (
     BisectionResult,
-    SignEvidence,
     discounted_value,
-    lambda_r_exponent,
     limit_sign,
     limit_value,
     pencil_value,
-    shallow_ladder_sign,
 )
 
 __version__ = "0.1.0"
@@ -88,11 +84,9 @@ __all__ = [
     "PureProfile",
     "RatMatrix",
     "ResourceCapError",
-    "SignEvidence",
     "SingularMatrixError",
     "SnowCertificate",
     "StationaryStrategy",
-    "UndecidedSignError",
     "absorbed_values",
     "affine_normalize",
     "affine_transform",
@@ -107,7 +101,6 @@ __all__ = [
     "format_decimal",
     "is_absorbing",
     "kohlberg_quotient",
-    "lambda_r_exponent",
     "limit_sign",
     "limit_value",
     "list_fixtures",
@@ -122,7 +115,6 @@ __all__ = [
     "pencil_matrix_kronecker",
     "pencil_value",
     "serialize_game",
-    "shallow_ladder_sign",
     "shapley_auxiliary",
     "shapley_operator",
     "shapley_snow_certificate",

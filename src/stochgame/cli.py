@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: `discounted` (discounted value by bisection), `value`
-(vanishing-discount value by bisection over ladder signs), `oracle`
-(fixed-point value iteration), `check` (per-game invariant suite) and
-`info` (document summary).  Exit codes: 0 success, 1 failed checks,
-2 validation error, 3 resource cap exceeded, 4 undecided ladder sign.
+(vanishing-discount value by bisection over exact signs as lam -> 0+),
+`oracle` (fixed-point value iteration), `check` (per-game invariant
+suite) and `info` (document summary).  Exit codes: 0 success, 1 failed
+checks, 2 validation error, 3 resource cap exceeded.
 
 The FILE argument is a path; a bare name matching a bundled fixture
 (see `stochgame info --list-fixtures`) is also accepted.
@@ -22,23 +22,17 @@ from pathlib import Path
 from . import __version__
 from .absorbing import is_absorbing
 from .checks import run_invariant_checks
-from .errors import GameValidationError, ResourceCapError, UndecidedSignError
+from .errors import GameValidationError, ResourceCapError
 from .gamefile import GameFile, fixture_path, list_fixtures, parse_game
 from .oracle import shapley_operator, value_iteration
 from .pencil import DEFAULT_MAX_ENTRIES
 from .ratlinalg import format_decimal, parse_rational
-from .solver import (
-    DEFAULT_ANCHOR_EXPONENT_CAP,
-    BisectionResult,
-    discounted_value,
-    limit_value,
-)
+from .solver import BisectionResult, discounted_value, limit_value
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_VALIDATION = 2
 EXIT_RESOURCE_CAP = 3
-EXIT_UNDECIDED = 4
 
 
 def _load(file_arg: str) -> GameFile:
@@ -108,38 +102,18 @@ def _cmd_value(args) -> int:
     doc = _load(args.file)
     k = _resolve_state(doc, args.state)
     start = time.perf_counter()
-    result = limit_value(
-        doc.game,
-        k,
-        args.precision,
-        anchor_exponent_cap=args.anchor_cap,
-        compare_shallow=args.compare_shallow,
-        max_entries=args.max_entries,
-    )
+    result = limit_value(doc.game, k, args.precision, max_entries=args.max_entries)
     elapsed = time.perf_counter() - start
-    disagreements = [
-        (str(z), ev.shallow_sign)
-        for (z, _), ev in zip(result.trace, result.evidence or ())
-        if ev.shallow_agrees is False
-    ]
     if args.json:
         payload = _result_dict(result, args.digits)
-        payload.update({
-            "command": "value",
-            "state": k,
-            "precision": args.precision,
-            "elapsed_s": elapsed,
-            "anchor_exponents": [ev.anchor_exponent for ev in result.evidence or ()],
-            "shallow_ladder_disagreements": disagreements,
-        })
+        payload.update({"command": "value", "state": k, "precision": args.precision,
+                        "elapsed_s": elapsed})
         print(json.dumps(payload))
     else:
         _print_result(
             f"limit value from state {k} (precision 2^-{args.precision})",
             result, args.digits, elapsed, args.trace,
         )
-        if disagreements:
-            print(f"  note: the depth-1 heuristic ladder disagreed at z in {disagreements}")
     return EXIT_OK
 
 
@@ -250,20 +224,21 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_common(parser: argparse.ArgumentParser, with_state: bool = True) -> None:
+def _add_common(parser: argparse.ArgumentParser, profile_solver: bool = True) -> None:
+    """FILE, --json and --digits; --state and --max-entries for profile-matrix solvers."""
     parser.add_argument("file", metavar="FILE", help="game document path or fixture name")
-    if with_state:
+    if profile_solver:
         parser.add_argument(
             "--state", type=int, default=None,
             help="initial state (1-based; default: document's initial_state, else 1)",
         )
+        parser.add_argument(
+            "--max-entries", type=_positive_int, default=DEFAULT_MAX_ENTRIES,
+            help="cap on profile-matrix entries before refusing to build",
+        )
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument(
         "--digits", type=_nonnegative_int, default=12, help="decimal digits shown (>= 0)"
-    )
-    parser.add_argument(
-        "--max-entries", type=_positive_int, default=DEFAULT_MAX_ENTRIES,
-        help="cap on profile-matrix entries before refusing to build",
     )
 
 
@@ -287,15 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("value", help="vanishing-discount value by exact bisection")
     _add_common(p)
     p.add_argument("--precision", type=int, default=20, metavar="R")
-    p.add_argument("--anchor-cap", type=_positive_int, default=DEFAULT_ANCHOR_EXPONENT_CAP,
-                   help="cap on the guaranteed ladder anchor exponent")
-    p.add_argument("--compare-shallow", action="store_true",
-                   help="also run the depth-1 heuristic ladder and report disagreements")
     p.add_argument("--trace", action="store_true", help="print the bisection trace")
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("oracle", help="value iteration to a certified tolerance")
-    _add_common(p, with_state=False)
+    _add_common(p, profile_solver=False)
     p.add_argument("--lambda", dest="lam", type=_rational, required=True, metavar="P/Q")
     p.add_argument("--tol", type=_rational, default="1/1048576", metavar="P/Q",
                    help="sup-norm tolerance (default 1/2^20)")
@@ -327,10 +298,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: raise --max-entries or shrink the game", file=sys.stderr)
         return EXIT_RESOURCE_CAP
-    except UndecidedSignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: raise --anchor-cap", file=sys.stderr)
-        return EXIT_UNDECIDED
 
 
 if __name__ == "__main__":

@@ -23,9 +23,5 @@ class ResourceCapError(RuntimeError):
     """A pure-profile payoff matrix would exceed the configured entry cap."""
 
 
-class UndecidedSignError(RuntimeError):
-    """The discount-ladder sign did not stabilize within the depth cap."""
-
-
 class SingularMatrixError(ArithmeticError):
     """Exact linear solve against a singular matrix."""

@@ -5,10 +5,13 @@ maximizer's pure actions, columns the minimizer's).  `solve_matrix_game`
 runs an exact simplex on the standard LP formulation, fraction-free over
 one common denominator: the tableau holds integers and each pivot divides
 exactly by the previous pivot (Edmonds 1967, the Bareiss scheme of
-`ratlinalg.int_det`), so no Fraction is normalised until the answer;
-`shapley_snow_value` recomputes the value by enumerating square kernels
-and certifying one, which serves as an independent cross-check of the LP
-throughout the test suite.
+`ratlinalg.int_det`), so no Fraction is normalised until the answer.
+`matrix_game_sign` runs the same pivot loop over any ordered ring with
+exact division and returns only the sign of the value; over
+`ratlinalg.IntPoly` germs that is the sign for every small enough
+discount rate.  `shapley_snow_value` recomputes the value by enumerating
+square kernels and certifying one, which serves as an independent
+cross-check of the LP throughout the test suite.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlinalg import RatMatrix, RationalLike, int_adjugate, to_fraction
+from .ratlinalg import RatMatrix, RationalLike, int_adjugate, sign, to_fraction
 
 
 @dataclass(frozen=True)
@@ -48,37 +51,23 @@ class SnowCertificate:
     y_opt: tuple[Fraction, ...]
 
 
-def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
-    """Exact simplex solve of the matrix game.
+def _bland_simplex(rows: list[list], scale) -> tuple:
+    """Fraction-free Bland simplex on the tableau [rows | I | scale].
 
-    Payoffs are shifted to be strictly positive (undone on output), then
-    the minimizer's LP  max 1.w  s.t. M w <= 1, w >= 0  is solved with
-    Bland's rule; the maximizer's strategy is read off the dual values.
-
-    The tableau is integer and fraction-free (Edmonds 1967): the shifted
-    matrix is scaled by the lcm D of its denominators, giving rows
-    [D*M | I | D], i.e. the slacks are scaled by D.  After each pivot every
-    entry equals det * (the rational tableau entry of that scaled LP), where
-    det is the current pivot (the basis determinant, always positive), so
-    all signs and ratio comparisons agree with a rational tableau and
-    Bland's rule takes the same pivots.  Each non-pivot row, the cost row
-    included, is updated to (x * piv - f * y) // det_prev, an exact division
-    by Sylvester's identity; the pivot row is left unchanged.  Fractions
-    are built only from the final integers.
+    The entries of `rows` are strictly positive elements of an ordered
+    ring with exact division (ints, or `ratlinalg.IntPoly` ordered at
+    lam -> 0+).  Solves  max 1.w  s.t. rows w <= scale, w >= 0  with
+    Bland's rule and Edmonds/Bareiss pivots: after each pivot every entry
+    equals det * (the rational tableau entry), where det is the current
+    pivot (the basis determinant, always positive), so all signs and
+    ratio comparisons agree with a rational tableau.  Each non-pivot row,
+    the cost row included, is updated to (x * piv - f * y) // det_prev, an
+    exact division by Sylvester's identity; the pivot row is left
+    unchanged.  Returns (tableau, cost row, basis, det); the optimum 1.w
+    is cost[-1] / det > 0.
     """
-    p, q = payoff.shape
-    low = min(min(row) for row in payoff.rows)
-    shift = Fraction(1) - low if low <= 0 else Fraction(0)
-    m = [[x + shift for x in row] for row in payoff.rows]
-    scale = math.lcm(*(x.denominator for row in m for x in row))
-
-    # tableau rows: [D*M | I | D], reduced-cost row kept separately
-    tableau = [
-        [x.numerator * (scale // x.denominator) for x in m[i]]
-        + [int(i == r) for r in range(p)]
-        + [scale]
-        for i in range(p)
-    ]
+    p, q = len(rows), len(rows[0])
+    tableau = [list(row) + [int(i == r) for r in range(p)] + [scale] for i, row in enumerate(rows)]
     cost = [-1] * q + [0] * (p + 1)
     basis = list(range(q, q + p))
     det = 1
@@ -86,7 +75,7 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
     while True:
         enter = next((j for j in range(q + p) if cost[j] < 0), None)
         if enter is None:
-            break
+            return tableau, cost, basis, det
         # Bland's leaving rule: least ratio rhs/a over a > 0, ties to the
         # smallest basic variable; ratios compared by cross-multiplication
         leave = None
@@ -113,6 +102,30 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
         det = piv
         basis[leave] = enter
 
+
+def _shift(rows):
+    """Shift that makes every payoff positive: 1 - min if min <= 0, else 0."""
+    low = min(min(row) for row in rows)
+    return 1 - low if low <= 0 else 0
+
+
+def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
+    """Exact simplex solve of the matrix game.
+
+    Payoffs are shifted to be strictly positive (undone on output), then
+    the minimizer's LP  max 1.w  s.t. M w <= 1, w >= 0  is solved by
+    `_bland_simplex` on integers: the shifted matrix is scaled by the lcm
+    D of its denominators, giving rows [D*M | I | D] (the slacks are
+    scaled by D).  The maximizer's strategy is read off the dual values,
+    and Fractions are built only from the final integers.
+    """
+    q = payoff.n_cols
+    shift = _shift(payoff.rows)
+    m = [[x + shift for x in row] for row in payoff.rows]
+    scale = math.lcm(*(x.denominator for row in m for x in row))
+    tableau, cost, basis, det = _bland_simplex(
+        [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
+    )
     # optimal 1.w = total / det = 1 / val(shifted game) > 0; the slack
     # reduced costs are the duals over D, and det cancels from every ratio
     total = cost[-1]
@@ -121,9 +134,22 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
         if var < q:
             w[var] = tableau[i][-1]
     value = Fraction(det, total) - shift
-    x_opt = tuple(Fraction(scale * u, total) for u in cost[q : q + p])
+    x_opt = tuple(Fraction(scale * u, total) for u in cost[q:-1])
     y_opt = tuple(Fraction(v, total) for v in w)
     return GameSolution(value=value, x_opt=x_opt, y_opt=y_opt)
+
+
+def matrix_game_sign(rows: list[list]) -> int:
+    """Sign of the value of a matrix game over an ordered ring.
+
+    The entries are ints or `ratlinalg.IntPoly` germs; for germs the sign
+    is that of the value for every small enough lam > 0.  Runs the same
+    pivots as `solve_matrix_game` with scale 1: the value is
+    det / total - shift with det, total > 0.
+    """
+    shift = _shift(rows)
+    _, cost, _, det = _bland_simplex([[x + shift for x in row] for row in rows], 1)
+    return sign(det - shift * cost[-1])
 
 
 def _minor_table(memo: dict, int_rows: list[list[int]], prefix: tuple[int, ...], q: int) -> dict:

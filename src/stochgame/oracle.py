@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import GameValidationError, UndecidedSignError
+from .errors import GameValidationError
 from .gamecore import (
     Game,
     StationaryStrategy,
@@ -22,7 +22,8 @@ from .gamecore import (
     discounted_payoff,
 )
 from .matrixgame import solve_matrix_game
-from .ratlinalg import RatMatrix, RationalLike, simplest_between, to_fraction
+from .pencil import _IntegerSystem, player1_profiles, player2_profiles
+from .ratlinalg import LAM, RatMatrix, RationalLike, simplest_between, to_fraction
 
 
 def shapley_auxiliary(
@@ -118,22 +119,16 @@ def value_iteration(
                 return exact
 
 
-def _one_player_profiles(game: Game):
-    """Yield (strategy1, strategy2, maximizing) for one-player games."""
-    from .pencil import player1_profiles, player2_profiles
-
+def _best_pure(game: Game, payoff) -> Fraction:
+    """The free player's best payoff(i_vec, j_vec) over its pure profiles."""
+    fixed = (0,) * game.n_states
     if game.n_actions2 == 1:
-        fixed = StationaryStrategy.pure((0,) * game.n_states, 1)
-        for i_vec in player1_profiles(game):
-            yield StationaryStrategy.pure(i_vec, game.n_actions1), fixed, True
-    elif game.n_actions1 == 1:
-        fixed = StationaryStrategy.pure((0,) * game.n_states, 1)
-        for j_vec in player2_profiles(game):
-            yield fixed, StationaryStrategy.pure(j_vec, game.n_actions2), False
-    else:
-        raise GameValidationError(
-            "brute force needs a one-player game (some side with a single action)"
-        )
+        return max(payoff(i_vec, fixed) for i_vec in player1_profiles(game))
+    if game.n_actions1 == 1:
+        return min(payoff(fixed, j_vec) for j_vec in player2_profiles(game))
+    raise GameValidationError(
+        "brute force needs a one-player game (some side with a single action)"
+    )
 
 
 def mdp_brute_force(game: Game, k: int, lam: RationalLike) -> Fraction:
@@ -145,52 +140,32 @@ def mdp_brute_force(game: Game, k: int, lam: RationalLike) -> Fraction:
     """
     lam = check_discount(lam)
     game.check_state(k)
-    best: Fraction | None = None
-    maximizing = True
-    for x, y, maximizing in _one_player_profiles(game):
-        value = discounted_payoff(game, x, y, lam)[k - 1]
-        if best is None or (value > best if maximizing else value < best):
-            best = value
-    assert best is not None
-    return best
+
+    def payoff(i_vec, j_vec) -> Fraction:
+        x = StationaryStrategy.pure(i_vec, game.n_actions1)
+        y = StationaryStrategy.pure(j_vec, game.n_actions2)
+        return discounted_payoff(game, x, y, lam)[k - 1]
+
+    return _best_pure(game, payoff)
 
 
-def mdp_limit_brute_force(
-    game: Game,
-    k: int,
-    window: int = 3,
-    diff_tol: RationalLike = Fraction(1, 2**12),
-    depth_cap: int = 64,
-) -> Fraction:
-    """Vanishing-discount value of a one-player game via a discount ladder.
+def mdp_limit_brute_force(game: Game, k: int) -> Fraction:
+    """Exact vanishing-discount value of a one-player game from state k.
 
-    Each pure stationary strategy's payoff is evaluated at lam = 2**-t
-    until `window` consecutive successive differences stay within
-    diff_tol; the free player's best stabilized payoff is returned.
+    A pure profile's discounted payoff is N(lam) / D(lam), its Cramer
+    numerator over its system determinant as integer polynomials in lam
+    (the pencil's germs), so its limit as lam -> 0+ is N_s / D_s with s
+    the lowest order of D.  The free player's best limit is the limit
+    value: some pure stationary strategy is optimal at each discount rate
+    and there are finitely many, so the limit of the best is the best limit.
     """
     game.check_state(k)
-    diff_tol = to_fraction(diff_tol)
-    best: Fraction | None = None
-    maximizing = True
-    for x, y, maximizing in _one_player_profiles(game):
-        prev: Fraction | None = None
-        run = 0
-        limit: Fraction | None = None
-        for t in range(1, depth_cap + 1):
-            value = discounted_payoff(game, x, y, Fraction(1, 2**t))[k - 1]
-            if prev is not None and abs(value - prev) <= diff_tol:
-                run += 1
-            else:
-                run = 0
-            prev = value
-            if run >= window:
-                limit = value
-                break
-        if limit is None:
-            raise UndecidedSignError(
-                f"pure-profile payoff did not stabilize within ladder depth {depth_cap}"
-            )
-        if best is None or (limit > best if maximizing else limit < best):
-            best = limit
-    assert best is not None
-    return best
+    ints = _IntegerSystem(game, LAM)
+
+    def limit(i_vec, j_vec) -> Fraction:
+        num, den = ints.dets(k, i_vec, j_vec)
+        s = den.order()
+        # int_det returns the int 0 for a singular Cramer matrix
+        return Fraction(num.coeff(s), den.coeff(s)) if num else Fraction(0)
+
+    return _best_pure(game, limit)

@@ -13,14 +13,16 @@ scaled by b*L is the integer matrix b*L*Id - c*L*Q, and its Cramer matrix
 takes a*L*g as column k.  Their Bareiss determinants are the pair's
 denominator and numerator times the one scale (b*L)**n_states shared by the
 whole grid, so the grids are stored as integers over that scale and an
-entry at z = p/q is the single fraction (q*N - p*D) / (q*scale).
+entry at z = p/q is the single fraction (q*N - p*D) / (q*scale).  The same
+code runs over Z[lam]: for lam = `ratlinalg.LAM` the rows are
+L*Id - (1-lam)*L*Q, the Cramer column is lam*L*g, and the grids hold
+integer polynomials in lam whose signs as lam -> 0+ decide the limit value.
 
 `pencil_matrix_kronecker` rebuilds the same matrix from Kronecker products
 of per-state blocks over the rationals, never forming a per-profile chain
 matrix, so the two constructions check each other.
 
-Every entry is a pure function of its own profile pair, so grids may be
-filled independently (and in parallel) with no shared state; all results
+Every entry is a pure function of its own profile pair, and all results
 here are immutable once built.
 """
 
@@ -35,6 +37,7 @@ from .errors import ResourceCapError
 from .gamecore import Game, check_discount
 # `det` stays bound here: the benchmark's trace layer wraps `pencil.det` by name
 from .ratlinalg import (  # noqa: F401
+    IntPoly,
     RatMatrix,
     RationalLike,
     det,
@@ -67,47 +70,53 @@ def profile_row_index(i_vec: Sequence[int], n_actions: int) -> int:
 class _IntegerSystem:
     """The game's data at one discount rate lam = a/b, scaled to integers.
 
-    rows[l][i][j] is row l of b*L*Id - c*L*Q for actions (i, j) in state
-    l + 1, and rewards[l][i][j] is a*L*g there (c = b - a, L the game's
-    least common denominator).  Determinants of matrices assembled from
-    them equal the rational ones times scale = (b*L)**n_states.
+    Row l of a profile pair's system matrix is row l of b*L*Id - c*L*Q for
+    its actions (i, j) in state l + 1, and its Cramer column holds a*L*g
+    there (c = b - a, L the game's least common denominator).
+    Determinants of matrices assembled from them equal the rational ones
+    times scale = (b*L)**n_states.  Each row is scaled on first use and
+    kept, so one profile pair scales only its own n rows.  lam may also
+    be `ratlinalg.LAM` (a = lam, b = 1), which gives the rows
+    L*Id - (1-lam)*L*Q and the column lam*L*g over Z[lam].
     """
 
-    __slots__ = ("rows", "rewards", "scale")
+    __slots__ = ("game", "diag", "c_l", "a_l", "scale", "_rows")
 
-    def __init__(self, game: Game, lam: Fraction):
+    def __init__(self, game: Game, lam):
         big_l = game.denominator_lcm()
         a, b = lam.numerator, lam.denominator
-        diag = b * big_l
-        c_l = (b - a) * big_l
-        a_l = a * big_l
-        self.rows = [
-            [
-                [
-                    [(diag if t == l else 0) - c_l // p.denominator * p.numerator
-                     for t, p in enumerate(dist)]
-                    for dist in row
-                ]
-                for row in state
+        self.game = game
+        self.diag = b * big_l
+        self.c_l = (b - a) * big_l
+        self.a_l = a * big_l
+        self.scale = self.diag**game.n_states
+        self._rows: dict = {}
+
+    def _row(self, l: int, i: int, j: int) -> list:
+        row = self._rows.get((l, i, j))
+        if row is None:
+            row = self._rows[l, i, j] = [
+                (self.diag if t == l else 0) - self.c_l // p.denominator * p.numerator
+                for t, p in enumerate(self.game.transitions[l][i][j])
             ]
-            for l, state in enumerate(game.transitions)
-        ]
-        self.rewards = [
-            [[a_l // x.denominator * x.numerator for x in row] for row in state]
-            for state in game.rewards
-        ]
-        self.scale = diag**game.n_states
+        return row
 
-    def system(self, i_vec, j_vec) -> list[list[int]]:
+    def system(self, i_vec, j_vec) -> list[list]:
         """Fresh scaled system matrix of one profile pair (int_det mutates it)."""
-        return [list(self.rows[l][i][j]) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
+        return [list(self._row(l, i, j)) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
 
-    def cramer(self, system: list[list[int]], k: int, i_vec, j_vec) -> list[list[int]]:
+    def cramer(self, system: list[list], k: int, i_vec, j_vec) -> list[list]:
         """Copy of the scaled system with column k replaced by a*L*g."""
-        return [
-            row[: k - 1] + [self.rewards[l][i_vec[l]][j_vec[l]]] + row[k:]
-            for l, row in enumerate(system)
-        ]
+        out = []
+        for l, row in enumerate(system):
+            g = self.game.rewards[l][i_vec[l]][j_vec[l]]
+            out.append(row[: k - 1] + [self.a_l // g.denominator * g.numerator] + row[k:])
+        return out
+
+    def dets(self, k: int, i_vec, j_vec) -> tuple:
+        """Scaled (Cramer numerator, system determinant) of one profile pair."""
+        system = self.system(i_vec, j_vec)
+        return int_det(self.cramer(system, k, i_vec, j_vec)), int_det(system)
 
 
 def payoff_denominator(game: Game, i_vec, j_vec, lam: RationalLike) -> Fraction:
@@ -145,13 +154,14 @@ class GamePencil:
     (b*L)**n_states for lam = a/b and the game's least common denominator
     L.  The bisection over z reuses these: the matrix at z = p/q is
     assembled in one pass, one reduced fraction (q*N - p*D) / (q*scale)
-    per entry.
+    per entry.  For lam = `ratlinalg.LAM` the grids hold `IntPoly`
+    germs over scale L**n_states, and only `scaled_at` applies.
     """
 
     state: int
-    lam: Fraction
-    numerators: tuple[tuple[int, ...], ...]
-    denominators: tuple[tuple[int, ...], ...]
+    lam: Fraction | IntPoly
+    numerators: tuple[tuple[int | IntPoly, ...], ...]
+    denominators: tuple[tuple[int | IntPoly, ...], ...]
     scale: int
 
     @property
@@ -162,39 +172,43 @@ class GamePencil:
     def n_cols(self) -> int:
         return len(self.numerators[0])
 
-    def matrix_at(self, z: RationalLike) -> RatMatrix:
+    def scaled_at(self, z: RationalLike) -> list[list]:
+        """Entries q*N - p*D at z = p/q: the matrix at z times q*scale > 0."""
         z = to_fraction(z)
         p, q = z.numerator, z.denominator
-        area = q * self.scale
-        return RatMatrix(
-            [
-                [Fraction(q * num - p * den, area) for num, den in zip(num_row, den_row)]
-                for num_row, den_row in zip(self.numerators, self.denominators)
-            ]
-        )
+        return [
+            [q * num - p * den for num, den in zip(num_row, den_row)]
+            for num_row, den_row in zip(self.numerators, self.denominators)
+        ]
+
+    def matrix_at(self, z: RationalLike) -> RatMatrix:
+        area = to_fraction(z).denominator * self.scale
+        return RatMatrix([[Fraction(x, area) for x in row] for row in self.scaled_at(z)])
 
 
 def build_pencil(
-    game: Game, k: int, lam: RationalLike, max_entries: int = DEFAULT_MAX_ENTRIES
+    game: Game, k: int, lam, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> GamePencil:
-    lam = check_discount(lam)
+    """Numerator and denominator grids of every profile pair at lam.
+
+    lam is a rate in (0, 1], or `ratlinalg.LAM` for grids of integer
+    polynomials in lam: the germs of the pencil as lam -> 0+.
+    """
+    if not isinstance(lam, IntPoly):
+        lam = check_discount(lam)
     game.check_state(k)
     _check_cap(game, max_entries)
     ints = _IntegerSystem(game, lam)
-    nums = []
-    dens = []
     cols = list(player2_profiles(game))
-    for i_vec in player1_profiles(game):
-        num_row = []
-        den_row = []
-        for j_vec in cols:
-            system = ints.system(i_vec, j_vec)
-            num_row.append(int_det(ints.cramer(system, k, i_vec, j_vec)))
-            den_row.append(int_det(system))
-        nums.append(tuple(num_row))
-        dens.append(tuple(den_row))
+    grid = [
+        [ints.dets(k, i_vec, j_vec) for j_vec in cols] for i_vec in player1_profiles(game)
+    ]
     return GamePencil(
-        state=k, lam=lam, numerators=tuple(nums), denominators=tuple(dens), scale=ints.scale
+        state=k,
+        lam=lam,
+        numerators=tuple(tuple(num for num, _ in row) for row in grid),
+        denominators=tuple(tuple(den for _, den in row) for row in grid),
+        scale=ints.scale,
     )
 
 

@@ -4,8 +4,10 @@ Every quantity in this package is a `fractions.Fraction`, which already
 guarantees the canonical form we rely on everywhere: positive denominator
 and gcd(|numerator|, denominator) = 1 after each operation.  This module
 adds strict text parsing, correctly rounded decimal rendering, and small
-dense matrices with exact determinants and linear solves.  There is no
-floating point anywhere; zero tests are exact.
+dense matrices with exact determinants and linear solves.  `IntPoly` is
+the one other number type: an integer polynomial in the discount rate,
+ordered by its sign as the rate tends to 0.  There is no floating point
+anywhere; zero tests are exact.
 """
 
 from __future__ import annotations
@@ -195,6 +197,182 @@ class RatMatrix:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
         return f"RatMatrix[{body}]"
+
+
+class IntPoly:
+    """Immutable integer polynomial in lam, ordered as lam -> 0+.
+
+    coeffs[i] is the coefficient of lam**i, without trailing zeros (zero
+    is the empty tuple); ints mix in as constants.  `+ - *` are exact,
+    `//` is exact division and raises ArithmeticError if a remainder is
+    left, and comparisons go by the sign of the lowest-order nonzero
+    coefficient: p > 0 exactly when p(lam) > 0 for every small enough
+    lam > 0 (the ordered ring of Jeroslow's asymptotic linear
+    programming).  Like an int it is its own numerator over denominator
+    1, so integer code such as `int_det` runs over it unchanged.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: Iterable[int] = ()):
+        c = list(coeffs)
+        while c and not c[-1]:
+            c.pop()
+        object.__setattr__(self, "coeffs", tuple(c))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntPoly is immutable")
+
+    @property
+    def numerator(self) -> "IntPoly":
+        return self
+
+    @property
+    def denominator(self) -> int:
+        return 1
+
+    def order(self) -> int:
+        """Index of the lowest-order nonzero coefficient (none for zero)."""
+        return _order(self.coeffs)
+
+    def coeff(self, i: int) -> int:
+        return self.coeffs[i] if i < len(self.coeffs) else 0
+
+    def sign(self) -> int:
+        c = self.coeffs
+        return (c[_order(c)] > 0) * 2 - 1 if c else 0
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __neg__(self) -> "IntPoly":
+        return _wrap(tuple(-x for x in self.coeffs))
+
+    def __add__(self, other) -> "IntPoly":
+        return _sum(self.coeffs, _coeffs(other), 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "IntPoly":
+        return _sum(self.coeffs, _coeffs(other), -1)
+
+    def __rsub__(self, other) -> "IntPoly":
+        return _sum(_coeffs(other), self.coeffs, -1)
+
+    def __mul__(self, other) -> "IntPoly":
+        a, b = self.coeffs, _coeffs(other)
+        if not a or not b:
+            return _ZERO
+        # multiply the parts above the lowest nonzero terms
+        va, vb = _order(a), _order(b)
+        a, b = a[va:], b[vb:]
+        out = [0] * (va + vb + len(a) + len(b) - 1)
+        for i, x in enumerate(a, va + vb):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _wrap(tuple(out))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other) -> "IntPoly":
+        rem, div = self.coeffs, _coeffs(other)
+        if not div:
+            raise ZeroDivisionError("IntPoly division by zero")
+        if not rem:
+            return _ZERO
+        # long division from the top, on the parts above the lowest terms
+        shift = _order(div)
+        if _order(rem) < shift:
+            raise ArithmeticError("inexact IntPoly division")
+        rem, div = list(rem[shift:]), div[shift:]
+        top = len(div) - 1
+        lead = div[top]
+        quot = [0] * max(len(rem) - top, 0)
+        for i in range(len(quot) - 1, -1, -1):
+            q, r = divmod(rem[i + top], lead)
+            if r:
+                raise ArithmeticError("inexact IntPoly division")
+            if q:
+                quot[i] = q
+                for j, d in enumerate(div, i):
+                    rem[j] -= q * d
+        if any(rem):
+            raise ArithmeticError("inexact IntPoly division")
+        return _wrap(tuple(quot))
+
+    def __rfloordiv__(self, other) -> "IntPoly":
+        return _wrap(_coeffs(other)) // self
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (IntPoly, int)):
+            return self.coeffs == _coeffs(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        c = self.coeffs
+        return hash(c[0] if len(c) == 1 else c or 0)
+
+    def _sign_minus(self, other) -> int:
+        return (self if isinstance(other, int) and not other else self - other).sign()
+
+    def __lt__(self, other) -> bool:
+        return self._sign_minus(other) < 0
+
+    def __le__(self, other) -> bool:
+        return self._sign_minus(other) <= 0
+
+    def __gt__(self, other) -> bool:
+        return self._sign_minus(other) > 0
+
+    def __ge__(self, other) -> bool:
+        return self._sign_minus(other) >= 0
+
+    def __repr__(self) -> str:
+        return f"IntPoly({self.coeffs})"
+
+
+def _wrap(coeffs: tuple) -> IntPoly:
+    """IntPoly over coefficients that are already trimmed."""
+    p = object.__new__(IntPoly)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
+_ZERO = _wrap(())
+
+
+def _coeffs(x) -> tuple:
+    """Coefficients of an IntPoly, or of an int as a constant."""
+    if isinstance(x, IntPoly):
+        return x.coeffs
+    return (x,) if x else ()
+
+
+def _order(c: tuple) -> int:
+    i = 0
+    while not c[i]:
+        i += 1
+    return i
+
+
+def _sum(a: tuple, b: tuple, f: int) -> IntPoly:
+    """a + f*b for f = +1 or -1."""
+    if len(a) > len(b):
+        out = list(a)
+        for i, y in enumerate(b):
+            out[i] += f * y
+        return _wrap(tuple(out))
+    out = [f * y for y in b]
+    for i, x in enumerate(a):
+        out[i] += x
+    if len(a) == len(b):
+        while out and not out[-1]:
+            out.pop()
+    return _wrap(tuple(out))
+
+
+LAM = IntPoly((0, 1))
 
 
 def mat_vec(m: RatMatrix, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:

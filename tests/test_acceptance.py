@@ -25,7 +25,7 @@ from stochgame.pencil import (
     profile_row_index,
 )
 from stochgame.ratlinalg import RatMatrix, det, sign
-from stochgame.solver import discounted_value, limit_sign, limit_value
+from stochgame.solver import _normalized, discounted_value, limit_sign, limit_value
 from stochgame.gamecore import StationaryStrategy, expected_reward, transition_matrix
 
 from conftest import ALL_FIXTURES
@@ -38,6 +38,7 @@ from gens import (
     rand_stochastic_matrix,
     rand_strategy,
 )
+from ladder import anchor_pencils, anchor_rungs, anchored_sign, shallow_ladder_sign
 
 SEED = 20260810
 ROOT_CHECK_LAMBDAS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 16))
@@ -308,12 +309,14 @@ def test_criterion_9_kernel_certificates(fixture_docs, root_oracle_data):
                 if shapley_snow_value(w) != solve_matrix_game(w).value:
                     failures += 1
                 checked += 1
-    # profile matrices arising in the Big Match limit run (criterion 6)
+    # profile matrices of the Big Match limit run (criterion 6), at the
+    # deepest rung of the anchored ladder
     bm = fixture_docs["big_match"].game
-    nbm, _, _ = affine_normalize(bm)
+    nbm, _, _, r_eff = _normalized(bm, 10)
     lim = limit_value(bm, 1, 10)
-    for (z, _), ev in zip(lim.trace, lim.evidence):
-        w = build_pencil(nbm, 1, ev.lambda_used).matrix_at(z)
+    rung = build_pencil(nbm, 1, Fraction(1, 2 ** anchor_rungs(nbm, r_eff)[-1]))
+    for z, _ in lim.trace:
+        w = rung.matrix_at(z)
         if w.n_rows <= 16 and w.n_cols <= 16:
             if shapley_snow_value(w) != solve_matrix_game(w).value:
                 failures += 1
@@ -349,13 +352,13 @@ def test_criterion_10_mdp_degeneration():
         lim = limit_value(game, k, 10)
         reference = mdp_limit_brute_force(game, k)
         gap = abs(lim.value_estimate - reference)
-        if gap > Fraction(1, 2**8):
+        if gap > lim.radius:
             violations.append((trial, gap))
     report(
         10,
         not violations,
-        f"20 one-player games: bisection limit within 2^-8 of the pure-strategy "
-        f"ladder ({len(violations)} violations)",
+        f"20 one-player games: the exact pure-strategy limit lies in the bisection "
+        f"enclosure ({len(violations)} violations)",
     )
 
 
@@ -363,24 +366,29 @@ def test_criterion_11_sign_stability(fixture_docs):
     start = time.perf_counter()
     grid = [Fraction(t, 16) for t in range(17)]
     unstable = []
+    mismatches = []
     discrepancies = []
     for name in ALL_FIXTURES:
         game, _, _ = affine_normalize(fixture_docs[name].game)
         k = fixture_docs[name].initial_state or 1
+        pencils = anchor_pencils(game, k, 4)
         for z in grid:
-            evidence = limit_sign(game, k, z, 4, compare_shallow=True, shallow_depth_cap=64)
-            if evidence.shallow_sign is None:
+            exact = limit_sign(game, k, z)
+            if exact != anchored_sign(pencils, z):
+                mismatches.append((name, z))
+            shallow, _ = shallow_ladder_sign(game, k, z, depth_cap=64)
+            if shallow is None:
                 unstable.append((name, z))
-            elif evidence.shallow_agrees is False:
-                discrepancies.append((name, str(z), evidence.shallow_sign, evidence.sign))
+            elif shallow != exact:
+                discrepancies.append((name, str(z), shallow, exact))
     elapsed = time.perf_counter() - start
     for item in discrepancies:
-        print(f"[criterion 11] logged shallow-vs-anchored discrepancy: {item}")
+        print(f"[criterion 11] logged shallow-vs-exact discrepancy: {item}")
     report(
         11,
-        not unstable,
-        f"shallow ladder stabilized within depth 64 at all "
-        f"{len(ALL_FIXTURES) * len(grid)} grid points "
-        f"({len(unstable)} unstable, {len(discrepancies)} discrepancies logged), "
-        f"{elapsed:.1f}s",
+        not unstable and not mismatches,
+        f"exact sign equals the anchored ladder's and the shallow ladder "
+        f"stabilized within depth 64 at all {len(ALL_FIXTURES) * len(grid)} grid "
+        f"points ({len(mismatches)} mismatches, {len(unstable)} unstable, "
+        f"{len(discrepancies)} discrepancies logged), {elapsed:.1f}s",
     )

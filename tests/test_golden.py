@@ -1,10 +1,13 @@
 """Golden outputs: CLI answers pinned bit for bit across rewrites.
 
 tests/data/golden.json holds the `--json` output (minus `elapsed_s`) of
-`discounted FIX --lambda 1/4 --precision 20` and `check FIX --seed 0` on
-every bundled fixture, and of `value FIX --precision 6` on all but the two
-slowest ones, as recorded before the integer pencil grids replaced the
-rational ones.  Any change of value, radius, trace or check outcome fails.
+`discounted FIX --lambda 1/4 --precision 20`, `check FIX --seed 0` and
+`value FIX --precision 6` on every bundled fixture, as recorded before the
+integer pencil grids replaced the rational ones.  `value` on
+three_state_2x2 and two_state_3x3 was recorded later, before the exact sign
+over Z[lam] replaced the anchored discount ladder; at that switch every
+`value` output lost only the ladder's two keys.  Any change of value,
+radius, trace or check outcome fails.
 """
 
 import json

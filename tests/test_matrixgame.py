@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,12 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import (
     affine_transform,
+    matrix_game_sign,
     shapley_snow_certificate,
     shapley_snow_value,
     solve_matrix_game,
 )
 from stochgame.pencil import build_pencil
-from stochgame.ratlinalg import RatMatrix
+from stochgame.ratlinalg import LAM, RatMatrix, sign
 
 from gens import rand_fraction, rand_matrix
 
@@ -146,6 +148,35 @@ class TestSolve:
             c = Fraction(rng.randint(1, 5), rng.randint(1, 4))
             d = rand_fraction(rng)
             assert solve_matrix_game(affine_transform(m, c, d)).value == c * solve_matrix_game(m).value + d
+
+
+def integer_rows(m: RatMatrix) -> list[list[int]]:
+    """m times the lcm of its denominators, as ints."""
+    scale = math.lcm(*(x.denominator for row in m.rows for x in row))
+    return [[int(x * scale) for x in row] for row in m.rows]
+
+
+class TestMatrixGameSign:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(payoff_matrices, wide_payoff_matrices))
+    @example(BLAND_TIE)
+    @example(NONPOSITIVE)
+    def test_integer_sign_matches_value(self, m):
+        assert matrix_game_sign(integer_rows(m)) == sign(solve_matrix_game(m).value)
+
+    def test_germ_sign_is_led_by_the_constant_term(self):
+        # val(A + lam*B) -> val(A) as lam -> 0+, so a nonzero val(A) decides;
+        # with A = 0 the value is lam*val(B)
+        rng = random.Random(17)
+        for _ in range(40):
+            p, q = rng.randint(1, 4), rng.randint(1, 4)
+            a = integer_rows(rand_matrix(rng, p, q))
+            b = integer_rows(rand_matrix(rng, p, q))
+            germ = [[x + LAM * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            led = matrix_game_sign(a)
+            if led:
+                assert matrix_game_sign(germ) == led
+            assert matrix_game_sign([[LAM * y for y in row] for row in b]) == matrix_game_sign(b)
 
 
 class TestAffineTransform:

@@ -169,11 +169,11 @@ class TestMdpBruteForce:
 class TestMdpLimitBruteForce:
     def test_cycle_limit(self, fixture_docs):
         ref = mdp_limit_brute_force(fixture_docs["cycle_mdp"].game, 1)
-        assert abs(ref - Fraction(1, 2)) <= Fraction(1, 2**10)
+        assert ref == Fraction(1, 2)
 
     def test_two_state_mdp_limit(self, fixture_docs):
         ref = mdp_limit_brute_force(fixture_docs["mdp_two_state"].game, 1)
-        assert abs(ref - Fraction(5, 8)) <= Fraction(1, 2**10)
+        assert ref == Fraction(5, 8)
 
     def test_rejects_two_player_games(self, fixture_docs):
         with pytest.raises(GameValidationError):

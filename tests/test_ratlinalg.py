@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from stochgame.errors import SingularMatrixError
 from stochgame.ratlinalg import (
+    LAM,
+    IntPoly,
     RatMatrix,
     adjugate,
     cofactor_sum,
@@ -291,3 +293,81 @@ class TestMatrixBasics:
 def test_format_decimal_rejects_negative_digits():
     with pytest.raises(ValueError):
         format_decimal(Fraction(1, 3), -1)
+
+
+coefficients = st.lists(
+    st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)), max_size=6
+)
+polys = coefficients.map(IntPoly)
+
+
+def at(p: IntPoly, x):
+    """p evaluated at x by Horner's rule."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+class TestIntPoly:
+    def test_normal_form_and_constants(self):
+        assert IntPoly((3, 0, 0)).coeffs == (3,)
+        assert IntPoly((0, 0)) == 0 and not IntPoly()
+        assert IntPoly((5,)) == 5 and hash(IntPoly((5,))) == hash(5)
+        assert LAM * LAM - 1 == IntPoly((-1, 0, 1))
+        assert 2 - LAM == IntPoly((2, -1)) and 3 * LAM == LAM * 3 == IntPoly((0, 3))
+        assert IntPoly((0, 0, 7, 1)).order() == 2 and IntPoly((1, 2)).coeff(5) == 0
+
+    @given(polys, polys, polys)
+    def test_ring_laws(self, a, b, c):
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a - a == 0 and a + 0 == a and a * 1 == a and a * 0 == 0
+        assert -(a - b) == b - a
+
+    @given(polys, polys, st.integers(-5, 5))
+    def test_agrees_with_evaluation(self, a, b, x):
+        assert at(a + b, x) == at(a, x) + at(b, x)
+        assert at(a - b, x) == at(a, x) - at(b, x)
+        assert at(a * b, x) == at(a, x) * at(b, x)
+
+    @given(polys, polys)
+    def test_exact_division(self, a, b):
+        if b:
+            assert (a * b) // b == a
+            assert (a * b) // IntPoly(b.coeffs) == a
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            IntPoly((1, 1)) // 2
+        with pytest.raises(ArithmeticError):
+            (LAM * LAM + 1) // (LAM + 1)
+        with pytest.raises(ArithmeticError):
+            IntPoly((1, 0, 1)) // LAM  # lam does not divide 1 + lam^2
+        with pytest.raises(ArithmeticError):
+            3 // (LAM + 1)
+        with pytest.raises(ZeroDivisionError):
+            LAM // IntPoly()
+
+    @given(polys)
+    def test_sign_is_the_sign_at_small_lam(self, p):
+        # past t, the lowest-order term outweighs all others at lam = 2^-t
+        t = sum(abs(c) for c in p.coeffs).bit_length() + 2
+        assert p.sign() == sign(Fraction(at(p, Fraction(1, 2**t))))
+        assert (p > 0, p == 0, p < 0) == (p.sign() > 0, p.sign() == 0, p.sign() < 0)
+
+    @given(polys, polys)
+    def test_order_is_total_and_compatible(self, a, b):
+        assert (a < b) + (a == b) + (a > b) == 1
+        assert (a <= b) == ((a - b).sign() <= 0) and (a >= b) == (b <= a)
+        assert (a < b) == (a + LAM < b + LAM)
+
+    @given(st.lists(st.lists(coefficients, min_size=3, max_size=3), min_size=3, max_size=3),
+           st.integers(-4, 4))
+    def test_bareiss_over_polynomials(self, rows, x):
+        # int_det runs over Z[lam]; its divisions are exact there too
+        m = [[IntPoly(c) for c in row] for row in rows]
+        expected = int_det([[at(p, x) for p in row] for row in m])
+        assert at(IntPoly(()) + int_det([list(row) for row in m]), x) == expected
+

@@ -3,20 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from stochgame.errors import GameValidationError, UndecidedSignError
+from stochgame.errors import GameValidationError
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import build_pencil
-from stochgame.solver import (
-    discounted_value,
-    lambda_r_exponent,
-    limit_sign,
-    limit_value,
-    pencil_value,
-    shallow_ladder_sign,
-)
+from stochgame.solver import discounted_value, limit_sign, limit_value, pencil_value
 from stochgame.oracle import mdp_limit_brute_force
 
-from gens import rand_game
+from gens import rand_absorbing_game, rand_game
+from ladder import (
+    anchor_pencils,
+    anchor_rungs,
+    anchored_limit_value,
+    anchored_sign,
+    lambda_r_exponent,
+    shallow_ladder_sign,
+)
 
 from test_gamecore import cycle_game, one_state_game
 
@@ -106,12 +107,9 @@ class TestLimitSign:
     def test_single_state_signs(self):
         game = one_state_game([[3, 1], [0, 2]])
         val_g = Fraction(3, 2)
-        below = limit_sign(game, 1, val_g - 1, 4)
-        assert below.sign == 1 and below.stabilized
-        above = limit_sign(game, 1, val_g + 1, 4)
-        assert above.sign == -1
-        at_root = limit_sign(game, 1, val_g, 4)
-        assert at_root.sign == 0
+        assert limit_sign(game, 1, val_g - 1) == 1
+        assert limit_sign(game, 1, val_g + 1) == -1
+        assert limit_sign(game, 1, val_g) == 0
 
     def test_rewards_below_half_make_one_negative(self):
         rng = random.Random(42)
@@ -120,31 +118,25 @@ class TestLimitSign:
             tuple(tuple(tuple(x / 2 for x in row) for row in s) for s in game.rewards),
             game.transitions,
         )
-        evidence = limit_sign(halved, 1, Fraction(1), 4)
-        assert evidence.sign == -1
-
-    def test_anchor_cap_raises_undecided(self):
-        game = one_state_game([["3/4", "1/4"], ["1/4", "1/2"]])
-        with pytest.raises(UndecidedSignError):
-            limit_sign(game, 1, Fraction(1, 3), 4, anchor_exponent_cap=2)
+        assert limit_sign(halved, 1, Fraction(1)) == -1
 
     def test_shallow_comparison_on_small_game(self):
         game = one_state_game([[1, 0], [0, 1]])
-        evidence = limit_sign(game, 1, Fraction(1, 4), 4, compare_shallow=True)
-        assert evidence.shallow_sign == evidence.sign == 1
-        assert evidence.shallow_agrees is True
-        assert evidence.anchor_exponent == 40
+        z = Fraction(1, 4)
+        shallow, _ = shallow_ladder_sign(game, 1, z)
+        anchored = anchored_sign(anchor_pencils(game, 1, 4), z)
+        assert shallow == anchored == limit_sign(game, 1, z) == 1
+        assert anchor_rungs(game, 4)[0] == 40
 
     def test_shallow_ladder_transient_sign_is_caught(self, fixture_docs):
         # the depth-1 heuristic stabilizes on a wrong transient sign here;
-        # the anchored ladder must decide the true one
+        # the exact sign and the anchored ladder both give the true one
         game = fixture_docs["cycle_mdp"].game
         z = Fraction(17, 32)
         shallow, depth = shallow_ladder_sign(game, 1, z)
         assert shallow == 1  # transient: 1/(2 - lam) > z only above lam = 2/17
-        evidence = limit_sign(game, 1, z, 8, compare_shallow=True)
-        assert evidence.sign == -1
-        assert evidence.shallow_agrees is False
+        assert limit_sign(game, 1, z) == -1
+        assert anchored_sign(anchor_pencils(game, 1, 8), z) == -1
 
 
 class TestLimitValue:
@@ -157,7 +149,7 @@ class TestLimitValue:
     def test_big_match(self, fixture_docs):
         result = limit_value(fixture_docs["big_match"].game, 1, 10)
         assert result.value_estimate == Fraction(1, 2)
-        assert result.evidence is not None and all(ev.stabilized for ev in result.evidence)
+        assert result.trace == ((Fraction(1, 2), 0),) and result.radius == 0
 
     def test_cycle_limit_is_half(self, fixture_docs):
         # discounted value 1/(2 - lam) tends to 1/2
@@ -168,21 +160,40 @@ class TestLimitValue:
         game = fixture_docs["mdp_two_state"].game
         result = limit_value(game, 1, 10)
         reference = mdp_limit_brute_force(game, 1)
-        assert abs(result.value_estimate - reference) <= Fraction(1, 2**8)
+        assert abs(result.value_estimate - reference) <= result.radius
         # hand-derived limit: the best policy cycles both states evenly,
-        # averaging rewards 3/4 and 1/2; the ladder stops within its tol
-        assert abs(reference - Fraction(5, 8)) <= Fraction(1, 2**10)
+        # averaging rewards 3/4 and 1/2
+        assert reference == Fraction(5, 8)
 
     def test_sign_stability_after_stabilization(self, fixture_docs):
-        # once stabilized, deeper rungs keep the same sign up to the test cap
+        # rungs below the anchored ladder's window keep the exact sign
         game = fixture_docs["two_state_2x2"].game
+        deepest = anchor_rungs(game, 4)[-1]
         for z in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            evidence = limit_sign(game, 1, z, 4)
-            for extra in range(evidence.ladder_depth + 1, evidence.ladder_depth + 6):
+            exact = limit_sign(game, 1, z)
+            for extra in range(deepest + 1, deepest + 6):
                 lam = Fraction(1, 2**extra)
                 deeper = pencil_value(game, 1, lam, z)
                 s = (deeper > 0) - (deeper < 0)
-                assert s == evidence.sign
+                assert s == exact
+
+    def test_matches_anchored_ladder_on_random_games(self):
+        # the exact sign and the anchored ladder give bit-identical runs
+        rng = random.Random(44)
+        for trial in range(48):
+            kind = trial % 4
+            if kind == 0:
+                game = rand_game(rng, 1, rng.randint(1, 3), rng.randint(1, 3))
+            elif kind == 1:
+                game = rand_game(rng, 2, rng.randint(1, 2), rng.randint(1, 2))
+            elif kind == 2:
+                game = rand_absorbing_game(rng, rng.randint(2, 3), rng.randint(1, 2), rng.randint(1, 2))
+            else:
+                game = rand_game(rng, 2, 2, 2)
+            k = rng.randint(1, game.n_states)
+            exact = limit_value(game, k, 8)
+            anchored = anchored_limit_value(game, k, 8)
+            assert exact == anchored, (trial, exact, anchored)
 
 
 class TestLambdaRExponent:
