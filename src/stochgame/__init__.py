@@ -1,8 +1,8 @@
 """Exact solver for finite two-player zero-sum stochastic games.
 
 Computes discounted values and the vanishing-discount (limit) value by
-bisection on exact matrix-game values over pure stationary profiles, with
-every number an arbitrary-precision rational.
+bisection on the exact signs of matrix-game values over pure stationary
+profiles, with every number an arbitrary-precision rational.
 """
 
 from .absorbing import (
@@ -46,7 +46,6 @@ from .oracle import (
 )
 from .pencil import (
     GamePencil,
-    PencilMatrix,
     build_pencil,
     payoff_denominator,
     payoff_numerator,
@@ -80,7 +79,6 @@ __all__ = [
     "GamePencil",
     "GameSolution",
     "GameValidationError",
-    "PencilMatrix",
     "PureProfile",
     "RatMatrix",
     "ResourceCapError",

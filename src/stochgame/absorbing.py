@@ -146,9 +146,9 @@ def verify_kohlberg_identity(
     z = to_fraction(z)
     game = ab.game
     n = game.n_states
-    payoff = pencil_matrix(game, 1, lam, z, max_entries).payoff
+    payoff = pencil_matrix(game, 1, lam, z, max_entries)
     reduced = value_reduced_game(ab)
-    reduced_payoff = pencil_matrix(reduced, 1, lam, z, max_entries).payoff
+    reduced_payoff = pencil_matrix(reduced, 1, lam, z, max_entries)
     row_block = game.n_actions1 ** (n - 1)
     col_block = game.n_actions2 ** (n - 1)
 

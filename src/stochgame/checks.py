@@ -5,7 +5,9 @@ Backs the `check` CLI command: every structural fact the solvers rely on
 of the pencil value, root location at the oracle value, agreement of the
 two pencil constructions, and the absorbing-game identity) is evaluated
 on the given game with a seeded sample of strategies and parameters.
-All comparisons are exact.
+All comparisons are exact; the root check signs the pencil's integer grid
+as the bisections do.  The entry cap is checked first and passed to every
+pencil.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from fractions import Fraction
 
 from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
 from .gamecore import Game, StationaryStrategy, expected_reward, transition_matrix
-from .matrixgame import solve_matrix_game
+from .matrixgame import matrix_game_sign, solve_matrix_game
 from .oracle import shapley_operator, value_iteration
 from .pencil import (
     DEFAULT_MAX_ENTRIES,
+    _check_cap,
     build_pencil,
     payoff_denominator,
     pencil_matrix,
@@ -90,13 +93,15 @@ def _mixed_determinants(game: Game, x: StationaryStrategy, j_vec, k: int, lam: F
     return numerator, denominator
 
 
-def _check_multilinearity(game: Game, k: int, rng: random.Random) -> CheckOutcome:
+def _check_multilinearity(
+    game: Game, k: int, rng: random.Random, max_entries: int
+) -> CheckOutcome:
     for _ in range(6):
         lam = Fraction(1, rng.randint(2, 8))
         z = _random_fraction(rng)
         x = _random_strategy(rng, game.n_states, game.n_actions1)
         j_vec = tuple(rng.randrange(game.n_actions2) for _ in range(game.n_states))
-        pencil = build_pencil(game, k, lam)
+        pencil = build_pencil(game, k, lam, max_entries)
         matrix = pencil.matrix_at(z)
         col = profile_row_index(j_vec, game.n_actions2)
         mixed_entry = Fraction(0)
@@ -115,13 +120,15 @@ def _check_multilinearity(game: Game, k: int, rng: random.Random) -> CheckOutcom
     return CheckOutcome("pencil-multilinearity", True)
 
 
-def _check_strict_decrease(game: Game, k: int, rng: random.Random) -> CheckOutcome:
+def _check_strict_decrease(
+    game: Game, k: int, rng: random.Random, max_entries: int
+) -> CheckOutcome:
     n = game.n_states
     for _ in range(4):
         lam = Fraction(1, rng.randint(2, 6))
         z1 = _random_fraction(rng)
         z2 = z1 + Fraction(rng.randint(1, 4), rng.randint(1, 6))
-        pencil = build_pencil(game, k, lam)
+        pencil = build_pencil(game, k, lam, max_entries)
         v1 = solve_matrix_game(pencil.matrix_at(z1)).value
         v2 = solve_matrix_game(pencil.matrix_at(z2)).value
         if v1 - v2 < (z2 - z1) * lam**n:
@@ -133,29 +140,29 @@ def _check_strict_decrease(game: Game, k: int, rng: random.Random) -> CheckOutco
     return CheckOutcome("value-strict-decrease", True)
 
 
-def _check_root_at_oracle(game: Game, k: int) -> CheckOutcome:
+def _check_root_at_oracle(game: Game, k: int, max_entries: int) -> CheckOutcome:
     lam = Fraction(1, 4)
     tol = Fraction(1, 2**12)
     u = value_iteration(game, lam, tol)
     z = u[k - 1]
-    pencil = build_pencil(game, k, lam)
+    pencil = build_pencil(game, k, lam, max_entries)
     if shapley_operator(game, lam, u) == u:
-        value = solve_matrix_game(pencil.matrix_at(z)).value
-        if value != 0:
+        at = matrix_game_sign(pencil.scaled_at(z))
+        if at != 0:
             return CheckOutcome(
                 "root-at-oracle-value",
                 False,
-                f"exact oracle value {z} but pencil value {value} != 0",
+                f"exact oracle value {z} but pencil value sign {at} != 0",
             )
         return CheckOutcome("root-at-oracle-value", True, "oracle value exact, root exact")
-    below = solve_matrix_game(pencil.matrix_at(z - tol)).value
-    above = solve_matrix_game(pencil.matrix_at(z + tol)).value
+    below = matrix_game_sign(pencil.scaled_at(z - tol))
+    above = matrix_game_sign(pencil.scaled_at(z + tol))
     if below < 0 or above > 0:
         return CheckOutcome(
             "root-at-oracle-value",
             False,
-            f"no sign change around oracle value {z}: val({z - tol})={below}, "
-            f"val({z + tol})={above}",
+            f"no sign change around oracle value {z}: sign val({z - tol})={below}, "
+            f"sign val({z + tol})={above}",
         )
     return CheckOutcome("root-at-oracle-value", True)
 
@@ -166,7 +173,7 @@ def _check_kronecker(game: Game, rng: random.Random, max_entries: int) -> CheckO
         z = _random_fraction(rng)
         direct = pencil_matrix(game, k, lam, z, max_entries)
         blockwise = pencil_matrix_kronecker(game, k, lam, z, max_entries)
-        if direct.payoff != blockwise.payoff:
+        if direct != blockwise:
             return CheckOutcome(
                 "kronecker-equivalence",
                 False,
@@ -194,14 +201,18 @@ def run_invariant_checks(
     seed: int = 0,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> list[CheckOutcome]:
-    """Run the full per-game invariant suite; exact, deterministic per seed."""
+    """Run the full per-game invariant suite; exact, deterministic per seed.
+
+    The entry cap is checked before any check runs (ResourceCapError).
+    """
     game.check_state(k)
+    _check_cap(game, max_entries)
     rng = random.Random(seed)
     outcomes = [
         _check_denominator_bound(game, rng),
-        _check_multilinearity(game, k, rng),
-        _check_strict_decrease(game, k, rng),
-        _check_root_at_oracle(game, k),
+        _check_multilinearity(game, k, rng, max_entries),
+        _check_strict_decrease(game, k, rng, max_entries),
+        _check_root_at_oracle(game, k, max_entries),
         _check_kronecker(game, rng, max_entries),
         _check_absorbing(game, rng, max_entries),
     ]

@@ -35,7 +35,7 @@ class Game:
     to state t+1.  Every transition row must sum to exactly 1.
     """
 
-    __slots__ = ("n_states", "n_actions1", "n_actions2", "rewards", "transitions")
+    __slots__ = ("n_states", "n_actions1", "n_actions2", "rewards", "transitions", "_lcm")
 
     def __init__(self, rewards, transitions):
         rew = tuple(
@@ -85,6 +85,9 @@ class Game:
         object.__setattr__(self, "n_actions2", n_j)
         object.__setattr__(self, "rewards", rew)
         object.__setattr__(self, "transitions", tra)
+        denominators = [x.denominator for state in rew for row in state for x in row]
+        denominators += [p.denominator for state in tra for row in state for d in row for p in d]
+        object.__setattr__(self, "_lcm", math.lcm(*denominators))
 
     def __setattr__(self, name, value):
         raise AttributeError("Game is immutable")
@@ -112,17 +115,7 @@ class Game:
 
     def denominator_lcm(self) -> int:
         """Least common denominator of all rewards and transition entries."""
-        result = 1
-        for state in self.rewards:
-            for row in state:
-                for x in row:
-                    result = math.lcm(result, x.denominator)
-        for state in self.transitions:
-            for row in state:
-                for dist in row:
-                    for p in dist:
-                        result = math.lcm(result, p.denominator)
-        return result
+        return self._lcm
 
     def check_state(self, k: int) -> int:
         if not 1 <= k <= self.n_states:

@@ -44,7 +44,11 @@ class GameFile:
 def _read_text(source: Source) -> str:
     if hasattr(source, "read"):
         return source.read()
-    return Path(source).read_text(encoding="utf-8")
+    try:
+        return Path(source).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        why = exc.strerror if isinstance(exc, OSError) else f"not UTF-8 text ({exc.reason})"
+        raise GameFileError(f"cannot read game file {source}: {why}") from exc
 
 
 def _parse_index(token: str, upper: int, what: str, line_no: int) -> int:

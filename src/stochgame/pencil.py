@@ -18,9 +18,12 @@ code runs over Z[lam]: for lam = `ratlinalg.LAM` the rows are
 L*Id - (1-lam)*L*Q, the Cramer column is lam*L*g, and the grids hold
 integer polynomials in lam whose signs as lam -> 0+ decide the limit value.
 
-`pencil_matrix_kronecker` rebuilds the same matrix from Kronecker products
-of per-state blocks over the rationals, never forming a per-profile chain
-matrix, so the two constructions check each other.
+The bisections read signs straight from these integers
+(`GamePencil.scaled_at`); `matrix_at` and `pencil_matrix` give the
+rational matrix itself as a `RatMatrix`.  `pencil_matrix_kronecker`
+rebuilds that matrix from Kronecker products of per-state blocks over the
+rationals, never forming a per-profile chain matrix, so the two
+constructions check each other.
 
 Every entry is a pure function of its own profile pair, and all results
 here are immutable once built.
@@ -149,17 +152,20 @@ def _check_cap(game: Game, max_entries: int) -> tuple[int, int]:
 class GamePencil:
     """Integer numerator/denominator grids over one scale, for one (state, lam).
 
+    Row r belongs to the player-1 profile with mixed-radix rank r (state 1
+    most significant); columns likewise for player 2.
+
     Entry (r, c) of the pencil is numerators[r][c] / scale at z = 0 and
     falls by denominators[r][c] / scale per unit of z, where scale is
     (b*L)**n_states for lam = a/b and the game's least common denominator
-    L.  The bisection over z reuses these: the matrix at z = p/q is
-    assembled in one pass, one reduced fraction (q*N - p*D) / (q*scale)
-    per entry.  For lam = `ratlinalg.LAM` the grids hold `IntPoly`
-    germs over scale L**n_states, and only `scaled_at` applies.
+    L.  The bisection over z reuses these: `scaled_at(p/q)` gives the
+    integers q*N - p*D, the matrix at z times q*scale > 0, whose game
+    value has the sign the bisection needs; `matrix_at` divides them into
+    one reduced fraction per entry.  For lam = `ratlinalg.LAM` the grids
+    hold `IntPoly` germs over scale L**n_states, and only `scaled_at`
+    applies.
     """
 
-    state: int
-    lam: Fraction | IntPoly
     numerators: tuple[tuple[int | IntPoly, ...], ...]
     denominators: tuple[tuple[int | IntPoly, ...], ...]
     scale: int
@@ -204,26 +210,10 @@ def build_pencil(
         [ints.dets(k, i_vec, j_vec) for j_vec in cols] for i_vec in player1_profiles(game)
     ]
     return GamePencil(
-        state=k,
-        lam=lam,
         numerators=tuple(tuple(num for num, _ in row) for row in grid),
         denominators=tuple(tuple(den for _, den in row) for row in grid),
         scale=ints.scale,
     )
-
-
-@dataclass(frozen=True)
-class PencilMatrix:
-    """The assembled profile matrix game at a target z.
-
-    Row r corresponds to the player-1 profile with mixed-radix rank r
-    (state 1 most significant); columns likewise for player 2.
-    """
-
-    payoff: RatMatrix
-    state: int
-    lam: Fraction
-    z: Fraction
 
 
 def pencil_matrix(
@@ -232,12 +222,12 @@ def pencil_matrix(
     lam: RationalLike,
     z: RationalLike,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> PencilMatrix:
-    """Profile matrix with entries numerator - z * denominator."""
-    pencil = build_pencil(game, k, lam, max_entries)
-    return PencilMatrix(
-        payoff=pencil.matrix_at(z), state=k, lam=pencil.lam, z=to_fraction(z)
-    )
+) -> RatMatrix:
+    """Profile matrix with entries numerator - z * denominator.
+
+    Rows and columns are ordered by profile rank as in GamePencil.
+    """
+    return build_pencil(game, k, lam, max_entries).matrix_at(z)
 
 
 def _reward_block(game: Game, l: int) -> RatMatrix:
@@ -277,7 +267,7 @@ def pencil_matrix_kronecker(
     lam: RationalLike,
     z: RationalLike,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> PencilMatrix:
+) -> RatMatrix:
     """Same contract as pencil_matrix, built from Kronecker block arrays.
 
     The n x (n+1) array [-lam*G | U*delta - (1-lam)*Q] is reduced by
@@ -306,6 +296,4 @@ def pencil_matrix_kronecker(
     ]
     den_grid = _block_determinant(den_blocks)
     num_grid = _block_determinant(num_blocks).scaled((-1) ** k)
-    return PencilMatrix(
-        payoff=num_grid + den_grid.scaled(-z), state=k, lam=lam, z=z
-    )
+    return num_grid + den_grid.scaled(-z)

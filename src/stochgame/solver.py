@@ -2,16 +2,19 @@
 
 Both algorithms normalize rewards into [0, 1], bisect z over that interval
 and decide each step from the exact sign of the profile matrix-game value
-at z.  For the discounted value the sign is evaluated at the given
-discount rate.  For the limit value it is the sign of val W(lam, z) as
-lam -> 0+, decided exactly over Z[lam] (Jeroslow, "Asymptotic linear
-programming", 1973): the pencil's grids are integer polynomials in lam,
-and the matrix game's simplex runs over them ordered by the sign of the
-lowest-order nonzero coefficient, which is the sign of a polynomial for
-every small enough lam > 0.  No discount rate is ever chosen, so no
-depth, window or cap enters the decision.  An exact zero moves both
-brackets, which collapses the interval onto an exact root when one is
-hit.
+at z, read straight from the pencil's integer grid: `matrix_game_sign`
+runs the one Bland/Bareiss pivot loop on `GamePencil.scaled_at(z)`, the
+matrix at z times a positive integer, so no entry becomes a Fraction and
+no strategy is computed.  For the discounted value the pencil is built at
+the given discount rate.  For the limit value it is built at
+`ratlinalg.LAM`, and the sign is that of val W(lam, z) as lam -> 0+,
+decided exactly over Z[lam] (Jeroslow, "Asymptotic linear programming",
+1973): the grids are integer polynomials in lam, and the simplex runs over
+them ordered by the sign of the lowest-order nonzero coefficient, which is
+the sign of a polynomial for every small enough lam > 0.  No discount rate
+is ever chosen, so no depth, window or cap enters the decision.  An exact
+zero moves both brackets, which collapses the interval onto an exact root
+when one is hit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .errors import GameValidationError
 from .gamecore import Game, affine_normalize, check_discount
 from .matrixgame import matrix_game_sign, solve_matrix_game
 from .pencil import DEFAULT_MAX_ENTRIES, build_pencil
-from .ratlinalg import LAM, RationalLike, sign
+from .ratlinalg import LAM, IntPoly, RationalLike
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,21 @@ def pencil_value(
     return solve_matrix_game(pencil.matrix_at(z)).value
 
 
+def _solve(
+    game: Game, k: int, lam: Fraction | IntPoly, r: int, max_entries: int
+) -> BisectionResult:
+    """Bisect the normalized game's pencil at lam (a checked rate or LAM) to 2**-r.
+
+    A reward span above 1 adds ceil(log2 span) iterations, so the radius
+    still maps back below 2**-r in the original scale.
+    """
+    game.check_state(k)
+    _check_precision(r)
+    ngame, scale, offset, r_eff = _normalized(game, r)
+    pencil = build_pencil(ngame, k, lam, max_entries)
+    return _bisect(lambda z: matrix_game_sign(pencil.scaled_at(z)), r_eff, scale, offset)
+
+
 def discounted_value(
     game: Game,
     k: int,
@@ -114,20 +132,8 @@ def discounted_value(
     r: int,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> BisectionResult:
-    """Approximate the discounted value from state k within 2**-r.
-
-    Runs the bisection on the reward-normalized game; when the reward span
-    exceeds 1 the loop runs ceil(log2 span) extra iterations so the radius
-    still maps back below 2**-r in the original scale.
-    """
-    lam = check_discount(lam)
-    game.check_state(k)
-    _check_precision(r)
-    ngame, scale, offset, r_eff = _normalized(game, r)
-    pencil = build_pencil(ngame, k, lam, max_entries)
-    return _bisect(
-        lambda z: sign(solve_matrix_game(pencil.matrix_at(z)).value), r_eff, scale, offset
-    )
+    """Approximate the discounted value from state k within 2**-r."""
+    return _solve(game, k, check_discount(lam), r, max_entries)
 
 
 def limit_sign(
@@ -146,8 +152,4 @@ def limit_value(
     game: Game, k: int, r: int, max_entries: int = DEFAULT_MAX_ENTRIES
 ) -> BisectionResult:
     """Approximate the limit (vanishing-discount) value within 2**-r."""
-    game.check_state(k)
-    _check_precision(r)
-    ngame, scale, offset, r_eff = _normalized(game, r)
-    pencil = build_pencil(ngame, k, LAM, max_entries)
-    return _bisect(lambda z: matrix_game_sign(pencil.scaled_at(z)), r_eff, scale, offset)
+    return _solve(game, k, LAM, r, max_entries)

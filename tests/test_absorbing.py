@@ -151,14 +151,14 @@ class TestIdentity:
                 u = (z,) + absorbed_values(ab)
                 aux = shapley_auxiliary(game, lam, u, 1)
                 shifted = affine_transform(aux, 1, -z)
-                lhs = solve_matrix_game(pencil_matrix(game, 1, lam, z).payoff).value
+                lhs = solve_matrix_game(pencil_matrix(game, 1, lam, z)).value
                 rhs = lam ** (n - 1) * solve_matrix_game(shifted).value
                 assert lhs == rhs
 
     def test_reduced_game_rows_collapse(self, fixture_docs):
         ab = AbsorbingGame.from_game(fixture_docs["absorbing_mix"].game)
         reduced = value_reduced_game(ab)
-        built = pencil_matrix(reduced, 1, Fraction(1, 3), Fraction(1, 5)).payoff
+        built = pencil_matrix(reduced, 1, Fraction(1, 3), Fraction(1, 5))
         # rows sharing the live-state action are identical in the reduced game
         assert built.rows[0] == built.rows[1]
         assert built.rows[2] == built.rows[3]

@@ -235,18 +235,18 @@ def test_criterion_7_kronecker_equivalence(fixture_docs):
             k = rng.randint(1, game.n_states)
             lam = Fraction(1, rng.randint(2, 9))
             z = rand_fraction(rng)
-            if pencil_matrix(game, k, lam, z).payoff != pencil_matrix_kronecker(
+            if pencil_matrix(game, k, lam, z) != pencil_matrix_kronecker(
                 game, k, lam, z
-            ).payoff:
+            ):
                 failures += 1
     for _ in range(50):
         game = rand_game(rng, 2, rng.randint(1, 3), rng.randint(1, 3))
         k = rng.randint(1, 2)
         lam = Fraction(1, rng.randint(2, 9))
         z = rand_fraction(rng)
-        if pencil_matrix(game, k, lam, z).payoff != pencil_matrix_kronecker(
+        if pencil_matrix(game, k, lam, z) != pencil_matrix_kronecker(
             game, k, lam, z
-        ).payoff:
+        ):
             failures += 1
     report(
         7,

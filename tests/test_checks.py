@@ -1,6 +1,8 @@
 import pytest
 
+from stochgame import pencil
 from stochgame.checks import run_invariant_checks
+from stochgame.pencil import DEFAULT_MAX_ENTRIES
 
 EXPECTED_NAMES = [
     "denominator-lower-bound",
@@ -32,3 +34,21 @@ def test_exact_oracle_branch_reported(fixture_docs):
     by_name = {o.name: o for o in outcomes}
     assert by_name["root-at-oracle-value"].passed
     assert "exact" in by_name["root-at-oracle-value"].detail
+
+
+def test_every_pencil_gets_the_callers_cap(fixture_docs, monkeypatch):
+    # every pencil construction checks its cap through pencil._check_cap
+    seen = []
+    check_cap = pencil._check_cap
+
+    def recording(game, max_entries):
+        seen.append(max_entries)
+        return check_cap(game, max_entries)
+
+    monkeypatch.setattr(pencil, "_check_cap", recording)
+    cap = DEFAULT_MAX_ENTRIES + 1
+    outcomes = run_invariant_checks(fixture_docs["absorbing_mix"].game, seed=2, max_entries=cap)
+    assert all(o.passed for o in outcomes)
+    assert "skipped" not in outcomes[-1].detail
+    assert len(seen) >= 4 and set(seen) == {cap}
+

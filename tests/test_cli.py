@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochgame import cli
+from stochgame import checks, cli
 from stochgame.cli import main
 from stochgame.gamefile import fixture_path
 
@@ -150,6 +150,32 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cap" in capsys.readouterr().err
+
+    def test_check_cap_exits_before_any_invariant(self, monkeypatch, capsys):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("an invariant ran despite the cap")
+
+        for name in vars(checks).copy():
+            if name.startswith("_check_") and name != "_check_cap":
+                monkeypatch.setattr(checks, name, must_not_run)
+        # two_state_2x2 has a 4 x 4 profile matrix
+        code = main(["check", "two_state_2x2", "--max-entries", "15"])
+        assert code == 3
+        assert "above the cap of 15" in capsys.readouterr().err
+
+    def test_directory_path_is_validation_error(self, tmp_path, capsys):
+        code = main(["info", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read game file") and str(tmp_path) in err
+
+    def test_non_utf8_file_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.game"
+        path.write_bytes("label caf\xe9\nstates 1\n".encode("latin-1"))
+        code = main(["value", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and str(path) in err
 
     def test_bad_lambda_is_validation_error(self, capsys):
         code = main(["discounted", "single_mp", "--lambda", "3/2"])

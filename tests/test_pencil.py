@@ -97,14 +97,14 @@ class TestPencilMatrix:
             expected = RatMatrix(
                 [[lam * (game.rewards[0][i][j] - z) for j in range(2)] for i in range(2)]
             )
-            assert built.payoff == expected
-            assert solve_matrix_game(built.payoff).value == lam * (Fraction(3, 2) - z)
+            assert built == expected
+            assert solve_matrix_game(built).value == lam * (Fraction(3, 2) - z)
 
     def test_zero_rewards_at_zero_target(self):
         rng = random.Random(33)
         game = zero_reward_game(rng)
         built = pencil_matrix(game, 1, Fraction(1, 3), 0)
-        assert all(x == 0 for row in built.payoff.rows for x in row)
+        assert all(x == 0 for row in built.rows for x in row)
 
     def test_big_match_spot_entries(self, fixture_docs):
         game = fixture_docs["big_match"].game
@@ -117,9 +117,9 @@ class TestPencilMatrix:
         assert payoff_numerator(game, 1, (1, 0, 0), (0, 0, 0), lam) == 0
         z = Fraction(1, 3)
         built = pencil_matrix(game, 1, lam, z)
-        assert built.payoff.entry(0, 0) == Fraction(1, 4) - z * Fraction(1, 4)
+        assert built.entry(0, 0) == Fraction(1, 4) - z * Fraction(1, 4)
         row = profile_row_index((1, 0, 0), 2)
-        assert built.payoff.entry(row, 0) == 0 - z * Fraction(1, 8)
+        assert built.entry(row, 0) == 0 - z * Fraction(1, 8)
 
     def test_resource_cap(self):
         game = one_state_game([[3, 1], [0, 2]])
@@ -148,13 +148,13 @@ class TestKroneckerConstruction:
         game = one_state_game([[3, 1], [0, 2]])
         a = pencil_matrix(game, 1, Fraction(2, 5), Fraction(1, 3))
         b = pencil_matrix_kronecker(game, 1, Fraction(2, 5), Fraction(1, 3))
-        assert a.payoff == b.payoff
+        assert a == b
 
     def test_zero_game(self):
         rng = random.Random(35)
         game = zero_reward_game(rng)
         built = pencil_matrix_kronecker(game, 2, Fraction(1, 3), 0)
-        assert all(x == 0 for row in built.payoff.rows for x in row)
+        assert all(x == 0 for row in built.rows for x in row)
 
     def test_fixture_equivalence(self, fixture_docs):
         rng = random.Random(36)
@@ -165,7 +165,7 @@ class TestKroneckerConstruction:
             z = Fraction(rng.randint(-2, 4), rng.randint(1, 5))
             a = pencil_matrix(game, k, lam, z)
             b = pencil_matrix_kronecker(game, k, lam, z)
-            assert a.payoff == b.payoff
+            assert a == b
 
     def test_random_equivalence(self):
         rng = random.Random(37)
@@ -175,8 +175,8 @@ class TestKroneckerConstruction:
             lam = Fraction(1, rng.randint(2, 9))
             z = Fraction(rng.randint(-3, 6), rng.randint(1, 4))
             assert (
-                pencil_matrix(game, k, lam, z).payoff
-                == pencil_matrix_kronecker(game, k, lam, z).payoff
+                pencil_matrix(game, k, lam, z)
+                == pencil_matrix_kronecker(game, k, lam, z)
             )
 
 
@@ -293,8 +293,8 @@ class TestIntegerGridCrossChecks:
         for lam in CROSS_CHECK_LAMBDAS:
             for k in range(1, game.n_states + 1):
                 assert (
-                    pencil_matrix(game, k, lam, z).payoff
-                    == pencil_matrix_kronecker(game, k, lam, z).payoff
+                    pencil_matrix(game, k, lam, z)
+                    == pencil_matrix_kronecker(game, k, lam, z)
                 )
 
     @settings(max_examples=12, deadline=None)
@@ -303,8 +303,8 @@ class TestIntegerGridCrossChecks:
         n = game.n_states
         for lam in CROSS_CHECK_LAMBDAS:
             for k in range(1, n + 1):
-                at_zero = pencil_matrix(game, k, lam, 0).payoff
-                at_one = pencil_matrix(game, k, lam, 1).payoff
+                at_zero = pencil_matrix(game, k, lam, 0)
+                at_one = pencil_matrix(game, k, lam, 1)
                 for r, i_vec in enumerate(player1_profiles(game)):
                     x = StationaryStrategy.pure(i_vec, game.n_actions1)
                     for c, j_vec in enumerate(player2_profiles(game)):

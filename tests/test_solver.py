@@ -6,7 +6,15 @@ import pytest
 from stochgame.errors import GameValidationError
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import build_pencil
-from stochgame.solver import discounted_value, limit_sign, limit_value, pencil_value
+from stochgame.ratlinalg import sign
+from stochgame.solver import (
+    _bisect,
+    _normalized,
+    discounted_value,
+    limit_sign,
+    limit_value,
+    pencil_value,
+)
 from stochgame.oracle import mdp_limit_brute_force
 
 from gens import rand_absorbing_game, rand_game
@@ -101,6 +109,22 @@ class TestDiscountedValue:
     def test_precision_validation(self):
         with pytest.raises(GameValidationError):
             discounted_value(cycle_game(), 1, Fraction(1, 2), -1)
+
+    def test_matches_fraction_value_route_on_random_games(self):
+        # signs read from the integer grid == signs of the rational game values
+        rng = random.Random(45)
+        for trial in range(15):
+            n_states = trial % 3 + 1
+            actions = (rng.randint(1, 3), rng.randint(1, 3)) if n_states == 1 else (2, 2)
+            game = rand_game(rng, n_states, *actions)
+            k = rng.randint(1, n_states)
+            r = 8
+            ngame, scale, offset, r_eff = _normalized(game, r)
+            for lam in (Fraction(1, 4), Fraction(2, 3), Fraction(1, 9), Fraction(1)):
+                reference = _bisect(
+                    lambda z: sign(pencil_value(ngame, k, lam, z)), r_eff, scale, offset
+                )
+                assert discounted_value(game, k, lam, r) == reference, (trial, lam)
 
 
 class TestLimitSign:
