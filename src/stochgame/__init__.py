@@ -20,7 +20,6 @@ from .errors import (
 )
 from .gamecore import (
     Game,
-    PureProfile,
     StationaryStrategy,
     affine_normalize,
     check_discount,
@@ -32,7 +31,6 @@ from .gamefile import GameFile, fixture_path, list_fixtures, load_fixture, parse
 from .matrixgame import (
     GameSolution,
     SnowCertificate,
-    affine_transform,
     shapley_snow_certificate,
     shapley_snow_value,
     solve_matrix_game,
@@ -55,7 +53,6 @@ from .pencil import (
 from .ratlinalg import (
     RatMatrix,
     det,
-    cofactor_sum,
     format_decimal,
     parse_rational,
     solve_linear,
@@ -79,7 +76,6 @@ __all__ = [
     "GamePencil",
     "GameSolution",
     "GameValidationError",
-    "PureProfile",
     "RatMatrix",
     "ResourceCapError",
     "SingularMatrixError",
@@ -87,10 +83,8 @@ __all__ = [
     "StationaryStrategy",
     "absorbed_values",
     "affine_normalize",
-    "affine_transform",
     "build_pencil",
     "check_discount",
-    "cofactor_sum",
     "det",
     "discounted_payoff",
     "discounted_value",

@@ -1,12 +1,13 @@
-"""Absorbing games: all states but one never change once reached.
+"""Absorbing games: every state but state 1 is never left once reached.
 
-For these games every absorbed state's value is just the value of its
-reward matrix, independent of the discount rate.  The live state's
-vanishing-discount value is characterized by the sign of the Kohlberg
-quotient (Phi(lam, u(z)) - z) / lam built from the Shapley operator, and
-at every finite discount rate that quotient coincides exactly with the
-profile matrix-game value divided by lam**n; `verify_kohlberg_identity`
-checks the chain of equalities entry by entry.
+State 1 is the live state; a game whose live state is another one is
+written with its states relabelled.  Every absorbed state's value is just
+the value of its reward matrix, independent of the discount rate.  The
+live state's vanishing-discount value is characterized by the sign of the
+Kohlberg quotient (Phi(lam, u(z)) - z) / lam built from the Shapley
+operator, and at every finite discount rate that quotient coincides
+exactly with the profile matrix-game value divided by lam**n;
+`verify_kohlberg_identity` checks the chain of equalities entry by entry.
 """
 
 from __future__ import annotations
@@ -17,57 +18,42 @@ from fractions import Fraction
 from .errors import GameValidationError
 from .gamecore import Game, check_discount
 from .matrixgame import solve_matrix_game
+from .oracle import shapley_auxiliary
 from .pencil import DEFAULT_MAX_ENTRIES, pencil_matrix
 from .ratlinalg import RatMatrix, RationalLike, to_fraction
 
 
-def is_absorbing(game: Game, live_state: int = 1) -> bool:
-    """True when every state except live_state is absorbing."""
-    game.check_state(live_state)
-    for l in range(game.n_states):
-        if l == live_state - 1:
-            continue
-        for row in game.transitions[l]:
-            for dist in row:
+def _leak(game: Game) -> tuple[int, int, int] | None:
+    """First 0-based (state, i, j) at which a state 2..n can be left, or None."""
+    for l in range(1, game.n_states):
+        for i, row in enumerate(game.transitions[l]):
+            for j, dist in enumerate(row):
                 if dist[l] != 1:
-                    return False
-    return True
+                    return l, i, j
+    return None
 
 
-def _permuted_game(game: Game, live_state: int) -> Game:
-    """Relabel states so live_state becomes state 1."""
-    order = [live_state - 1] + [l for l in range(game.n_states) if l != live_state - 1]
-    rewards = tuple(game.rewards[l] for l in order)
-    transitions = tuple(
-        tuple(
-            tuple(tuple(dist[t] for t in order) for dist in row)
-            for row in game.transitions[l]
-        )
-        for l in order
-    )
-    return Game(rewards, transitions)
+def is_absorbing(game: Game) -> bool:
+    """True when every state except the live state 1 is absorbing."""
+    return _leak(game) is None
 
 
 @dataclass(frozen=True)
 class AbsorbingGame:
-    """An absorbing game normalized so state 1 is the live state."""
+    """A game whose states 2..n are absorbing; state 1 is the live state."""
 
     game: Game
-    original_live_state: int
 
     @classmethod
-    def from_game(cls, game: Game, live_state: int = 1) -> "AbsorbingGame":
-        game.check_state(live_state)
-        normalized = game if live_state == 1 else _permuted_game(game, live_state)
-        for l in range(1, normalized.n_states):
-            for i, row in enumerate(normalized.transitions[l]):
-                for j, dist in enumerate(row):
-                    if dist[l] != 1:
-                        raise GameValidationError(
-                            f"state {l + 1} is not absorbing: stay probability "
-                            f"{dist[l]} at actions ({i + 1}, {j + 1})"
-                        )
-        return cls(game=normalized, original_live_state=live_state)
+    def from_game(cls, game: Game) -> "AbsorbingGame":
+        leak = _leak(game)
+        if leak is not None:
+            l, i, j = leak
+            raise GameValidationError(
+                f"state {l + 1} is not absorbing: stay probability "
+                f"{game.transitions[l][i][j][l]} at actions ({i + 1}, {j + 1})"
+            )
+        return cls(game)
 
 
 def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:
@@ -84,8 +70,6 @@ def _continuation(ab: AbsorbingGame, z: Fraction) -> tuple[Fraction, ...]:
 
 def kohlberg_quotient(ab: AbsorbingGame, lam: RationalLike, z: RationalLike) -> Fraction:
     """Pre-limit quotient (Phi_1(lam, (z, v_2, ..., v_n)) - z) / lam."""
-    from .oracle import shapley_auxiliary
-
     lam = check_discount(lam)
     z = to_fraction(z)
     aux = shapley_auxiliary(ab.game, lam, _continuation(ab, z), 1)

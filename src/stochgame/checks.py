@@ -12,13 +12,12 @@ pencil.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
-from .gamecore import Game, StationaryStrategy, expected_reward, transition_matrix
+from .gamecore import Game, StationaryStrategy, chain_system
 from .matrixgame import matrix_game_sign, solve_matrix_game
 from .oracle import shapley_operator, value_iteration
 from .pencil import (
@@ -29,10 +28,9 @@ from .pencil import (
     pencil_matrix,
     pencil_matrix_kronecker,
     player1_profiles,
-    player2_profiles,
     profile_row_index,
 )
-from .ratlinalg import RatMatrix, det
+from .ratlinalg import det
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,12 @@ class CheckOutcome:
     detail: str = ""
 
 
-def _random_fraction(rng: random.Random, max_num: int = 8, max_den: int = 8) -> Fraction:
-    return Fraction(rng.randint(0, max_num), rng.randint(1, max_den))
+_PAIR_SAMPLE = 48  # profile pairs drawn per discount rate from a game with more
+_Z_NUM = _Z_DEN = 8  # sampled targets are z = p/q, 0 <= p <= _Z_NUM, 1 <= q <= _Z_DEN
+
+
+def _random_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(0, _Z_NUM), rng.randint(1, _Z_DEN))
 
 
 def _random_strategy(rng: random.Random, n_states: int, n_actions: int) -> StationaryStrategy:
@@ -57,11 +59,21 @@ def _random_strategy(rng: random.Random, n_states: int, n_actions: int) -> Stati
     return StationaryStrategy(rows)
 
 
-def _sampled_profile_pairs(game: Game, rng: random.Random, cap: int = 48):
-    pairs = list(itertools.product(player1_profiles(game), player2_profiles(game)))
-    if len(pairs) > cap:
-        pairs = rng.sample(pairs, cap)
-    return pairs
+def _profile(rank: int, n_actions: int, n_states: int) -> tuple[int, ...]:
+    """Inverse of `profile_row_index`: the profile with mixed-radix rank `rank`."""
+    return tuple(rank // n_actions**e % n_actions for e in range(n_states - 1, -1, -1))
+
+
+def _sampled_profile_pairs(game: Game, rng: random.Random) -> list:
+    """Every profile pair in row-major order, or _PAIR_SAMPLE drawn as ranks."""
+    n = game.n_states
+    n_cols = game.n_actions2**n
+    total = game.n_actions1**n * n_cols
+    ranks = rng.sample(range(total), _PAIR_SAMPLE) if total > _PAIR_SAMPLE else range(total)
+    return [
+        (_profile(row, game.n_actions1, n), _profile(col, game.n_actions2, n))
+        for row, col in (divmod(rank, n_cols) for rank in ranks)
+    ]
 
 
 def _check_denominator_bound(game: Game, rng: random.Random) -> CheckOutcome:
@@ -80,17 +92,8 @@ def _check_denominator_bound(game: Game, rng: random.Random) -> CheckOutcome:
 
 
 def _mixed_determinants(game: Game, x: StationaryStrategy, j_vec, k: int, lam: Fraction):
-    y = StationaryStrategy.pure(j_vec, game.n_actions2)
-    q = transition_matrix(game, x, y)
-    g = expected_reward(game, x, y)
-    n = game.n_states
-    beta = 1 - lam
-    system = RatMatrix(
-        [[Fraction(int(l == t)) - beta * q.rows[l][t] for t in range(n)] for l in range(n)]
-    )
-    denominator = det(system)
-    numerator = det(system.replace_column(k, [lam * gv for gv in g]))
-    return numerator, denominator
+    system, rhs = chain_system(game, x, StationaryStrategy.pure(j_vec, game.n_actions2), lam)
+    return det(system.replace_column(k, rhs)), det(system)
 
 
 def _check_multilinearity(

@@ -3,15 +3,14 @@
 A game has states 1..n (state parameters in the public API are 1-based,
 matching the file format; tuples are indexed 0-based internally), global
 action sets for both players, a reward tensor and an exactly stochastic
-transition kernel.  Stationary strategies induce a Markov chain whose
-transition matrix, expected rewards and normalized discounted payoffs
-are computed here without rounding.
+transition kernel.  Stationary strategies (`StationaryStrategy.pure` for
+pure ones) induce a Markov chain whose transition matrix, expected
+rewards, linear system and discounted payoffs are computed exactly here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -179,30 +178,6 @@ class StationaryStrategy:
         return f"StationaryStrategy({[list(map(str, r)) for r in self.rows]})"
 
 
-@dataclass(frozen=True)
-class PureProfile:
-    """A pure stationary strategy pair: one 0-based action per state each."""
-
-    i_vec: tuple[int, ...]
-    j_vec: tuple[int, ...]
-
-    def validate_for(self, game: Game) -> "PureProfile":
-        if len(self.i_vec) != game.n_states or len(self.j_vec) != game.n_states:
-            raise GameValidationError("profile length does not match state count")
-        if any(not 0 <= a < game.n_actions1 for a in self.i_vec):
-            raise GameValidationError("player 1 action out of range in profile")
-        if any(not 0 <= b < game.n_actions2 for b in self.j_vec):
-            raise GameValidationError("player 2 action out of range in profile")
-        return self
-
-    def as_strategies(self, game: Game) -> tuple[StationaryStrategy, StationaryStrategy]:
-        self.validate_for(game)
-        return (
-            StationaryStrategy.pure(self.i_vec, game.n_actions1),
-            StationaryStrategy.pure(self.j_vec, game.n_actions2),
-        )
-
-
 def _check_pair(game: Game, x: StationaryStrategy, y: StationaryStrategy) -> None:
     if x.n_states != game.n_states or y.n_states != game.n_states:
         raise GameValidationError("strategy state count does not match the game")
@@ -250,14 +225,10 @@ def expected_reward(game: Game, x: StationaryStrategy, y: StationaryStrategy) ->
     return tuple(out)
 
 
-def discounted_payoff(
+def chain_system(
     game: Game, x: StationaryStrategy, y: StationaryStrategy, lam: RationalLike
-) -> tuple[Fraction, ...]:
-    """Normalized discounted payoff vector: (Id - (1-lam) Q)^-1 lam g, exact.
-
-    The system matrix is invertible for every discount rate in (0, 1]
-    because Q is stochastic, so this never fails.
-    """
+) -> tuple[RatMatrix, tuple[Fraction, ...]]:
+    """The chain's system (Id - (1-lam) Q, lam g); its solution is the payoff vector."""
     lam = check_discount(lam)
     q = transition_matrix(game, x, y)
     g = expected_reward(game, x, y)
@@ -269,7 +240,18 @@ def discounted_payoff(
             for l in range(n)
         ]
     )
-    return solve_linear(system, [lam * gv for gv in g])
+    return system, tuple(lam * gv for gv in g)
+
+
+def discounted_payoff(
+    game: Game, x: StationaryStrategy, y: StationaryStrategy, lam: RationalLike
+) -> tuple[Fraction, ...]:
+    """Normalized discounted payoff vector: (Id - (1-lam) Q)^-1 lam g, exact.
+
+    The system matrix is invertible for every discount rate in (0, 1]
+    because Q is stochastic, so this never fails.
+    """
+    return solve_linear(*chain_system(game, x, y, lam))
 
 
 def affine_normalize(game: Game) -> tuple[Game, Fraction, Fraction]:

@@ -1,7 +1,8 @@
 """Line-oriented text format for stochastic games.
 
-Every line is `key value...` with 1-based indices and rationals written as
-"p/q" or "p" (never binary floating point), e.g.:
+Every line is `key value...`, split on any whitespace, with 1-based
+indices and counts in ASCII digits and rationals written as "p/q" or "p"
+(never binary floating point), e.g.:
 
     label my game
     states 2
@@ -51,11 +52,15 @@ def _read_text(source: Source) -> str:
         raise GameFileError(f"cannot read game file {source}: {why}") from exc
 
 
+def _parse_count(token: str, what: str, line_no: int) -> int:
+    """A count or index written in ASCII digits only (no sign, no underscore)."""
+    if not (token.isascii() and token.isdigit()):
+        raise GameFileError(f"{what} must be digits 0-9, got {token!r}", line_no)
+    return int(token)
+
+
 def _parse_index(token: str, upper: int, what: str, line_no: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise GameFileError(f"{what} must be an integer, got {token!r}", line_no)
+    value = _parse_count(token, what, line_no)
     if not 1 <= value <= upper:
         raise GameFileError(f"{what} {value} out of range 1..{upper}", line_no)
     return value
@@ -75,24 +80,20 @@ def parse_game(source: Source) -> GameFile:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, rest = line.partition(" ")
+        key, *tokens = line.split()
         if key == "label":
             if label is not None:
                 raise GameFileError("duplicate label", line_no)
-            if not rest.strip():
+            if not tokens:
                 raise GameFileError("label needs a value", line_no)
-            label = rest.strip()
+            label = line[len(key) :].strip()
             continue
-        tokens = rest.split()
         if key in ("states", "actions1", "actions2"):
             if key in header:
                 raise GameFileError(f"duplicate {key}", line_no)
             if len(tokens) != 1:
                 raise GameFileError(f"{key} takes exactly one value", line_no)
-            try:
-                count = int(tokens[0])
-            except ValueError:
-                raise GameFileError(f"{key} must be an integer, got {tokens[0]!r}", line_no)
+            count = _parse_count(tokens[0], key, line_no)
             if count < 1:
                 raise GameFileError(f"{key} must be at least 1, got {count}", line_no)
             header[key] = count

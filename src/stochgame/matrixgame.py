@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlinalg import RatMatrix, RationalLike, int_adjugate, sign, to_fraction
+from .ratlinalg import RatMatrix, int_adjugate, sign
 
 
 @dataclass(frozen=True)
@@ -314,12 +314,3 @@ def shapley_snow_certificate(payoff: RatMatrix) -> SnowCertificate:
 def shapley_snow_value(payoff: RatMatrix) -> Fraction:
     """Game value via kernel enumeration; equals solve_matrix_game exactly."""
     return shapley_snow_certificate(payoff).value
-
-
-def affine_transform(payoff: RatMatrix, c: RationalLike, d: RationalLike) -> RatMatrix:
-    """Entrywise c * M + d; requires c > 0 so the value maps to c*val + d."""
-    c = to_fraction(c)
-    d = to_fraction(d)
-    if c <= 0:
-        raise ValueError(f"scale factor must be positive, got {c}")
-    return RatMatrix([[c * x + d for x in row] for row in payoff.rows])

@@ -23,7 +23,7 @@ from .gamecore import (
 )
 from .matrixgame import solve_matrix_game
 from .pencil import _IntegerSystem, player1_profiles, player2_profiles
-from .ratlinalg import LAM, RatMatrix, RationalLike, simplest_between, to_fraction
+from .ratlinalg import LAM, RatMatrix, RationalLike, ceil_log2, simplest_between, to_fraction
 
 
 def shapley_auxiliary(
@@ -62,12 +62,8 @@ def shapley_operator(
 
 
 def _grid_bits(tol: Fraction, lam: Fraction) -> int:
-    """Grid exponent p with 2**-(p+1) <= tol * lam**2 / 8."""
-    target = 8 / (tol * lam * lam)
-    p = 0
-    while Fraction(2) ** (p + 1) < target:
-        p += 1
-    return max(p, 1)
+    """Grid exponent p with 2**-(p+1) <= tol * lam**2 / 8 (the least such p >= 1)."""
+    return max(ceil_log2(8 / (tol * lam * lam)) - 1, 1)
 
 
 def value_iteration(

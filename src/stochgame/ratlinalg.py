@@ -22,13 +22,13 @@ from .errors import SingularMatrixError
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the strict text form "p/q" or "p" (optional leading sign)."""
+    """Parse the strict text form "p/q" or "p" (optional sign, ASCII digits only)."""
     s = text.strip()
-    if not _RATIONAL_RE.match(s):
+    if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
     if "/" in s:
         num, den = s.split("/")
@@ -63,6 +63,11 @@ def format_decimal(value: Fraction, digits: int) -> str:
     sign_str = "-" if q < 0 else ""
     a = abs(q)
     return f"{sign_str}{a // 10**digits}.{a % 10**digits:0{digits}d}"
+
+
+def ceil_log2(x: Fraction) -> int:
+    """Smallest integer e >= 0 with 2**e >= x (x > 0)."""
+    return (math.ceil(x) - 1).bit_length()
 
 
 def sign(value: Fraction) -> int:
@@ -375,13 +380,6 @@ def _sum(a: tuple, b: tuple, f: int) -> IntPoly:
 LAM = IntPoly((0, 1))
 
 
-def mat_vec(m: RatMatrix, v: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    vec = [to_fraction(x) for x in v]
-    if len(vec) != m.n_cols:
-        raise ValueError(f"vector length {len(vec)} != column count {m.n_cols}")
-    return tuple(sum(a * b for a, b in zip(row, vec)) for row in m.rows)
-
-
 def int_det(a: list[list[int]]) -> int:
     """Determinant of an integer matrix by fraction-free Bareiss elimination.
 
@@ -440,31 +438,6 @@ def int_adjugate(a: list[list[int]]) -> list[list[int]]:
             cof = int_det([[row[c] for c in idx if c != j] for row in rows])
             out[j][i] = cof if (i + j) % 2 == 0 else -cof
     return out
-
-
-def adjugate(m: RatMatrix) -> RatMatrix:
-    """Adjugate (transposed cofactor matrix); satisfies M @ adj(M) = det(M) I.
-
-    Clears one common denominator D and uses adj(M) = adj(D M) / D**(n-1).
-    """
-    if not m.is_square:
-        raise ValueError(f"adjugate of non-square matrix {m.shape}")
-    denom = math.lcm(*(x.denominator for row in m.rows for x in row))
-    a = [[x.numerator * (denom // x.denominator) for x in row] for row in m.rows]
-    area = denom ** (m.n_rows - 1)
-    return RatMatrix([[Fraction(c, area) for c in row] for row in int_adjugate(a)])
-
-
-def cofactor_sum(m: RatMatrix) -> Fraction:
-    """Sum of all cofactors of a square matrix (1 for a 1x1 matrix).
-
-    Uses the rank-one update identity det(M + 11^T) = det(M) + sum of
-    cofactors, which needs only two Bareiss determinants.
-    """
-    if not m.is_square:
-        raise ValueError(f"cofactor sum of non-square matrix {m.shape}")
-    bumped = m + RatMatrix.constant(m.n_rows, m.n_cols, 1)
-    return det(bumped) - det(m)
 
 
 def solve_linear(a: RatMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:

@@ -26,7 +26,7 @@ from .errors import GameValidationError
 from .gamecore import Game, affine_normalize, check_discount
 from .matrixgame import matrix_game_sign, solve_matrix_game
 from .pencil import DEFAULT_MAX_ENTRIES, build_pencil
-from .ratlinalg import LAM, IntPoly, RationalLike
+from .ratlinalg import LAM, IntPoly, RationalLike, ceil_log2
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,6 @@ class BisectionResult:
     evidence: None = None
 
 
-def _ceil_log2(x: Fraction) -> int:
-    """Smallest integer e with 2**e >= x (x > 0)."""
-    two = Fraction(2)
-    e = x.numerator.bit_length() - x.denominator.bit_length()
-    while two**e < x:
-        e += 1
-    while e > 0 and two ** (e - 1) >= x:
-        e -= 1
-    return e
-
-
 def _check_precision(r: int) -> int:
     if not isinstance(r, int) or r < 0:
         raise GameValidationError(f"precision must be a nonnegative integer, got {r!r}")
@@ -68,7 +57,7 @@ def _check_precision(r: int) -> int:
 def _normalized(game: Game, r: int) -> tuple[Game, Fraction, Fraction, int]:
     """Reward-normalized game, its (scale, offset) and the bisection's grid level."""
     ngame, scale, offset = affine_normalize(game)
-    return ngame, scale, offset, r + max(0, _ceil_log2(scale))
+    return ngame, scale, offset, r + ceil_log2(scale)
 
 
 def _bisect(sign_at, r_eff: int, scale: Fraction, offset: Fraction) -> BisectionResult:

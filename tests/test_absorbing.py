@@ -13,7 +13,7 @@ from stochgame.absorbing import (
 )
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game
-from stochgame.matrixgame import affine_transform, solve_matrix_game
+from stochgame.matrixgame import solve_matrix_game
 from stochgame.oracle import shapley_auxiliary
 from stochgame.pencil import pencil_matrix
 from stochgame.ratlinalg import RatMatrix
@@ -46,23 +46,14 @@ class TestStructure:
     def test_from_game_rejects_non_absorbing(self, fixture_docs):
         with pytest.raises(GameValidationError, match="not absorbing"):
             AbsorbingGame.from_game(fixture_docs["two_state_2x2"].game)
-
-    def test_live_state_permutation(self, fixture_docs):
-        base = fixture_docs["absorbing_mix"].game
-        # relabel so the live state is state 2, then normalize back
-        swapped = Game(
-            rewards=(base.rewards[1], base.rewards[0]),
-            transitions=tuple(
-                tuple(
-                    tuple(tuple(dist[t] for t in (1, 0)) for dist in row)
-                    for row in base.transitions[l]
-                )
-                for l in (1, 0)
-            ),
-        )
-        ab = AbsorbingGame.from_game(swapped, live_state=2)
-        assert ab.game == base
-        assert ab.original_live_state == 2
+        # the first leak in (state, i, j) order is named
+        for name, message in (
+            ("mdp_two_state", "state 2 is not absorbing: stay probability 1/2 at actions (2, 1)"),
+            ("three_state_2x2", "state 2 is not absorbing: stay probability 0 at actions (1, 2)"),
+        ):
+            with pytest.raises(GameValidationError) as info:
+                AbsorbingGame.from_game(fixture_docs[name].game)
+            assert str(info.value) == message
 
 
 class TestAbsorbedValues:
@@ -150,7 +141,7 @@ class TestIdentity:
             for lam, z in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(3, 4))):
                 u = (z,) + absorbed_values(ab)
                 aux = shapley_auxiliary(game, lam, u, 1)
-                shifted = affine_transform(aux, 1, -z)
+                shifted = aux + RatMatrix.constant(aux.n_rows, aux.n_cols, -z)
                 lhs = solve_matrix_game(pencil_matrix(game, 1, lam, z)).value
                 rhs = lam ** (n - 1) * solve_matrix_game(shifted).value
                 assert lhs == rhs

@@ -1,8 +1,14 @@
+import itertools
+import random
+import tracemalloc
+
 import pytest
 
 from stochgame import pencil
-from stochgame.checks import run_invariant_checks
-from stochgame.pencil import DEFAULT_MAX_ENTRIES
+from stochgame.checks import _sampled_profile_pairs, run_invariant_checks
+from stochgame.pencil import DEFAULT_MAX_ENTRIES, player1_profiles, player2_profiles
+
+from gens import rand_game
 
 EXPECTED_NAMES = [
     "denominator-lower-bound",
@@ -52,3 +58,32 @@ def test_every_pencil_gets_the_callers_cap(fixture_docs, monkeypatch):
     assert "skipped" not in outcomes[-1].detail
     assert len(seen) >= 4 and set(seen) == {cap}
 
+
+
+def listed_profile_pairs(game, rng):
+    """Reference: list every profile pair, then sample 48 if there are more."""
+    pairs = list(itertools.product(player1_profiles(game), player2_profiles(game)))
+    return rng.sample(pairs, 48) if len(pairs) > 48 else pairs
+
+
+def test_sampled_pairs_match_the_full_listing():
+    rng = random.Random(31)
+    for _ in range(40):
+        game = rand_game(rng, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3))
+        seed = rng.randrange(2**32)
+        drawn, listed = random.Random(seed), random.Random(seed)
+        assert _sampled_profile_pairs(game, drawn) == listed_profile_pairs(game, listed)
+        assert drawn.getstate() == listed.getstate()
+
+
+def test_sampling_does_not_list_the_pairs():
+    # a 10-state 2x2 game has 2**20 profile pairs; listing them took 67 MB
+    game = rand_game(random.Random(32), 10, 2, 2)
+    tracemalloc.start()
+    try:
+        pairs = _sampled_profile_pairs(game, random.Random(0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 48
+    assert peak < 1_000_000

@@ -177,6 +177,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and str(path) in err
 
+    @pytest.mark.parametrize(
+        "old, new, line_no",
+        [
+            ("states 1", "states 1_0", 1),
+            ("actions2 1", "actions2 １", 3),
+            ("reward 1 1 1 1/2", "reward +1 1 1 1/2", 4),
+            ("reward 1 1 1 1/2", "reward 1 1 1 ٣/4", 4),
+            ("transition 1 1 1 1 99/100", "transition 1 1 1 1_0 1", 5),
+        ],
+    )
+    def test_non_ascii_digit_game_line_is_validation_error(
+        self, old, new, line_no, tmp_path, capsys
+    ):
+        path = tmp_path / "digits.game"
+        path.write_text(BAD_GAME.replace(old, new), encoding="utf-8")
+        code = main(["info", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
+
     def test_bad_lambda_is_validation_error(self, capsys):
         code = main(["discounted", "single_mp", "--lambda", "3/2"])
         assert code == 2
@@ -214,6 +233,8 @@ class TestExitCodes:
             (["value", "single_2x2", "--anchor-cap", "0"], "--anchor-cap"),
             (["value", "single_2x2", "--anchor-cap", "2.5"], "--anchor-cap"),
             (["value", "single_2x2", "--compare-shallow"], "--compare-shallow"),
+            (["discounted", "two_state_2x2", "--lambda", "١/٤"], "--lambda"),
+            (["oracle", "single_2x2", "--lambda", "1_0/2_0"], "--lambda"),
         ],
     )
     def test_bad_flag_value_rejected_before_solving(self, argv, flag, no_solving, capsys):

@@ -6,7 +6,6 @@ import pytest
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import (
     Game,
-    PureProfile,
     StationaryStrategy,
     affine_normalize,
     check_discount,
@@ -15,7 +14,7 @@ from stochgame.gamecore import (
     transition_matrix,
 )
 from stochgame.pencil import payoff_denominator, payoff_numerator
-from stochgame.ratlinalg import RatMatrix, mat_vec
+from stochgame.ratlinalg import RatMatrix
 
 from gens import rand_game, rand_profile, rand_strategy
 
@@ -25,6 +24,13 @@ def cycle_game() -> Game:
     return Game(
         rewards=[[[1]], [[0]]],
         transitions=[[[[0, 1]]], [[[1, 0]]]],
+    )
+
+
+def pure_pair(game: Game, i_vec, j_vec) -> tuple[StationaryStrategy, StationaryStrategy]:
+    return (
+        StationaryStrategy.pure(i_vec, game.n_actions1),
+        StationaryStrategy.pure(j_vec, game.n_actions2),
     )
 
 
@@ -68,11 +74,12 @@ class TestValidation:
 
     def test_profile_validation(self):
         game = one_state_game([[1, 0], [0, 1]])
-        PureProfile((0,), (1,)).validate_for(game)
-        with pytest.raises(GameValidationError):
-            PureProfile((2,), (0,)).validate_for(game)
-        with pytest.raises(GameValidationError):
-            PureProfile((0, 0), (0,)).validate_for(game)
+        x, y = pure_pair(game, (0,), (1,))
+        assert transition_matrix(game, x, y) == RatMatrix([[1]])
+        with pytest.raises(GameValidationError, match="out of range"):
+            StationaryStrategy.pure((2,), game.n_actions1)
+        with pytest.raises(GameValidationError, match="state count"):
+            transition_matrix(game, StationaryStrategy.pure((0, 0), game.n_actions1), y)
 
     def test_strategy_game_shape_mismatch(self):
         game = one_state_game([[1, 0], [0, 1]])
@@ -84,7 +91,7 @@ class TestValidation:
 class TestTransitionMatrix:
     def test_pure_profile_reads_kernel(self, fixture_docs):
         game = fixture_docs["switcher"].game
-        x, y = PureProfile((0, 0), (0, 0)).as_strategies(game)
+        x, y = pure_pair(game, (0, 0), (0, 0))
         q = transition_matrix(game, x, y)
         assert q == RatMatrix([[0, 1], [1, 0]])
 
@@ -121,7 +128,7 @@ class TestTransitionMatrix:
 class TestExpectedReward:
     def test_pure_profile_reads_rewards(self, fixture_docs):
         game = fixture_docs["two_state_2x2"].game
-        x, y = PureProfile((1, 0), (0, 1)).as_strategies(game)
+        x, y = pure_pair(game, (1, 0), (0, 1))
         g = expected_reward(game, x, y)
         assert g == (game.rewards[0][1][0], game.rewards[1][0][1])
 
@@ -171,7 +178,7 @@ class TestDiscountedPayoff:
             gamma = discounted_payoff(game, x, y, lam)
             q = transition_matrix(game, x, y)
             g = expected_reward(game, x, y)
-            flow = mat_vec(q, gamma)
+            flow = (q @ RatMatrix([[v] for v in gamma])).column(0)
             assert gamma == tuple(
                 lam * g[l] + (1 - lam) * flow[l] for l in range(game.n_states)
             )
@@ -183,7 +190,7 @@ class TestDiscountedPayoff:
             i_vec = rand_profile(rng, game.n_states, 2)
             j_vec = rand_profile(rng, game.n_states, 2)
             lam = Fraction(1, rng.randint(2, 9))
-            x, y = PureProfile(i_vec, j_vec).as_strategies(game)
+            x, y = pure_pair(game, i_vec, j_vec)
             gamma = discounted_payoff(game, x, y, lam)
             for k in range(1, game.n_states + 1):
                 num = payoff_numerator(game, k, i_vec, j_vec, lam)

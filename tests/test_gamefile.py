@@ -88,6 +88,10 @@ class TestParsing:
         doc = parse_text("# a comment\n\n" + MINIMAL + "\n# trailing\n")
         assert doc.game.n_states == 1
 
+    def test_any_whitespace_separates_fields(self):
+        text = MINIMAL.replace("reward 1 1 1", "reward\t1 1\t1").replace("states 1", "states\t 1")
+        assert parse_text("label\tmy game\n" + text) == parse_text("label my game\n" + MINIMAL)
+
     def test_negative_probability_rejected(self):
         text = MINIMAL.replace(
             "transition 1 1 1 1 1", "transition 1 1 1 1 -1"

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import (
-    affine_transform,
     matrix_game_sign,
     shapley_snow_certificate,
     shapley_snow_value,
@@ -147,7 +146,8 @@ class TestSolve:
             m = rand_matrix(rng, rng.randint(1, 3), rng.randint(1, 3))
             c = Fraction(rng.randint(1, 5), rng.randint(1, 4))
             d = rand_fraction(rng)
-            assert solve_matrix_game(affine_transform(m, c, d)).value == c * solve_matrix_game(m).value + d
+            moved = m.scaled(c) + RatMatrix.constant(m.n_rows, m.n_cols, d)
+            assert solve_matrix_game(moved).value == c * solve_matrix_game(m).value + d
 
 
 def integer_rows(m: RatMatrix) -> list[list[int]]:
@@ -177,24 +177,6 @@ class TestMatrixGameSign:
             if led:
                 assert matrix_game_sign(germ) == led
             assert matrix_game_sign([[LAM * y for y in row] for row in b]) == matrix_game_sign(b)
-
-
-class TestAffineTransform:
-    def test_identity_transform(self):
-        m = RatMatrix([[1, 2], [3, 4]])
-        assert affine_transform(m, 1, 0) == m
-
-    def test_scale_shift(self):
-        assert affine_transform(RatMatrix([[0]]), 2, 3) == RatMatrix([[3]])
-
-    def test_value_shift(self):
-        m = affine_transform(RatMatrix([[1, -1], [-1, 1]]), Fraction(1, 2), 5)
-        assert solve_matrix_game(m).value == 5
-
-    @pytest.mark.parametrize("c", [0, -1, Fraction(-1, 2)])
-    def test_nonpositive_scale_rejected(self, c):
-        with pytest.raises(ValueError):
-            affine_transform(RatMatrix([[1]]), c, 0)
 
 
 class TestShapleySnow:

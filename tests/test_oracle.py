@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import StationaryStrategy, discounted_payoff
 from stochgame.oracle import (
+    _grid_bits,
     mdp_brute_force,
     mdp_limit_brute_force,
     shapley_auxiliary,
@@ -112,6 +114,18 @@ class TestValueIteration:
     def test_tolerance_validation(self):
         with pytest.raises(GameValidationError):
             value_iteration(cycle_game(), Fraction(1, 2), 0)
+
+
+@given(
+    st.builds(Fraction, st.integers(1, 2**80), st.integers(1, 2**80)),
+    st.builds(lambda a, b: Fraction(a, a + b), st.integers(1, 2**40), st.integers(0, 2**40)),
+)
+def test_grid_bits_is_the_least_fine_enough_grid(tol, lam):
+    # 2**-(p+1) <= tol * lam**2 / 8, and p is the least such p >= 1
+    p = _grid_bits(tol, lam)
+    target = tol * lam * lam / 8
+    assert p >= 1 and Fraction(1, 2 ** (p + 1)) <= target
+    assert p == 1 or Fraction(1, 2**p) > target
 
 
 class TestMdpBruteForce:

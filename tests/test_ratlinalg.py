@@ -9,13 +9,12 @@ from stochgame.ratlinalg import (
     LAM,
     IntPoly,
     RatMatrix,
-    adjugate,
-    cofactor_sum,
+    ceil_log2,
     det,
     format_decimal,
+    int_adjugate,
     int_det,
     kron,
-    mat_vec,
     parse_rational,
     sign,
     simplest_between,
@@ -56,7 +55,9 @@ class TestParsing:
     def test_accepted_forms(self, text, expected):
         assert parse_rational(text) == expected
 
-    @pytest.mark.parametrize("text", ["1.5", "", "1/0", "3/-4", "a/b", "1e3", "1 / 2"])
+    @pytest.mark.parametrize(
+        "text", ["1.5", "", "1/0", "3/-4", "a/b", "1e3", "1 / 2", "1_0", "１", "٣/4"]
+    )
     def test_rejected_forms(self, text):
         with pytest.raises(ValueError):
             parse_rational(text)
@@ -193,31 +194,30 @@ class TestReplaceColumn:
             RatMatrix.identity(2).replace_column(1, [1, 2, 3])
 
 
-class TestCofactorSum:
-    def test_single_entry_is_one(self):
-        assert cofactor_sum(RatMatrix([[9]])) == 1
+class TestCeilLog2:
+    @given(st.builds(Fraction, st.integers(1, 2**200), st.integers(1, 2**200)))
+    def test_least_nonnegative_exponent(self, x):
+        e = ceil_log2(x)
+        assert e >= 0 and 2**e >= x
+        assert e == 0 or 2 ** (e - 1) < x
 
-    def test_hand_value(self):
-        assert cofactor_sum(RatMatrix([[3, 1], [0, 2]])) == 4
+    @pytest.mark.parametrize("e", [0, 1, 2, 10, 64, 300])
+    def test_powers_of_two_and_neighbours(self, e):
+        eps = Fraction(1, 10**9)
+        assert ceil_log2(Fraction(2**e)) == e
+        assert ceil_log2(2**e - eps) == e
+        assert ceil_log2(2**e + eps) == e + 1
 
-    def test_identity(self):
-        assert cofactor_sum(RatMatrix.identity(2)) == 2
 
-    def test_matches_adjugate_total(self):
-        rng = random.Random(5)
-        for _ in range(25):
-            n = rng.randint(1, 4)
-            m = rand_matrix(rng, n, n)
-            adj = adjugate(m)
-            assert cofactor_sum(m) == sum(sum(row) for row in adj.rows)
-
+class TestIntAdjugate:
     def test_adjugate_identity(self):
         rng = random.Random(6)
         for _ in range(20):
             n = rng.randint(1, 4)
-            m = rand_matrix(rng, n, n)
-            d = det(m)
-            assert m @ adjugate(m) == RatMatrix.identity(n).scaled(d) if d != 0 else True
+            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            adj = RatMatrix(int_adjugate(a))
+            d = int_det([row[:] for row in a])
+            assert RatMatrix(a) @ adj == RatMatrix.identity(n).scaled(d)
 
 
 class TestSolveLinear:
@@ -240,7 +240,7 @@ class TestSolveLinear:
                 continue
             b = [rand_fraction(rng) for _ in range(3)]
             x = solve_linear(a, b)
-            assert mat_vec(a, x) == tuple(b)
+            assert a @ RatMatrix([[v] for v in x]) == RatMatrix([[v] for v in b])
             solved += 1
 
     def test_cramer_consistency(self):
