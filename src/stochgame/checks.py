@@ -5,8 +5,10 @@ Backs the `check` CLI command: every structural fact the solvers rely on
 of the pencil value, root location at the oracle value, agreement of the
 two pencil constructions, and the absorbing-game identity) is evaluated
 on the given game with a seeded sample of strategies and parameters.
-All comparisons are exact; the root check signs the pencil's integer grid
-as the bisections do.  The entry cap is checked first and passed to every
+All comparisons are exact.  The root check signs the pencil's integer
+grid as the bisections do, and the strict-decrease check reads exact
+values from the same grid (`matrix_game_value`), as the oracle does from
+its own one-shot grids.  The entry cap is checked first and passed to every
 pencil.
 """
 
@@ -18,7 +20,9 @@ from fractions import Fraction
 
 from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
 from .gamecore import Game, StationaryStrategy, chain_system
-from .matrixgame import matrix_game_sign, solve_matrix_game
+# `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
+# `checks.solve_matrix_game` by name
+from .matrixgame import matrix_game_sign, matrix_game_value, solve_matrix_game  # noqa: F401
 from .oracle import shapley_operator, value_iteration
 from .pencil import (
     DEFAULT_MAX_ENTRIES,
@@ -132,8 +136,8 @@ def _check_strict_decrease(
         z1 = _random_fraction(rng)
         z2 = z1 + Fraction(rng.randint(1, 4), rng.randint(1, 6))
         pencil = build_pencil(game, k, lam, max_entries)
-        v1 = solve_matrix_game(pencil.matrix_at(z1)).value
-        v2 = solve_matrix_game(pencil.matrix_at(z2)).value
+        v1 = matrix_game_value(pencil.scaled_at(z1)) / (z1.denominator * pencil.scale)
+        v2 = matrix_game_value(pencil.scaled_at(z2)) / (z2.denominator * pencil.scale)
         if v1 - v2 < (z2 - z1) * lam**n:
             return CheckOutcome(
                 "value-strict-decrease",

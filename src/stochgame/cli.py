@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -200,12 +201,19 @@ def _cmd_info(args) -> int:
     return EXIT_OK
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """An integer in ASCII digits 0-9 with an optional leading '-' (no '+', '_' or spaces)."""
+    if not _INTEGER_RE.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected an integer in digits 0-9, got {text!r}")
+    return int(text)
+
+
 def _int_at_least(low: int, what: str):
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
         return value
@@ -229,7 +237,7 @@ def _add_common(parser: argparse.ArgumentParser, profile_solver: bool = True) ->
     parser.add_argument("file", metavar="FILE", help="game document path or fixture name")
     if profile_solver:
         parser.add_argument(
-            "--state", type=int, default=None,
+            "--state", type=_positive_int, default=None,
             help="initial state (1-based; default: document's initial_state, else 1)",
         )
         parser.add_argument(
@@ -254,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--lambda", dest="lam", type=_rational, required=True, metavar="P/Q",
                    help="discount rate in (0, 1], e.g. 1/4")
-    p.add_argument("--precision", type=int, default=20, metavar="R",
+    p.add_argument("--precision", type=_nonnegative_int, default=20, metavar="R",
                    help="approximation radius 2^-R (default 20)")
     p.add_argument("--trace", action="store_true", help="print the bisection trace")
     p.set_defaults(func=_cmd_discounted)
 
     p = sub.add_parser("value", help="vanishing-discount value by exact bisection")
     _add_common(p)
-    p.add_argument("--precision", type=int, default=20, metavar="R")
+    p.add_argument("--precision", type=_nonnegative_int, default=20, metavar="R")
     p.add_argument("--trace", action="store_true", help="print the bisection trace")
     p.set_defaults(func=_cmd_value)
 
@@ -274,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the per-game invariant suite")
     _add_common(p)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--seed", type=_integer, default=0, help="sampling seed")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("info", help="summarize a game document")

@@ -6,10 +6,15 @@ runs an exact simplex on the standard LP formulation, fraction-free over
 one common denominator: the tableau holds integers and each pivot divides
 exactly by the previous pivot (Edmonds 1967, the Bareiss scheme of
 `ratlinalg.int_det`), so no Fraction is normalised until the answer.
-`matrix_game_sign` runs the same pivot loop over any ordered ring with
-exact division and returns only the sign of the value; over
-`ratlinalg.IntPoly` germs that is the sign for every small enough
-discount rate.  `shapley_snow_value` recomputes the value by enumerating
+There are three entry points over that one pivot loop (`_bland_simplex`).
+`solve_matrix_game` takes a `RatMatrix` and returns the value with both
+optimal strategies.  `matrix_game_value` takes an integer grid (a game
+scaled by a positive integer, as the oracle and the pencil build them)
+and returns only the exact value, building one Fraction.
+`matrix_game_sign` runs the same loop over any ordered ring with exact
+division and returns only the sign of the value; over `ratlinalg.IntPoly`
+germs that is the sign for every small enough discount rate.
+`shapley_snow_value` recomputes the value by enumerating
 square kernels and certifying one, which serves as an independent
 cross-check of the LP throughout the test suite.
 """
@@ -139,17 +144,31 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
     return GameSolution(value=value, x_opt=x_opt, y_opt=y_opt)
 
 
-def matrix_game_sign(rows: list[list]) -> int:
-    """Sign of the value of a matrix game over an ordered ring.
+def _value_ratio(rows: list[list]) -> tuple:
+    """(det - shift * total, total): the game value's numerator and positive denominator.
 
-    The entries are ints or `ratlinalg.IntPoly` germs; for germs the sign
-    is that of the value for every small enough lam > 0.  Runs the same
-    pivots as `solve_matrix_game` with scale 1: the value is
+    Runs the same pivots as `solve_matrix_game` with scale 1: the value is
     det / total - shift with det, total > 0.
     """
     shift = _shift(rows)
     _, cost, _, det = _bland_simplex([[x + shift for x in row] for row in rows], 1)
-    return sign(det - shift * cost[-1])
+    total = cost[-1]
+    return det - shift * total, total
+
+
+def matrix_game_value(rows: list[list[int]]) -> Fraction:
+    """Exact value of a matrix game with integer payoffs."""
+    num, total = _value_ratio(rows)
+    return Fraction(num, total)
+
+
+def matrix_game_sign(rows: list[list]) -> int:
+    """Sign of the value of a matrix game over an ordered ring.
+
+    The entries are ints or `ratlinalg.IntPoly` germs; for germs the sign
+    is that of the value for every small enough lam > 0.
+    """
+    return sign(_value_ratio(rows)[0])
 
 
 def _minor_table(memo: dict, int_rows: list[list[int]], prefix: tuple[int, ...], q: int) -> dict:

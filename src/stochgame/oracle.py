@@ -2,15 +2,25 @@
 
 The Shapley operator evaluates, per state, the exact value of the one-shot
 game with discounted continuation payoffs; iterating it from zero
-converges geometrically to the discounted value vector.  Iterates are
-snapped to a dyadic grid fine enough that the rounding is absorbed by the
-stopping certificate, because raw fixed-point iterates roughly double
-their bit size per step.  One-player games additionally get a brute-force
-reference over pure stationary strategies.
+converges geometrically to the discounted value vector.  Each one-shot
+game is built once, as an integer grid over one positive scale: with
+lam = a/b, L the game's least common denominator and d that of the
+continuation vector u, entry (i, j) of state l is
+
+    a*d*(L g) + (b-a) * sum_t (L q_t) * (d u_t)   over   b*L*d,
+
+so `matrixgame.matrix_game_value` reads the exact value from the one
+pivot loop and the oracle divides by the scale, with no Fraction matrix
+in between.  Iterates are snapped to a dyadic grid fine enough that the
+rounding is absorbed by the stopping certificate, because raw
+fixed-point iterates roughly double their bit size per step.  One-player
+games additionally get a brute-force reference over pure stationary
+strategies.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -21,9 +31,38 @@ from .gamecore import (
     check_discount,
     discounted_payoff,
 )
-from .matrixgame import solve_matrix_game
+# `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
+# `oracle.solve_matrix_game` by name
+from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
 from .pencil import _IntegerSystem, player1_profiles, player2_profiles
 from .ratlinalg import LAM, RatMatrix, RationalLike, ceil_log2, simplest_between, to_fraction
+
+
+def _one_shot_grids(
+    game: Game, lam: Fraction, u: Sequence[RationalLike], states: Sequence[int]
+) -> tuple[list[list[list[int]]], int]:
+    """Integer grids of the one-shot games at the 0-based `states`, and their scale b*L*d."""
+    cont = [to_fraction(x) for x in u]
+    if len(cont) != game.n_states:
+        raise GameValidationError(
+            f"continuation vector length {len(cont)} != state count {game.n_states}"
+        )
+    big_l = game.denominator_lcm()
+    d = math.lcm(*(x.denominator for x in cont))
+    du = [x.numerator * (d // x.denominator) for x in cont]
+    ad, c = lam.numerator * d, lam.denominator - lam.numerator
+    grids = [
+        [
+            [
+                ad * (big_l // g.denominator * g.numerator)
+                + c * sum(big_l // p.denominator * p.numerator * v for p, v in zip(dist, du))
+                for g, dist in zip(g_row, q_row)
+            ]
+            for g_row, q_row in zip(game.rewards[l], game.transitions[l])
+        ]
+        for l in states
+    ]
+    return grids, lam.denominator * big_l * d
 
 
 def shapley_auxiliary(
@@ -32,33 +71,16 @@ def shapley_auxiliary(
     """One-shot payoff matrix at a state: lam*g + (1-lam) * q . u."""
     lam = check_discount(lam)
     game.check_state(state)
-    cont = [to_fraction(x) for x in u]
-    if len(cont) != game.n_states:
-        raise GameValidationError(
-            f"continuation vector length {len(cont)} != state count {game.n_states}"
-        )
-    l = state - 1
-    beta = 1 - lam
-    return RatMatrix(
-        [
-            [
-                lam * game.rewards[l][i][j]
-                + beta * sum(p * v for p, v in zip(game.transitions[l][i][j], cont))
-                for j in range(game.n_actions2)
-            ]
-            for i in range(game.n_actions1)
-        ]
-    )
+    (grid,), scale = _one_shot_grids(game, lam, u, (state - 1,))
+    return RatMatrix([[Fraction(x, scale) for x in row] for row in grid])
 
 
 def shapley_operator(
     game: Game, lam: RationalLike, u: Sequence[RationalLike]
 ) -> tuple[Fraction, ...]:
     """Per-state value of the one-shot games; a (1-lam)-contraction in u."""
-    return tuple(
-        solve_matrix_game(shapley_auxiliary(game, lam, u, l + 1)).value
-        for l in range(game.n_states)
-    )
+    grids, scale = _one_shot_grids(game, check_discount(lam), u, range(game.n_states))
+    return tuple(matrix_game_value(grid) / scale for grid in grids)
 
 
 def _grid_bits(tol: Fraction, lam: Fraction) -> int:

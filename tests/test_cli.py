@@ -21,6 +21,29 @@ NOT_TAKEN = {
     ("value", "--compare-shallow"),
 }
 
+# the subcommands taking each integer flag, and the rest of a valid argv
+INTEGER_FLAGS = {
+    "--precision": ("discounted", "value"),
+    "--state": ("discounted", "value", "check"),
+    "--seed": ("check",),
+    "--digits": ("discounted", "value", "oracle", "check"),
+    "--max-entries": ("discounted", "value", "check"),
+}
+LAMBDA_ARGV = {"discounted": ["--lambda", "1/4"], "oracle": ["--lambda", "1/4"]}
+
+
+def integer_flag_argv(command: str, flag: str, text: str) -> list[str]:
+    return [command, "single_2x2", *LAMBDA_ARGV.get(command, []), flag, text]
+
+
+def integer_flag_cases(texts) -> list:
+    return [
+        (command, flag, text)
+        for flag, commands in INTEGER_FLAGS.items()
+        for command in commands
+        for text in texts
+    ]
+
 
 class TestDiscounted:
     def test_big_match(self, capsys):
@@ -235,6 +258,11 @@ class TestExitCodes:
             (["value", "single_2x2", "--compare-shallow"], "--compare-shallow"),
             (["discounted", "two_state_2x2", "--lambda", "١/٤"], "--lambda"),
             (["oracle", "single_2x2", "--lambda", "1_0/2_0"], "--lambda"),
+            (["discounted", "single_2x2", "--lambda", "1/4", "--precision", "-1"], "--precision"),
+            (["value", "single_2x2", "--precision", "-1"], "--precision"),
+            (["discounted", "single_2x2", "--lambda", "1/4", "--state", "0"], "--state"),
+            (["value", "single_2x2", "--state", "-2"], "--state"),
+            (["check", "single_2x2", "--state", "0"], "--state"),
         ],
     )
     def test_bad_flag_value_rejected_before_solving(self, argv, flag, no_solving, capsys):
@@ -246,6 +274,25 @@ class TestExitCodes:
             assert f"unrecognized arguments: {flag}" in err
         else:
             assert f"argument {flag}:" in err
+
+    # non-ASCII digits, digit separators, spaces and a '+' sign are all
+    # accepted by int(), but not by the flags
+    @pytest.mark.parametrize(
+        "command, flag, text", integer_flag_cases(["\u0663", "1_0", " 3", "+3"])
+    )
+    def test_integer_flag_must_be_ascii_digits(self, command, flag, text, no_solving, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(integer_flag_argv(command, flag, text))
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer in digits 0-9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        integer_flag_cases(["7", "0012"]) + [("check", "--seed", "-42")],
+    )
+    def test_integer_flag_takes_ascii_digits(self, command, flag, text):
+        args = cli.build_parser().parse_args(integer_flag_argv(command, flag, text))
+        assert getattr(args, flag[2:].replace("-", "_")) == int(text)
 
 
 def test_oracle_on_inexact_game(capsys):

@@ -6,8 +6,10 @@ tests/data/golden.json holds the `--json` output (minus `elapsed_s`) of
 integer pencil grids replaced the rational ones.  `value` on
 three_state_2x2 and two_state_3x3 was recorded later, before the exact sign
 over Z[lam] replaced the anchored discount ladder; at that switch every
-`value` output lost only the ladder's two keys.  Any change of value,
-radius, trace or check outcome fails.
+`value` output lost only the ladder's two keys.  `oracle FIX --lambda 1/4`
+and `oracle FIX --lambda 2/3 --tol 1/4096` on every fixture were recorded
+before the Shapley operator moved from Fraction matrices to integer grids.
+Any change of value, radius, trace, oracle vector or check outcome fails.
 """
 
 import json

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import (
     matrix_game_sign,
+    matrix_game_value,
     shapley_snow_certificate,
     shapley_snow_value,
     solve_matrix_game,
@@ -162,7 +163,10 @@ class TestMatrixGameSign:
     @example(BLAND_TIE)
     @example(NONPOSITIVE)
     def test_integer_sign_matches_value(self, m):
-        assert matrix_game_sign(integer_rows(m)) == sign(solve_matrix_game(m).value)
+        rows = integer_rows(m)
+        value = matrix_game_value(rows)
+        assert value == solve_matrix_game(RatMatrix(rows)).value
+        assert matrix_game_sign(rows) == sign(value) == sign(solve_matrix_game(m).value)
 
     def test_germ_sign_is_led_by_the_constant_term(self):
         # val(A + lam*B) -> val(A) as lam -> 0+, so a nonzero val(A) decides;

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stochgame.errors import GameValidationError
-from stochgame.gamecore import StationaryStrategy, discounted_payoff
+from stochgame.gamecore import Game, StationaryStrategy, discounted_payoff
+from stochgame.matrixgame import solve_matrix_game
 from stochgame.oracle import (
     _grid_bits,
     mdp_brute_force,
@@ -14,6 +15,7 @@ from stochgame.oracle import (
     shapley_operator,
     value_iteration,
 )
+from stochgame.ratlinalg import RatMatrix
 from gens import rand_fraction, rand_game, rand_one_player_game
 
 from test_gamecore import cycle_game, one_state_game
@@ -21,6 +23,56 @@ from test_gamecore import cycle_game, one_state_game
 
 def sup_dist(u, v) -> Fraction:
     return max(abs(a - b) for a, b in zip(u, v))
+
+
+def fraction_auxiliary(game, lam, u, l: int) -> RatMatrix:
+    """State l+1's one-shot game lam*g + (1-lam) * q . u, entry by entry in Fractions."""
+    return RatMatrix(
+        [
+            [lam * g + (1 - lam) * sum(p * v for p, v in zip(dist, u)) for g, dist in zip(g_row, q_row)]
+            for g_row, q_row in zip(game.rewards[l], game.transitions[l])
+        ]
+    )
+
+
+def fraction_shapley_operator(game, lam, u) -> tuple[Fraction, ...]:
+    """Reference Shapley operator: the LP on each Fraction one-shot matrix."""
+    lam, u = Fraction(lam), [Fraction(x) for x in u]
+    return tuple(
+        solve_matrix_game(fraction_auxiliary(game, lam, u, l)).value for l in range(game.n_states)
+    )
+
+
+# primes of 31 and 32 bits: every reward and transition denominator of a
+# drawn game is one of them, so the game's common denominator L is their product
+PRIMES = (1073741827, 1073741831, 1073741833, 2147483647, 4294967279, 4294967291)
+
+
+@st.composite
+def prime_denominator_games(draw) -> Game:
+    n = draw(st.integers(1, 3))
+    a1, a2 = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def reward() -> Fraction:
+        big = draw(st.sampled_from(PRIMES))
+        return Fraction(draw(st.integers(-3 * big, 3 * big)), big)
+
+    def dist() -> list[Fraction]:
+        big = draw(st.sampled_from(PRIMES))
+        cuts = sorted(draw(st.lists(st.integers(0, big), min_size=n - 1, max_size=n - 1)))
+        return [Fraction(hi - lo, big) for lo, hi in zip([0] + cuts, cuts + [big])]
+
+    rewards = [[[reward() for _ in range(a2)] for _ in range(a1)] for _ in range(n)]
+    transitions = [[[dist() for _ in range(a2)] for _ in range(a1)] for _ in range(n)]
+    return Game(rewards, transitions)
+
+
+# continuation entries over unrelated denominators that are not powers of two
+continuation_entries = st.builds(
+    Fraction,
+    st.integers(-(10**9), 10**9),
+    st.integers(3, 10**9).filter(lambda m: m & (m - 1)),
+)
 
 
 class TestShapleyAuxiliary:
@@ -39,8 +91,11 @@ class TestShapleyAuxiliary:
 
     def test_dimension_mismatch(self, fixture_docs):
         game = fixture_docs["two_state_2x2"].game
-        with pytest.raises(GameValidationError):
-            shapley_operator(game, Fraction(1, 2), (Fraction(0),))
+        for u in ((Fraction(0),), (0, Fraction(1, 3), 1)):
+            with pytest.raises(GameValidationError):
+                shapley_operator(game, Fraction(1, 2), u)
+            with pytest.raises(GameValidationError):
+                shapley_auxiliary(game, Fraction(1, 2), u, 1)
 
 
 class TestShapleyOperator:
@@ -74,6 +129,18 @@ class TestShapleyOperator:
             fu = shapley_operator(game, lam, u)
             fup = shapley_operator(game, lam, up)
             assert all(a <= b for a, b in zip(fu, fup))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        prime_denominator_games(),
+        st.sampled_from((Fraction(1, 4), Fraction(2, 5), Fraction(1))),
+        st.data(),
+    )
+    def test_integer_grid_matches_fraction_reference(self, game, lam, data):
+        u = tuple(data.draw(continuation_entries) for _ in range(game.n_states))
+        assert shapley_operator(game, lam, u) == fraction_shapley_operator(game, lam, u)
+        for l in range(game.n_states):
+            assert shapley_auxiliary(game, lam, u, l + 1) == fraction_auxiliary(game, lam, u, l)
 
     def test_big_match_fixed_point(self, fixture_docs):
         game = fixture_docs["big_match"].game
