@@ -9,7 +9,9 @@ All comparisons are exact.  The root check signs the pencil's integer
 grid as the bisections do, and the strict-decrease check reads exact
 values from the same grid (`matrix_game_value`), as the oracle does from
 its own one-shot grids.  The entry cap is checked first and passed to every
-pencil.
+pencil.  One run builds each (state, lam) pencil once: the multilinearity,
+strict-decrease and root checks and the direct side of the Kronecker check
+read it from a dict local to `run_invariant_checks`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+# in annotations only: a module-level `Callable[..., GamePencil]` alias would sit
+# in typing's cache and keep every re-imported copy of the package alive
+from typing import Callable
 
 from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
 from .gamecore import Game, StationaryStrategy, chain_system
@@ -24,8 +29,11 @@ from .gamecore import Game, StationaryStrategy, chain_system
 # `checks.solve_matrix_game` by name
 from .matrixgame import matrix_game_sign, matrix_game_value, solve_matrix_game  # noqa: F401
 from .oracle import shapley_operator, value_iteration
-from .pencil import (
+# `pencil_matrix` stays bound here, unused, and every pencil is built through
+# `checks.build_pencil`: the benchmark's trace layer wraps both by name
+from .pencil import (  # noqa: F401
     DEFAULT_MAX_ENTRIES,
+    GamePencil,
     _check_cap,
     build_pencil,
     payoff_denominator,
@@ -101,15 +109,14 @@ def _mixed_determinants(game: Game, x: StationaryStrategy, j_vec, k: int, lam: F
 
 
 def _check_multilinearity(
-    game: Game, k: int, rng: random.Random, max_entries: int
+    game: Game, k: int, rng: random.Random, pencil_at: Callable[[int, Fraction], GamePencil]
 ) -> CheckOutcome:
     for _ in range(6):
         lam = Fraction(1, rng.randint(2, 8))
         z = _random_fraction(rng)
         x = _random_strategy(rng, game.n_states, game.n_actions1)
         j_vec = tuple(rng.randrange(game.n_actions2) for _ in range(game.n_states))
-        pencil = build_pencil(game, k, lam, max_entries)
-        matrix = pencil.matrix_at(z)
+        matrix = pencil_at(k, lam).matrix_at(z)
         col = profile_row_index(j_vec, game.n_actions2)
         mixed_entry = Fraction(0)
         for row, i_vec in enumerate(player1_profiles(game)):
@@ -128,14 +135,14 @@ def _check_multilinearity(
 
 
 def _check_strict_decrease(
-    game: Game, k: int, rng: random.Random, max_entries: int
+    game: Game, k: int, rng: random.Random, pencil_at: Callable[[int, Fraction], GamePencil]
 ) -> CheckOutcome:
     n = game.n_states
     for _ in range(4):
         lam = Fraction(1, rng.randint(2, 6))
         z1 = _random_fraction(rng)
         z2 = z1 + Fraction(rng.randint(1, 4), rng.randint(1, 6))
-        pencil = build_pencil(game, k, lam, max_entries)
+        pencil = pencil_at(k, lam)
         v1 = matrix_game_value(pencil.scaled_at(z1)) / (z1.denominator * pencil.scale)
         v2 = matrix_game_value(pencil.scaled_at(z2)) / (z2.denominator * pencil.scale)
         if v1 - v2 < (z2 - z1) * lam**n:
@@ -147,12 +154,14 @@ def _check_strict_decrease(
     return CheckOutcome("value-strict-decrease", True)
 
 
-def _check_root_at_oracle(game: Game, k: int, max_entries: int) -> CheckOutcome:
+def _check_root_at_oracle(
+    game: Game, k: int, pencil_at: Callable[[int, Fraction], GamePencil]
+) -> CheckOutcome:
     lam = Fraction(1, 4)
     tol = Fraction(1, 2**12)
     u = value_iteration(game, lam, tol)
     z = u[k - 1]
-    pencil = build_pencil(game, k, lam, max_entries)
+    pencil = pencil_at(k, lam)
     if shapley_operator(game, lam, u) == u:
         at = matrix_game_sign(pencil.scaled_at(z))
         if at != 0:
@@ -174,11 +183,16 @@ def _check_root_at_oracle(game: Game, k: int, max_entries: int) -> CheckOutcome:
     return CheckOutcome("root-at-oracle-value", True)
 
 
-def _check_kronecker(game: Game, rng: random.Random, max_entries: int) -> CheckOutcome:
+def _check_kronecker(
+    game: Game,
+    rng: random.Random,
+    pencil_at: Callable[[int, Fraction], GamePencil],
+    max_entries: int,
+) -> CheckOutcome:
     for k in range(1, game.n_states + 1):
         lam = Fraction(1, rng.randint(2, 8))
         z = _random_fraction(rng)
-        direct = pencil_matrix(game, k, lam, z, max_entries)
+        direct = pencil_at(k, lam).matrix_at(z)
         blockwise = pencil_matrix_kronecker(game, k, lam, z, max_entries)
         if direct != blockwise:
             return CheckOutcome(
@@ -211,16 +225,26 @@ def run_invariant_checks(
     """Run the full per-game invariant suite; exact, deterministic per seed.
 
     The entry cap is checked before any check runs (ResourceCapError).
+    Each (state, lam) pencil is built once per call and shared by the
+    checks that read it; pencils are immutable.
     """
     game.check_state(k)
     _check_cap(game, max_entries)
     rng = random.Random(seed)
+    pencils: dict[tuple[int, Fraction], GamePencil] = {}
+
+    def pencil_at(state: int, lam: Fraction) -> GamePencil:
+        pencil = pencils.get((state, lam))
+        if pencil is None:
+            pencil = pencils[state, lam] = build_pencil(game, state, lam, max_entries)
+        return pencil
+
     outcomes = [
         _check_denominator_bound(game, rng),
-        _check_multilinearity(game, k, rng, max_entries),
-        _check_strict_decrease(game, k, rng, max_entries),
-        _check_root_at_oracle(game, k, max_entries),
-        _check_kronecker(game, rng, max_entries),
+        _check_multilinearity(game, k, rng, pencil_at),
+        _check_strict_decrease(game, k, rng, pencil_at),
+        _check_root_at_oracle(game, k, pencil_at),
+        _check_kronecker(game, rng, pencil_at, max_entries),
         _check_absorbing(game, rng, max_entries),
     ]
     return outcomes

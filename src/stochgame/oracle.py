@@ -183,7 +183,7 @@ def mdp_limit_brute_force(game: Game, k: int) -> Fraction:
     def limit(i_vec, j_vec) -> Fraction:
         num, den = ints.dets(k, i_vec, j_vec)
         s = den.order()
-        # int_det returns the int 0 for a singular Cramer matrix
+        # a singular Cramer matrix gives a zero numerator (an int or IntPoly 0)
         return Fraction(num.coeff(s), den.coeff(s)) if num else Fraction(0)
 
     return _best_pure(game, limit)

@@ -10,19 +10,21 @@ game whose value changes sign exactly at the discounted value.
 Both determinants are computed over the integers.  With lam = a/b, c = b - a
 and L the least common denominator of the game data, every system matrix
 scaled by b*L is the integer matrix b*L*Id - c*L*Q, and its Cramer matrix
-takes a*L*g as column k.  Their Bareiss determinants are the pair's
-denominator and numerator times the one scale (b*L)**n_states shared by the
-whole grid, so the grids are stored as integers over that scale and an
-entry at z = p/q is the single fraction (q*N - p*D) / (q*scale).  The same
-code runs over Z[lam]: for lam = `ratlinalg.LAM` the rows are
+takes a*L*g as column k.  One Bareiss pass over the system matrix bordered
+by that column gives both determinants: the pair's denominator and
+numerator times the one scale (b*L)**n_states shared by the whole grid,
+so the grids are stored as integers over that scale and an entry at
+z = p/q is the single fraction (q*N - p*D) / (q*scale).  The same code
+runs over Z[lam]: for lam = `ratlinalg.LAM` the rows are
 L*Id - (1-lam)*L*Q, the Cramer column is lam*L*g, and the grids hold
 integer polynomials in lam whose signs as lam -> 0+ decide the limit value.
 
 The bisections read signs straight from these integers
 (`GamePencil.scaled_at`); `matrix_at` and `pencil_matrix` give the
 rational matrix itself as a `RatMatrix`.  `pencil_matrix_kronecker`
-rebuilds that matrix from Kronecker products of per-state blocks over the
-rationals, never forming a per-profile chain matrix, so the two
+rebuilds that matrix over the rationals from block minors: Kronecker
+products of per-state blocks, shared between the numerator and the
+denominator grids.  It never forms a per-profile chain matrix, so the two
 constructions check each other.
 
 Every entry is a pure function of its own profile pair, and all results
@@ -43,10 +45,10 @@ from .ratlinalg import (  # noqa: F401
     IntPoly,
     RatMatrix,
     RationalLike,
+    bareiss_eliminate,
     det,
     int_det,
     kron,
-    permutations_with_parity,
     to_fraction,
 )
 
@@ -77,10 +79,12 @@ class _IntegerSystem:
     its actions (i, j) in state l + 1, and its Cramer column holds a*L*g
     there (c = b - a, L the game's least common denominator).
     Determinants of matrices assembled from them equal the rational ones
-    times scale = (b*L)**n_states.  Each row is scaled on first use and
-    kept, so one profile pair scales only its own n rows.  lam may also
-    be `ratlinalg.LAM` (a = lam, b = 1), which gives the rows
-    L*Id - (1-lam)*L*Q and the column lam*L*g over Z[lam].
+    times scale = (b*L)**n_states.  lam may also be `ratlinalg.LAM`
+    (a = lam, b = 1), which gives the rows L*Id - (1-lam)*L*Q and the
+    column lam*L*g over Z[lam].  `dets` borders each row with its Cramer
+    entry and takes both determinants from one elimination; each bordered
+    row is scaled on first use and kept, so one profile pair scales only
+    its own n rows.
     """
 
     __slots__ = ("game", "diag", "c_l", "a_l", "scale", "_rows")
@@ -95,31 +99,39 @@ class _IntegerSystem:
         self.scale = self.diag**game.n_states
         self._rows: dict = {}
 
-    def _row(self, l: int, i: int, j: int) -> list:
-        row = self._rows.get((l, i, j))
-        if row is None:
-            row = self._rows[l, i, j] = [
-                (self.diag if t == l else 0) - self.c_l // p.denominator * p.numerator
-                for t, p in enumerate(self.game.transitions[l][i][j])
-            ]
-        return row
+    def _system_row(self, l: int, i: int, j: int) -> list:
+        return [
+            (self.diag if t == l else 0) - self.c_l // p.denominator * p.numerator
+            for t, p in enumerate(self.game.transitions[l][i][j])
+        ]
 
     def system(self, i_vec, j_vec) -> list[list]:
-        """Fresh scaled system matrix of one profile pair (int_det mutates it)."""
-        return [list(self._row(l, i, j)) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
+        """Scaled system matrix of one profile pair."""
+        return [self._system_row(l, i, j) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
 
-    def cramer(self, system: list[list], k: int, i_vec, j_vec) -> list[list]:
-        """Copy of the scaled system with column k replaced by a*L*g."""
-        out = []
-        for l, row in enumerate(system):
-            g = self.game.rewards[l][i_vec[l]][j_vec[l]]
-            out.append(row[: k - 1] + [self.a_l // g.denominator * g.numerator] + row[k:])
-        return out
+    def _bordered_row(self, k: int, l: int, i: int, j: int) -> list:
+        row = self._rows.get((k, l, i, j))
+        if row is None:
+            sys_row = self._system_row(l, i, j)
+            g = self.game.rewards[l][i][j]
+            cramer = self.a_l // g.denominator * g.numerator
+            row = self._rows[k, l, i, j] = sys_row[: k - 1] + sys_row[k:] + [sys_row[k - 1], cramer]
+        return row
 
     def dets(self, k: int, i_vec, j_vec) -> tuple:
-        """Scaled (Cramer numerator, system determinant) of one profile pair."""
-        system = self.system(i_vec, j_vec)
-        return int_det(self.cramer(system, k, i_vec, j_vec)), int_det(system)
+        """Scaled (Cramer numerator, system determinant) of one profile pair.
+
+        One Bareiss pass over the bordered n x (n+1) matrix
+        [A without column k | column k of A | a*L*g]: once its first n-1
+        columns are eliminated, the last row holds det(A) and det(A_k)
+        (column k replaced by a*L*g), each times (-1)**(n-k) for moving
+        column k last and times the row-swap parity.  If one of those
+        n-1 columns has no pivot, the parity is 0 and so are both.
+        """
+        a = [list(self._bordered_row(k, l, i, j)) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
+        n = len(a)
+        sign = bareiss_eliminate(a, n - 1) * (-1) ** (n - k)
+        return sign * a[n - 1][n], sign * a[n - 1][n - 1]
 
 
 def payoff_denominator(game: Game, i_vec, j_vec, lam: RationalLike) -> Fraction:
@@ -133,7 +145,7 @@ def payoff_numerator(game: Game, k: int, i_vec, j_vec, lam: RationalLike) -> Fra
     lam = check_discount(lam)
     game.check_state(k)
     ints = _IntegerSystem(game, lam)
-    return Fraction(int_det(ints.cramer(ints.system(i_vec, j_vec), k, i_vec, j_vec)), ints.scale)
+    return Fraction(ints.dets(k, i_vec, j_vec)[0], ints.scale)
 
 
 def _check_cap(game: Game, max_entries: int) -> tuple[int, int]:
@@ -243,24 +255,6 @@ def _kernel_block(game: Game, l: int, t: int) -> RatMatrix:
     )
 
 
-def _block_determinant(blocks: list[list[RatMatrix]]) -> RatMatrix:
-    """Determinant of a square block array with Kronecker products.
-
-    Expansion over column assignments; each term keeps its Kronecker
-    factors ordered by block row, which is the orientation under which
-    the result matches the per-profile determinants entry by entry.
-    """
-    n = len(blocks)
-    total: RatMatrix | None = None
-    for perm, parity in permutations_with_parity(n):
-        term = blocks[0][perm[0]]
-        for r in range(1, n):
-            term = kron(term, blocks[r][perm[r]])
-        term = term.scaled(parity)
-        total = term if total is None else total + term
-    return total
-
-
 def pencil_matrix_kronecker(
     game: Game,
     k: int,
@@ -268,13 +262,21 @@ def pencil_matrix_kronecker(
     z: RationalLike,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> RatMatrix:
-    """Same contract as pencil_matrix, built from Kronecker block arrays.
+    """Same contract as pencil_matrix, built from Kronecker block minors.
 
-    The n x (n+1) array [-lam*G | U*delta - (1-lam)*Q] is reduced by
-    deleting one block column: deleting the first yields the denominator
-    grid, deleting block column k (with a (-1)**k sign, which compensates
-    for moving the reward column into first position and negating it)
-    yields the numerator grid.
+    Block row r of the n x (n+1) array B = [-lam*G | U*delta - (1-lam)*Q]
+    holds state r's blocks.  Its block minor on rows m.. and a set S of
+    block columns expands along block row m,
+
+        minor(m.., S) = sum over c in S of (-1)**pos(c) B[m][c] (x) minor(m+1.., S - c),
+
+    with pos(c) the rank of c in S, so every term keeps its Kronecker
+    factors ordered by block row: the orientation under which the result
+    matches the per-profile determinants entry by entry.  The denominator
+    grid is the minor on block columns 1..n; the numerator grid is the
+    minor on column 0 and the chain columns other than k, times (-1)**k
+    (which compensates for moving the reward column first and negating
+    it).  The minors are memoized on S, so the two share every lower one.
     """
     lam = check_discount(lam)
     game.check_state(k)
@@ -288,12 +290,28 @@ def pencil_matrix_kronecker(
         block = _kernel_block(game, r, t).scaled(-beta)
         return block + ones if r == t else block
 
-    den_blocks = [[chain_block(r, t) for t in range(n)] for r in range(n)]
-    num_cols = [c for c in range(n) if c != k - 1]
-    num_blocks = [
-        [_reward_block(game, r).scaled(-lam)] + [chain_block(r, t) for t in num_cols]
+    blocks = [
+        [_reward_block(game, r).scaled(-lam)] + [chain_block(r, t) for t in range(n)]
         for r in range(n)
     ]
-    den_grid = _block_determinant(den_blocks)
-    num_grid = _block_determinant(num_blocks).scaled((-1) ** k)
+    minors: dict[tuple[int, ...], RatMatrix] = {}
+
+    def minor(cols: tuple[int, ...]) -> RatMatrix:
+        found = minors.get(cols)
+        if found is None:
+            row = blocks[n - len(cols)]
+            if len(cols) == 1:
+                found = row[cols[0]]
+            else:
+                # the sign goes on the small per-state block
+                terms = [
+                    kron(-row[c] if pos % 2 else row[c], minor(cols[:pos] + cols[pos + 1 :]))
+                    for pos, c in enumerate(cols)
+                ]
+                found = sum(terms[1:], terms[0])
+            minors[cols] = found
+        return found
+
+    den_grid = minor(tuple(range(1, n + 1)))
+    num_grid = minor((0,) + tuple(c for c in range(1, n + 1) if c != k)).scaled((-1) ** k)
     return num_grid + den_grid.scaled(-z)

@@ -12,7 +12,6 @@ anywhere; zero tests are exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from fractions import Fraction
@@ -380,18 +379,21 @@ def _sum(a: tuple, b: tuple, f: int) -> IntPoly:
 LAM = IntPoly((0, 1))
 
 
-def int_det(a: list[list[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free Bareiss elimination.
+def bareiss_eliminate(a: list[list[int]], s: int) -> int:
+    """Eliminate the first s columns of a in place by fraction-free Bareiss steps.
 
-    Mutates its argument.  Every interior division is exact by Sylvester's
-    identity, which keeps intermediate entries at minor-sized bit growth.
+    Returns the row-swap parity (+1 or -1), or 0 if one of those columns
+    has no pivot.  Afterwards, by Sylvester's identity, a[i][j] for i, j >= s
+    is the determinant of the rows 0..s-1 and i of the row-swapped matrix
+    restricted to the columns 0..s-1 and j; every division is exact, on
+    bordered columns beyond the square part too, which keeps intermediate
+    entries at minor-sized bit growth.
     """
     n = len(a)
-    if n == 1:
-        return a[0][0]
+    width = len(a[0])
     flips = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(s):
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
@@ -405,11 +407,23 @@ def int_det(a: list[list[int]]) -> int:
         for i in range(k + 1, n):
             row_i = a[i]
             head = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return flips * a[n - 1][n - 1]
+    return flips
+
+
+def int_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
+
+    Mutates its argument: `bareiss_eliminate` clears all but the last
+    column, and the last entry is then the determinant up to the row-swap
+    parity (0 if a column had no pivot).  It runs unchanged over `IntPoly`
+    entries.
+    """
+    n = len(a)
+    return bareiss_eliminate(a, n - 1) * a[n - 1][n - 1]
 
 
 def det(m: RatMatrix) -> Fraction:
@@ -483,12 +497,3 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
         for row_b in b.rows:
             out.append([x * y for x in row_a for y in row_b])
     return RatMatrix(out)
-
-
-def permutations_with_parity(n: int):
-    """Yield (permutation, parity) for all permutations of range(n)."""
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        yield perm, -1 if inversions % 2 else 1

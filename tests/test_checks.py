@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from stochgame import pencil
+from stochgame import checks, pencil
 from stochgame.checks import _sampled_profile_pairs, run_invariant_checks
 from stochgame.pencil import DEFAULT_MAX_ENTRIES, player1_profiles, player2_profiles
 
@@ -58,6 +58,24 @@ def test_every_pencil_gets_the_callers_cap(fixture_docs, monkeypatch):
     assert "skipped" not in outcomes[-1].detail
     assert len(seen) >= 4 and set(seen) == {cap}
 
+
+@pytest.mark.parametrize("name, seed", [("two_state_3x3", 1), ("three_state_2x2", 0)])
+def test_one_pencil_per_state_and_rate(name, seed, fixture_docs, monkeypatch):
+    # the checks read 6 + 4 + 1 pencils at the given state and one per state
+    # for the Kronecker check; repeated (state, lam) pairs are built once
+    built = []
+    build_pencil = checks.build_pencil
+
+    def recording(game, k, lam, max_entries):
+        built.append((k, lam))
+        return build_pencil(game, k, lam, max_entries)
+
+    monkeypatch.setattr(checks, "build_pencil", recording)
+    game = fixture_docs[name].game
+    outcomes = run_invariant_checks(game, seed=seed)
+    assert all(o.passed for o in outcomes)
+    assert len(built) == len(set(built))
+    assert len(built) < 6 + 4 + 1 + game.n_states
 
 
 def listed_profile_pairs(game, rng):

@@ -301,3 +301,35 @@ def test_oracle_on_inexact_game(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["values"]) == 2
     assert len(payload["decimals"]) == 2
+
+
+# one process, in turn: a limit value, a check, a bad flag and a discounted value
+PARSER_SEQUENCE = [
+    ["value", "big_match", "--precision", "6", "--json"],
+    ["check", "two_state_2x2", "--seed", "1", "--json"],
+    ["discounted", "single_2x2", "--lambda", "1/4", "--state", "0", "--json"],
+    ["discounted", "two_state_2x2", "--lambda", "2/3", "--precision", "10", "--json"],
+]
+
+
+def _run_main(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    payload = json.loads(out) if out else None
+    if payload:
+        payload.pop("elapsed_s")
+    return code, payload, err
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    shared = [_run_main(argv, capsys) for argv in PARSER_SEQUENCE]
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        monkeypatch.setattr(cli, "_PARSER", cli.build_parser())
+        fresh.append(_run_main(argv, capsys))
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0]
+    assert "argument --state:" in shared[2][2]
+    assert shared == fresh

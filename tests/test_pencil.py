@@ -8,6 +8,7 @@ from stochgame.errors import ResourceCapError
 from stochgame.gamecore import Game, StationaryStrategy, discounted_payoff
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import (
+    _IntegerSystem,
     build_pencil,
     payoff_denominator,
     payoff_numerator,
@@ -17,9 +18,10 @@ from stochgame.pencil import (
     player2_profiles,
     profile_row_index,
 )
-from stochgame.ratlinalg import RatMatrix, det
+from stochgame.ratlinalg import LAM, RatMatrix, det
 
 from gens import rand_game, rand_profile, rand_stochastic_matrix, rand_strategy
+from pencil_refs import kronecker_by_permutations, two_pass_dets
 
 from test_gamecore import cycle_game, one_state_game
 
@@ -315,3 +317,81 @@ class TestIntegerGridCrossChecks:
                         assert num == discounted_payoff(game, x, y, lam)[k - 1] * den
                         assert at_zero.entry(r, c) == num
                         assert at_one.entry(r, c) == num - den
+
+
+REFERENCE_LAMBDAS = (Fraction(2, 5), Fraction(1), Fraction(1, 1000))
+
+
+def absorbing_copy(game: Game) -> Game:
+    """The game with states 2..n made absorbing: zero transition entries."""
+    n = game.n_states
+    transitions = [game.transitions[0]] + [
+        [[[Fraction(int(t == l)) for t in range(n)] for _ in row] for row in game.transitions[l]]
+        for l in range(1, n)
+    ]
+    return Game(game.rewards, transitions)
+
+
+@st.composite
+def reference_games(draw) -> Game:
+    """1-4-state games, half with >= 30-bit prime denominators, half absorbing."""
+    n = draw(st.integers(1, 4))
+    n1 = draw(st.integers(1, 2))
+    n2 = draw(st.integers(1, 3 if n < 3 else 2))
+    if draw(st.booleans()):
+        primes = st.sampled_from(BIG_PRIMES)
+
+        def reward() -> Fraction:
+            den = draw(primes)
+            return Fraction(draw(st.integers(-den, den)), den)
+
+        def transition_row() -> list[Fraction]:
+            den = draw(primes)
+            cuts = sorted(draw(st.lists(st.integers(0, den), min_size=n - 1, max_size=n - 1)))
+            bounds = [0] + cuts + [den]
+            return [Fraction(hi - lo, den) for lo, hi in zip(bounds, bounds[1:])]
+
+        rewards = [[[reward() for _ in range(n2)] for _ in range(n1)] for _ in range(n)]
+        transitions = [
+            [[transition_row() for _ in range(n2)] for _ in range(n1)] for _ in range(n)
+        ]
+        game = Game(rewards, transitions)
+    else:
+        game = rand_game(random.Random(draw(st.integers(0, 2**32))), n, n1, n2)
+    return absorbing_copy(game) if draw(st.booleans()) else game
+
+
+class TestAgainstKeptReferences:
+    """One bordered Bareiss pass and shared block minors against the routes they replaced."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(reference_games())
+    def test_bordered_dets_match_two_eliminations(self, game):
+        for lam in REFERENCE_LAMBDAS + (LAM,):
+            ints = _IntegerSystem(game, lam)
+            for k in range(1, game.n_states + 1):
+                for i_vec in player1_profiles(game):
+                    for j_vec in player2_profiles(game):
+                        assert ints.dets(k, i_vec, j_vec) == two_pass_dets(ints, k, i_vec, j_vec)
+
+    @settings(max_examples=20, deadline=None)
+    @given(reference_games(), st.fractions(min_value=-2, max_value=2, max_denominator=2**40))
+    def test_block_minors_match_permutation_expansion(self, game, z):
+        for lam in REFERENCE_LAMBDAS:
+            for k in range(1, game.n_states + 1):
+                assert pencil_matrix_kronecker(game, k, lam, z) == kronecker_by_permutations(
+                    game, k, lam, z
+                )
+
+    def test_first_bordered_pivot_zero(self):
+        # at lam = 1 the system is diagonal, so for k = 1 the bordered
+        # matrix starts with column 2 of A: a zero pivot and one row swap
+        game = rand_game(random.Random(61), 3, 2, 2)
+        ints = _IntegerSystem(game, Fraction(1))
+        i_vec, j_vec = (0, 1, 1), (1, 0, 1)
+        assert ints._bordered_row(1, 0, 0, 1)[0] == 0
+        num, den = ints.dets(1, i_vec, j_vec)
+        assert (num, den) == two_pass_dets(ints, 1, i_vec, j_vec)
+        assert den == ints.scale
+        g = game.rewards[0][0][1]
+        assert Fraction(num, ints.scale) == g
