@@ -8,19 +8,24 @@ Kohlberg quotient (Phi(lam, u(z)) - z) / lam built from the Shapley
 operator, and at every finite discount rate that quotient coincides
 exactly with the profile matrix-game value divided by lam**n;
 `verify_kohlberg_identity` checks the chain of equalities entry by entry.
+Every exact value here is read from an integer grid, as the solvers and
+the oracle read theirs (`Game.int_rewards`, `GamePencil.value_at`).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GameValidationError
 from .gamecore import Game, check_discount
-from .matrixgame import solve_matrix_game
-from .oracle import shapley_auxiliary
-from .pencil import DEFAULT_MAX_ENTRIES, pencil_matrix
-from .ratlinalg import RatMatrix, RationalLike, to_fraction
+# `solve_matrix_game` and `pencil_matrix` stay bound here, unused: the
+# benchmark's trace layer wraps `absorbing.<name>` by name
+from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
+from .oracle import shapley_operator
+from .pencil import DEFAULT_MAX_ENTRIES, build_pencil, pencil_matrix  # noqa: F401
+from .ratlinalg import RationalLike, to_fraction
 
 
 def _leak(game: Game) -> tuple[int, int, int] | None:
@@ -58,22 +63,15 @@ class AbsorbingGame:
 
 def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:
     """Values of the absorbed states 2..n: each is its reward-matrix value."""
-    return tuple(
-        solve_matrix_game(RatMatrix(ab.game.rewards[l])).value
-        for l in range(1, ab.game.n_states)
-    )
-
-
-def _continuation(ab: AbsorbingGame, z: Fraction) -> tuple[Fraction, ...]:
-    return (z,) + absorbed_values(ab)
+    big_l = ab.game.denominator_lcm()
+    return tuple(matrix_game_value(rows) / big_l for rows in ab.game.int_rewards[1:])
 
 
 def kohlberg_quotient(ab: AbsorbingGame, lam: RationalLike, z: RationalLike) -> Fraction:
     """Pre-limit quotient (Phi_1(lam, (z, v_2, ..., v_n)) - z) / lam."""
     lam = check_discount(lam)
     z = to_fraction(z)
-    aux = shapley_auxiliary(ab.game, lam, _continuation(ab, z), 1)
-    return (solve_matrix_game(aux).value - z) / lam
+    return (shapley_operator(ab.game, lam, (z,) + absorbed_values(ab))[0] - z) / lam
 
 
 @dataclass(frozen=True)
@@ -123,39 +121,34 @@ def verify_kohlberg_identity(
     vary with actions (the Cramer numerator carries the absorbed stage
     reward, not the absorbed value), so the block-constancy of rows and
     columns is checked on the value-reduced game, together with the exact
-    equality of the two pencils' values.  The first violated equality is
-    reported with the offending entry.
+    equality of the two pencils' values, both on the integer grids at z
+    (one positive scale per grid, so equal integers are equal rationals).
+    The first violated equality is reported with the offending entry.
     """
     lam = check_discount(lam)
     z = to_fraction(z)
     game = ab.game
     n = game.n_states
-    payoff = pencil_matrix(game, 1, lam, z, max_entries)
-    reduced = value_reduced_game(ab)
-    reduced_payoff = pencil_matrix(reduced, 1, lam, z, max_entries)
+    pencil = build_pencil(game, 1, lam, max_entries)
+    reduced = build_pencil(value_reduced_game(ab), 1, lam, max_entries)
+    grid = reduced.scaled_at(z)
     row_block = game.n_actions1 ** (n - 1)
     col_block = game.n_actions2 ** (n - 1)
-
-    dependence_ok = True
     detail = ""
-    for r in range(reduced_payoff.n_rows):
-        for c in range(reduced_payoff.n_cols):
-            rep = reduced_payoff.entry(
-                (r // row_block) * row_block, (c // col_block) * col_block
+    for r, c in itertools.product(range(len(grid)), range(len(grid[0]))):
+        x, rep = grid[r][c], grid[r - r % row_block][c - c % col_block]
+        if x != rep:
+            area = z.denominator * reduced.scale
+            detail = (
+                f"reduced-game entry at profile pair ({r}, {c}) is "
+                f"{Fraction(x, area)}, expected {Fraction(rep, area)} from its "
+                f"live-state action block"
             )
-            if reduced_payoff.entry(r, c) != rep:
-                dependence_ok = False
-                detail = (
-                    f"reduced-game entry at profile pair ({r}, {c}) is "
-                    f"{reduced_payoff.entry(r, c)}, expected {rep} from its "
-                    f"live-state action block"
-                )
-                break
-        if not dependence_ok:
             break
+    dependence_ok = not detail
 
-    value = solve_matrix_game(payoff).value
-    reduced_value = solve_matrix_game(reduced_payoff).value
+    value = pencil.value_at(z)
+    reduced_value = reduced.value_at(z)
     reduction_exact = value == reduced_value
     lhs = value / lam**n
     rhs = kohlberg_quotient(ab, lam, z)

@@ -7,11 +7,11 @@ two pencil constructions, and the absorbing-game identity) is evaluated
 on the given game with a seeded sample of strategies and parameters.
 All comparisons are exact.  The root check signs the pencil's integer
 grid as the bisections do, and the strict-decrease check reads exact
-values from the same grid (`matrix_game_value`), as the oracle does from
-its own one-shot grids.  The entry cap is checked first and passed to every
-pencil.  One run builds each (state, lam) pencil once: the multilinearity,
-strict-decrease and root checks and the direct side of the Kronecker check
-read it from a dict local to `run_invariant_checks`.
+values from the same grid (`GamePencil.value_at`), as the oracle does
+from its own one-shot grids.  The entry cap is checked first and passed
+to every pencil.  One run builds each (state, lam) pencil once: the
+multilinearity, strict-decrease and root checks and the direct side of
+the Kronecker check read it from a dict local to `run_invariant_checks`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
 from .gamecore import Game, StationaryStrategy, chain_system
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `checks.solve_matrix_game` by name
-from .matrixgame import matrix_game_sign, matrix_game_value, solve_matrix_game  # noqa: F401
+from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
 from .oracle import shapley_operator, value_iteration
 # `pencil_matrix` stays bound here, unused, and every pencil is built through
 # `checks.build_pencil`: the benchmark's trace layer wraps both by name
@@ -143,8 +143,7 @@ def _check_strict_decrease(
         z1 = _random_fraction(rng)
         z2 = z1 + Fraction(rng.randint(1, 4), rng.randint(1, 6))
         pencil = pencil_at(k, lam)
-        v1 = matrix_game_value(pencil.scaled_at(z1)) / (z1.denominator * pencil.scale)
-        v2 = matrix_game_value(pencil.scaled_at(z2)) / (z2.denominator * pencil.scale)
+        v1, v2 = pencil.value_at(z1), pencil.value_at(z2)
         if v1 - v2 < (z2 - z1) * lam**n:
             return CheckOutcome(
                 "value-strict-decrease",

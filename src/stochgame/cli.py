@@ -79,40 +79,30 @@ def _print_result(
             print(f"    {z}  {s:+d}")
 
 
-def _cmd_discounted(args) -> int:
+def _cmd_bisection(args) -> int:
     doc = _load(args.file)
     k = _resolve_state(doc, args.state)
-    lam = args.lam
+    discounted = hasattr(args, "lam")
     start = time.perf_counter()
-    result = discounted_value(doc.game, k, lam, args.precision, max_entries=args.max_entries)
-    elapsed = time.perf_counter() - start
-    if args.json:
-        payload = _result_dict(result, args.digits)
-        payload.update({"command": "discounted", "state": k, "lambda": str(lam),
-                        "precision": args.precision, "elapsed_s": elapsed})
-        print(json.dumps(payload))
-    else:
-        _print_result(
-            f"discounted value from state {k} at lambda = {lam} (precision 2^-{args.precision})",
-            result, args.digits, elapsed, args.trace,
+    if discounted:
+        result = discounted_value(
+            doc.game, k, args.lam, args.precision, max_entries=args.max_entries
         )
-    return EXIT_OK
-
-
-def _cmd_value(args) -> int:
-    doc = _load(args.file)
-    k = _resolve_state(doc, args.state)
-    start = time.perf_counter()
-    result = limit_value(doc.game, k, args.precision, max_entries=args.max_entries)
+    else:
+        result = limit_value(doc.game, k, args.precision, max_entries=args.max_entries)
     elapsed = time.perf_counter() - start
     if args.json:
         payload = _result_dict(result, args.digits)
-        payload.update({"command": "value", "state": k, "precision": args.precision,
-                        "elapsed_s": elapsed})
+        payload.update({"command": args.command, "state": k})
+        if discounted:
+            payload["lambda"] = str(args.lam)
+        payload.update({"precision": args.precision, "elapsed_s": elapsed})
         print(json.dumps(payload))
     else:
+        at = f"at lambda = {args.lam} " if discounted else ""
         _print_result(
-            f"limit value from state {k} (precision 2^-{args.precision})",
+            f"{'discounted' if discounted else 'limit'} value from state {k} {at}"
+            f"(precision 2^-{args.precision})",
             result, args.digits, elapsed, args.trace,
         )
     return EXIT_OK
@@ -265,13 +255,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", type=_nonnegative_int, default=20, metavar="R",
                    help="approximation radius 2^-R (default 20)")
     p.add_argument("--trace", action="store_true", help="print the bisection trace")
-    p.set_defaults(func=_cmd_discounted)
+    p.set_defaults(func=_cmd_bisection)
 
     p = sub.add_parser("value", help="vanishing-discount value by exact bisection")
     _add_common(p)
     p.add_argument("--precision", type=_nonnegative_int, default=20, metavar="R")
     p.add_argument("--trace", action="store_true", help="print the bisection trace")
-    p.set_defaults(func=_cmd_value)
+    p.set_defaults(func=_cmd_bisection)
 
     p = sub.add_parser("oracle", help="value iteration to a certified tolerance")
     _add_common(p, profile_solver=False)

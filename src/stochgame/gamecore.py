@@ -32,9 +32,12 @@ class Game:
     rewards[l][i][j] is the maximizer's stage reward in state l+1 under
     actions (i, j); transitions[l][i][j][t] is the probability of moving
     to state t+1.  Every transition row must sum to exactly 1.
+    int_rewards and int_transitions, the game's one integer form, hold the
+    same data times `denominator_lcm()` as nested int tuples.
     """
 
-    __slots__ = ("n_states", "n_actions1", "n_actions2", "rewards", "transitions", "_lcm")
+    __slots__ = ("n_states", "n_actions1", "n_actions2", "rewards", "transitions",
+                 "int_rewards", "int_transitions", "_lcm")
 
     def __init__(self, rewards, transitions):
         rew = tuple(
@@ -86,7 +89,17 @@ class Game:
         object.__setattr__(self, "transitions", tra)
         denominators = [x.denominator for state in rew for row in state for x in row]
         denominators += [p.denominator for state in tra for row in state for d in row for p in d]
-        object.__setattr__(self, "_lcm", math.lcm(*denominators))
+        big_l = math.lcm(*denominators)
+        object.__setattr__(self, "_lcm", big_l)
+        object.__setattr__(self, "int_rewards", tuple(
+            tuple(tuple(big_l // x.denominator * x.numerator for x in row) for row in state)
+            for state in rew
+        ))
+        object.__setattr__(self, "int_transitions", tuple(
+            tuple(tuple(tuple(big_l // p.denominator * p.numerator for p in d) for d in row)
+                  for row in state)
+            for state in tra
+        ))
 
     def __setattr__(self, name, value):
         raise AttributeError("Game is immutable")

@@ -9,13 +9,14 @@ continuation vector u, entry (i, j) of state l is
 
     a*d*(L g) + (b-a) * sum_t (L q_t) * (d u_t)   over   b*L*d,
 
-so `matrixgame.matrix_game_value` reads the exact value from the one
-pivot loop and the oracle divides by the scale, with no Fraction matrix
-in between.  Iterates are snapped to a dyadic grid fine enough that the
-rounding is absorbed by the stopping certificate, because raw
-fixed-point iterates roughly double their bit size per step.  One-player
-games additionally get a brute-force reference over pure stationary
-strategies.
+where L g and L q_t are the game's integer form (`Game.int_rewards`,
+`Game.int_transitions`), so `matrixgame.matrix_game_value` reads the
+exact value from the one pivot loop and the oracle divides by the
+scale, with no Fraction matrix in between.  Iterates are snapped to a
+dyadic grid fine enough that the rounding is absorbed by the stopping
+certificate, because raw fixed-point iterates roughly double their bit
+size per step.  One-player games additionally get a brute-force
+reference over pure stationary strategies.
 """
 
 from __future__ import annotations
@@ -47,22 +48,20 @@ def _one_shot_grids(
         raise GameValidationError(
             f"continuation vector length {len(cont)} != state count {game.n_states}"
         )
-    big_l = game.denominator_lcm()
     d = math.lcm(*(x.denominator for x in cont))
     du = [x.numerator * (d // x.denominator) for x in cont]
     ad, c = lam.numerator * d, lam.denominator - lam.numerator
     grids = [
         [
             [
-                ad * (big_l // g.denominator * g.numerator)
-                + c * sum(big_l // p.denominator * p.numerator * v for p, v in zip(dist, du))
-                for g, dist in zip(g_row, q_row)
+                ad * lg + c * sum(lq * v for lq, v in zip(dist, du))
+                for lg, dist in zip(g_row, q_row)
             ]
-            for g_row, q_row in zip(game.rewards[l], game.transitions[l])
+            for g_row, q_row in zip(game.int_rewards[l], game.int_transitions[l])
         ]
         for l in states
     ]
-    return grids, lam.denominator * big_l * d
+    return grids, lam.denominator * game.denominator_lcm() * d
 
 
 def shapley_auxiliary(

@@ -10,17 +10,19 @@ game whose value changes sign exactly at the discounted value.
 Both determinants are computed over the integers.  With lam = a/b, c = b - a
 and L the least common denominator of the game data, every system matrix
 scaled by b*L is the integer matrix b*L*Id - c*L*Q, and its Cramer matrix
-takes a*L*g as column k.  One Bareiss pass over the system matrix bordered
-by that column gives both determinants: the pair's denominator and
-numerator times the one scale (b*L)**n_states shared by the whole grid,
-so the grids are stored as integers over that scale and an entry at
-z = p/q is the single fraction (q*N - p*D) / (q*scale).  The same code
-runs over Z[lam]: for lam = `ratlinalg.LAM` the rows are
-L*Id - (1-lam)*L*Q, the Cramer column is lam*L*g, and the grids hold
-integer polynomials in lam whose signs as lam -> 0+ decide the limit value.
+takes a*L*g as column k (L*Q and L*g are `Game.int_transitions` and
+`Game.int_rewards`).  One Bareiss pass over the system matrix bordered by
+that column gives both determinants: the pair's denominator and numerator
+times the one scale (b*L)**n_states shared by the whole grid, so the grids
+are stored as integers over that scale and an entry at z = p/q is the
+single fraction (q*N - p*D) / (q*scale).  The same code runs over Z[lam]:
+for lam = `ratlinalg.LAM` the rows are L*Id - (1-lam)*L*Q, the Cramer
+column is lam*L*g, and the grids hold integer polynomials in lam whose
+signs as lam -> 0+ decide the limit value.
 
 The bisections read signs straight from these integers
-(`GamePencil.scaled_at`); `matrix_at` and `pencil_matrix` give the
+(`GamePencil.scaled_at`) and exact values from the same grid
+(`GamePencil.value_at`); `matrix_at` and `pencil_matrix` give the
 rational matrix itself as a `RatMatrix`.  `pencil_matrix_kronecker`
 rebuilds that matrix over the rationals from block minors: Kronecker
 products of per-state blocks, shared between the numerator and the
@@ -40,6 +42,7 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceCapError
 from .gamecore import Game, check_discount
+from .matrixgame import matrix_game_value
 # `det` stays bound here: the benchmark's trace layer wraps `pencil.det` by name
 from .ratlinalg import (  # noqa: F401
     IntPoly,
@@ -73,7 +76,7 @@ def profile_row_index(i_vec: Sequence[int], n_actions: int) -> int:
 
 
 class _IntegerSystem:
-    """The game's data at one discount rate lam = a/b, scaled to integers.
+    """The game's integer data (`Game.int_rewards`, `Game.int_transitions`) at lam = a/b.
 
     Row l of a profile pair's system matrix is row l of b*L*Id - c*L*Q for
     its actions (i, j) in state l + 1, and its Cramer column holds a*L*g
@@ -87,22 +90,20 @@ class _IntegerSystem:
     its own n rows.
     """
 
-    __slots__ = ("game", "diag", "c_l", "a_l", "scale", "_rows")
+    __slots__ = ("game", "a", "c", "diag", "scale", "_rows")
 
     def __init__(self, game: Game, lam):
-        big_l = game.denominator_lcm()
         a, b = lam.numerator, lam.denominator
         self.game = game
-        self.diag = b * big_l
-        self.c_l = (b - a) * big_l
-        self.a_l = a * big_l
+        self.a, self.c = a, b - a
+        self.diag = b * game.denominator_lcm()
         self.scale = self.diag**game.n_states
         self._rows: dict = {}
 
     def _system_row(self, l: int, i: int, j: int) -> list:
         return [
-            (self.diag if t == l else 0) - self.c_l // p.denominator * p.numerator
-            for t, p in enumerate(self.game.transitions[l][i][j])
+            (self.diag if t == l else 0) - self.c * lq
+            for t, lq in enumerate(self.game.int_transitions[l][i][j])
         ]
 
     def system(self, i_vec, j_vec) -> list[list]:
@@ -113,8 +114,7 @@ class _IntegerSystem:
         row = self._rows.get((k, l, i, j))
         if row is None:
             sys_row = self._system_row(l, i, j)
-            g = self.game.rewards[l][i][j]
-            cramer = self.a_l // g.denominator * g.numerator
+            cramer = self.a * self.game.int_rewards[l][i][j]
             row = self._rows[k, l, i, j] = sys_row[: k - 1] + sys_row[k:] + [sys_row[k - 1], cramer]
         return row
 
@@ -172,8 +172,9 @@ class GamePencil:
     (b*L)**n_states for lam = a/b and the game's least common denominator
     L.  The bisection over z reuses these: `scaled_at(p/q)` gives the
     integers q*N - p*D, the matrix at z times q*scale > 0, whose game
-    value has the sign the bisection needs; `matrix_at` divides them into
-    one reduced fraction per entry.  For lam = `ratlinalg.LAM` the grids
+    value has the sign the bisection needs; `value_at` divides that game's
+    exact value by q*scale, and `matrix_at` divides the entries into one
+    reduced fraction each.  For lam = `ratlinalg.LAM` the grids
     hold `IntPoly` germs over scale L**n_states, and only `scaled_at`
     applies.
     """
@@ -198,6 +199,11 @@ class GamePencil:
             [q * num - p * den for num, den in zip(num_row, den_row)]
             for num_row, den_row in zip(self.numerators, self.denominators)
         ]
+
+    def value_at(self, z: RationalLike) -> Fraction:
+        """Exact value of the matrix game at z, read from the integer grid."""
+        z = to_fraction(z)
+        return matrix_game_value(self.scaled_at(z)) / (z.denominator * self.scale)
 
     def matrix_at(self, z: RationalLike) -> RatMatrix:
         area = to_fraction(z).denominator * self.scale

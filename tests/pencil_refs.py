@@ -20,10 +20,11 @@ from stochgame.ratlinalg import RatMatrix, int_det, kron, to_fraction
 
 def cramer(ints, system: list[list], k: int, i_vec, j_vec) -> list[list]:
     """Copy of the scaled system with column k replaced by a*L*g."""
+    big_l = ints.game.denominator_lcm()
     out = []
     for l, row in enumerate(system):
         g = ints.game.rewards[l][i_vec[l]][j_vec[l]]
-        out.append(row[: k - 1] + [ints.a_l // g.denominator * g.numerator] + row[k:])
+        out.append(row[: k - 1] + [ints.a * (big_l // g.denominator * g.numerator)] + row[k:])
     return out
 
 

@@ -9,6 +9,11 @@ over Z[lam] replaced the anchored discount ladder; at that switch every
 `value` output lost only the ladder's two keys.  `oracle FIX --lambda 1/4`
 and `oracle FIX --lambda 2/3 --tol 1/4096` on every fixture were recorded
 before the Shapley operator moved from Fraction matrices to integer grids.
+`check absorbing_mix --seed S` and `check big_match --seed S` for
+S = 3..9, `oracle FIX --lambda 1/7 --tol 1/65536` and
+`discounted FIX --lambda 1/1000 --precision 12` on every fixture were
+recorded before `Game` took over the integer scaling and the absorbing
+identity moved to integer grids.
 Any change of value, radius, trace, oracle vector or check outcome fails.
 """
 
