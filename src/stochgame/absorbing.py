@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import GameValidationError
 from .gamecore import Game, check_discount
 # `solve_matrix_game` and `pencil_matrix` stay bound here, unused: the
 # benchmark's trace layer wraps `absorbing.<name>` by name
 from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
-from .oracle import shapley_operator
+from .oracle import _one_shot_grids
 from .pencil import DEFAULT_MAX_ENTRIES, build_pencil, pencil_matrix  # noqa: F401
 from .ratlinalg import RationalLike, to_fraction
 
@@ -60,18 +61,24 @@ class AbsorbingGame:
             )
         return cls(game)
 
+    @cached_property
+    def absorbed_values(self) -> tuple[Fraction, ...]:
+        """Computed on first use and kept: each identity check reads them twice."""
+        big_l = self.game.denominator_lcm()
+        return tuple(matrix_game_value(rows) / big_l for rows in self.game.int_rewards[1:])
+
 
 def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:
-    """Values of the absorbed states 2..n: each is its reward-matrix value."""
-    big_l = ab.game.denominator_lcm()
-    return tuple(matrix_game_value(rows) / big_l for rows in ab.game.int_rewards[1:])
+    """Values of the absorbed states 2..n (their reward-matrix values), computed once per game."""
+    return ab.absorbed_values
 
 
 def kohlberg_quotient(ab: AbsorbingGame, lam: RationalLike, z: RationalLike) -> Fraction:
-    """Pre-limit quotient (Phi_1(lam, (z, v_2, ..., v_n)) - z) / lam."""
+    """Pre-limit quotient (Phi_1(lam, (z, v_2, ..., v_n)) - z) / lam from state 1's game alone."""
     lam = check_discount(lam)
     z = to_fraction(z)
-    return (shapley_operator(ab.game, lam, (z,) + absorbed_values(ab))[0] - z) / lam
+    (grid,), scale = _one_shot_grids(ab.game, lam, (z,) + absorbed_values(ab), (0,))
+    return (matrix_game_value(grid) / scale - z) / lam
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ There are three entry points over that one pivot loop (`_bland_simplex`).
 `solve_matrix_game` takes a `RatMatrix` and returns the value with both
 optimal strategies.  `matrix_game_value` takes an integer grid (a game
 scaled by a positive integer, as the oracle and the pencil build them)
-and returns only the exact value, building one Fraction.
+and returns only its exact value, pivoting only if it has no saddle point.
 `matrix_game_sign` runs the same loop over any ordered ring with exact
 division and returns only the sign of the value; over `ratlinalg.IntPoly`
 germs that is the sign for every small enough discount rate.
@@ -157,7 +157,10 @@ def _value_ratio(rows: list[list]) -> tuple:
 
 
 def matrix_game_value(rows: list[list[int]]) -> Fraction:
-    """Exact value of a matrix game with integer payoffs."""
+    """Exact value of an integer matrix game; a saddle entry (maximin = minimax) needs no pivot."""
+    maximin = max(min(row) for row in rows)
+    if maximin == min(max(col) for col in zip(*rows)):
+        return Fraction(maximin)
     num, total = _value_ratio(rows)
     return Fraction(num, total)
 

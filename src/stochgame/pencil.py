@@ -24,10 +24,10 @@ The bisections read signs straight from these integers
 (`GamePencil.scaled_at`) and exact values from the same grid
 (`GamePencil.value_at`); `matrix_at` and `pencil_matrix` give the
 rational matrix itself as a `RatMatrix`.  `pencil_matrix_kronecker`
-rebuilds that matrix over the rationals from block minors: Kronecker
-products of per-state blocks, shared between the numerator and the
-denominator grids.  It never forms a per-profile chain matrix, so the two
-constructions check each other.
+rebuilds that matrix from integer block minors over its own common
+denominator: Kronecker products of per-state blocks, shared between the
+numerator and the denominator grids.  It never forms a per-profile chain
+matrix nor runs a Bareiss pass, so the two constructions check each other.
 
 Every entry is a pure function of its own profile pair, and all results
 here are immutable once built.
@@ -36,6 +36,7 @@ here are immutable once built.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -51,7 +52,6 @@ from .ratlinalg import (  # noqa: F401
     bareiss_eliminate,
     det,
     int_det,
-    kron,
     to_fraction,
 )
 
@@ -248,19 +248,6 @@ def pencil_matrix(
     return build_pencil(game, k, lam, max_entries).matrix_at(z)
 
 
-def _reward_block(game: Game, l: int) -> RatMatrix:
-    return RatMatrix(game.rewards[l])
-
-
-def _kernel_block(game: Game, l: int, t: int) -> RatMatrix:
-    return RatMatrix(
-        [
-            [game.transitions[l][i][j][t] for j in range(game.n_actions2)]
-            for i in range(game.n_actions1)
-        ]
-    )
-
-
 def pencil_matrix_kronecker(
     game: Game,
     k: int,
@@ -283,41 +270,53 @@ def pencil_matrix_kronecker(
     minor on column 0 and the chain columns other than k, times (-1)**k
     (which compensates for moving the reward column first and negating
     it).  The minors are memoized on S, so the two share every lower one.
+
+    Blocks are int grids: for lam = a/b and D = b*L (L the lcm of the game
+    data's denominators) a minor on m block rows is the rational one times
+    D**m, so entry (r, c) at z = p/q is ((-1)**k*q*N - p*Den) / (q*D**n).
     """
     lam = check_discount(lam)
     game.check_state(k)
     z = to_fraction(z)
     _check_cap(game, max_entries)
     n = game.n_states
-    beta = 1 - lam
-    ones = RatMatrix.constant(game.n_actions1, game.n_actions2, 1)
+    big_l = math.lcm(*(x.denominator for state in game.rewards for row in state for x in row),
+                     *(x.denominator for state in game.transitions for row in state
+                       for dist in row for x in dist))
+    a, c, scale = lam.numerator, lam.denominator - lam.numerator, lam.denominator * big_l
 
-    def chain_block(r: int, t: int) -> RatMatrix:
-        block = _kernel_block(game, r, t).scaled(-beta)
-        return block + ones if r == t else block
+    def times_l(x: Fraction) -> int:
+        return big_l // x.denominator * x.numerator
 
-    blocks = [
-        [_reward_block(game, r).scaled(-lam)] + [chain_block(r, t) for t in range(n)]
-        for r in range(n)
-    ]
-    minors: dict[tuple[int, ...], RatMatrix] = {}
+    def block(r: int, t: int) -> list[list[int]]:
+        """Block B[r][t] times D: t = 0 is the reward block, t >= 1 chain column t."""
+        if t == 0:
+            return [[-a * times_l(g) for g in row] for row in game.rewards[r]]
+        diag, chain = (scale if r == t - 1 else 0), game.transitions[r]
+        return [[diag - c * times_l(d[t - 1]) for d in row] for row in chain]
 
-    def minor(cols: tuple[int, ...]) -> RatMatrix:
+    # signed[r][t][pos % 2] carries the Laplace sign: it goes on the small per-state block
+    blocks = [[block(r, t) for t in range(n + 1)] for r in range(n)]
+    signed = [[(u, [[-x for x in v] for v in u]) for u in row] for row in blocks]
+    minors: dict[tuple[int, ...], list[list[int]]] = {(): [[1]]}  # the empty minor is 1
+
+    def minor(cols: tuple[int, ...]) -> list[list[int]]:
         found = minors.get(cols)
         if found is None:
-            row = blocks[n - len(cols)]
-            if len(cols) == 1:
-                found = row[cols[0]]
-            else:
-                # the sign goes on the small per-state block
-                terms = [
-                    kron(-row[c] if pos % 2 else row[c], minor(cols[:pos] + cols[pos + 1 :]))
-                    for pos, c in enumerate(cols)
-                ]
-                found = sum(terms[1:], terms[0])
-            minors[cols] = found
+            row = signed[n - len(cols)]
+            subs = [minor(cols[:pos] + cols[pos + 1 :]) for pos in range(len(cols))]
+            products = [
+                [[x * y for x in u for y in v] for u in row[col][pos % 2] for v in sub]
+                for pos, (col, sub) in enumerate(zip(cols, subs))
+            ]
+            found = minors[cols] = [[sum(xs) for xs in zip(*rows)] for rows in zip(*products)]
         return found
 
     den_grid = minor(tuple(range(1, n + 1)))
-    num_grid = minor((0,) + tuple(c for c in range(1, n + 1) if c != k)).scaled((-1) ** k)
-    return num_grid + den_grid.scaled(-z)
+    num_grid = minor((0,) + tuple(t for t in range(1, n + 1) if t != k))
+    p, q = z.numerator, z.denominator
+    q_k, area = (-1) ** k * q, q * scale**n
+    return RatMatrix([
+        [Fraction(q_k * num - p * den, area) for num, den in zip(num_row, den_row)]
+        for num_row, den_row in zip(num_grid, den_grid)
+    ])

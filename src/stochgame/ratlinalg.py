@@ -488,12 +488,3 @@ def solve_linear(a: RatMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...
         acc = rhs[k] - sum(rows[k][j] * x[j] for j in range(k + 1, n))
         x[k] = acc / rows[k][k]
     return tuple(x)
-
-
-def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    """Kronecker product a (x) b."""
-    out = []
-    for row_a in a.rows:
-        for row_b in b.rows:
-            out.append([x * y for x in row_a for y in row_b])
-    return RatMatrix(out)

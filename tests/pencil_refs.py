@@ -2,20 +2,19 @@
 
 `pencil._IntegerSystem.dets` takes a profile pair's two determinants from
 one Bareiss pass over the bordered system matrix, and
-`pencil.pencil_matrix_kronecker` expands shared block minors.  The routes
-they replaced stay here: two `int_det` eliminations per pair (the system
-matrix and its Cramer copy), and the full expansion over all n!
-block-column permutations, recomputed for the numerator and the
-denominator.
+`pencil.pencil_matrix_kronecker` expands shared block minors over integer
+blocks.  The routes they replaced stay here: two `int_det` eliminations
+per pair (the system matrix and its Cramer copy), and the full expansion
+over all n! block-column permutations on `Fraction` blocks, recomputed for
+the numerator and the denominator, with its `kron` and block helpers.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from stochgame.gamecore import check_discount
-from stochgame.pencil import _kernel_block, _reward_block
-from stochgame.ratlinalg import RatMatrix, int_det, kron, to_fraction
+from stochgame.gamecore import Game, check_discount
+from stochgame.ratlinalg import RatMatrix, int_det, to_fraction
 
 
 def cramer(ints, system: list[list], k: int, i_vec, j_vec) -> list[list]:
@@ -32,6 +31,28 @@ def two_pass_dets(ints, k: int, i_vec, j_vec) -> tuple:
     """Scaled (Cramer numerator, system determinant) by two eliminations."""
     system = ints.system(i_vec, j_vec)
     return int_det(cramer(ints, system, k, i_vec, j_vec)), int_det(system)
+
+
+def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """Kronecker product a (x) b."""
+    out = []
+    for row_a in a.rows:
+        for row_b in b.rows:
+            out.append([x * y for x in row_a for y in row_b])
+    return RatMatrix(out)
+
+
+def _reward_block(game: Game, l: int) -> RatMatrix:
+    return RatMatrix(game.rewards[l])
+
+
+def _kernel_block(game: Game, l: int, t: int) -> RatMatrix:
+    return RatMatrix(
+        [
+            [game.transitions[l][i][j][t] for j in range(game.n_actions2)]
+            for i in range(game.n_actions1)
+        ]
+    )
 
 
 def permutations_with_parity(n: int):

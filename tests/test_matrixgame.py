@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stochgame import matrixgame
 from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import (
     matrix_game_sign,
@@ -53,6 +54,12 @@ wide_payoff_matrices = st.integers(min_value=1, max_value=4).flatmap(
 BLAND_TIE = RatMatrix([[-2, -1], [2, -1]])
 # every entry <= 0, so the solver must shift before its LP is bounded
 NONPOSITIVE = RatMatrix([[0, "-3/2", -1], [-2, "-1/3", "-5/7"]])
+# saddle points: maximin = minimax, so matrix_game_value returns the entry
+# without pivoting while solve_matrix_game still runs the simplex
+STRICT_SADDLE = RatMatrix([[2, 3], [0, 1]])
+TIED_SADDLES = RatMatrix([[3, 1, 1], [0, 1, 1], [2, 1, 1]])
+CONSTANT = RatMatrix([["-5/2"] * 3] * 2)
+ZERO_SADDLE = RatMatrix([[0, 2], [-1, 3]])
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +104,9 @@ class TestSolve:
         assert sol.y_opt == (Fraction(1, 4), Fraction(3, 4))
 
     def test_saddle_point_game(self):
-        sol = solve_matrix_game(RatMatrix([[2, 3], [0, 1]]))
+        sol = solve_matrix_game(STRICT_SADDLE)
         assert sol.value == 2
-        assert_solution_certifies(RatMatrix([[2, 3], [0, 1]]), sol)
+        assert_solution_certifies(STRICT_SADDLE, sol)
 
     def test_bland_tie_break(self):
         sol = solve_matrix_game(BLAND_TIE)
@@ -162,11 +169,25 @@ class TestMatrixGameSign:
     @given(st.one_of(payoff_matrices, wide_payoff_matrices))
     @example(BLAND_TIE)
     @example(NONPOSITIVE)
+    @example(STRICT_SADDLE)
+    @example(TIED_SADDLES)
+    @example(CONSTANT)
+    @example(ZERO_SADDLE)
     def test_integer_sign_matches_value(self, m):
         rows = integer_rows(m)
         value = matrix_game_value(rows)
         assert value == solve_matrix_game(RatMatrix(rows)).value
         assert matrix_game_sign(rows) == sign(value) == sign(solve_matrix_game(m).value)
+
+    def test_saddle_point_skips_the_pivot_loop(self, monkeypatch):
+        def pivot_loop(rows, scale):
+            raise AssertionError("pivot loop reached")
+
+        monkeypatch.setattr(matrixgame, "_bland_simplex", pivot_loop)
+        assert matrix_game_value(integer_rows(STRICT_SADDLE)) == 2
+        assert matrix_game_value(integer_rows(ZERO_SADDLE)) == 0
+        with pytest.raises(AssertionError, match="pivot loop reached"):
+            matrix_game_value([[1, -1], [-1, 1]])
 
     def test_germ_sign_is_led_by_the_constant_term(self):
         # val(A + lam*B) -> val(A) as lam -> 0+, so a nonzero val(A) decides;

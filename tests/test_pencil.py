@@ -264,6 +264,24 @@ CROSS_CHECK_LAMBDAS = (
 )
 
 
+def prime_game(rng: random.Random, n: int, n1: int, n2: int) -> Game:
+    """Game whose every reward and transition row has a denominator from BIG_PRIMES."""
+
+    def reward() -> Fraction:
+        den = rng.choice(BIG_PRIMES)
+        return Fraction(rng.randint(-den, den), den)
+
+    def transition_row() -> list[Fraction]:
+        den = rng.choice(BIG_PRIMES)
+        cuts = sorted(rng.randint(0, den) for _ in range(n - 1))
+        bounds = [0] + cuts + [den]
+        return [Fraction(hi - lo, den) for lo, hi in zip(bounds, bounds[1:])]
+
+    rewards = [[[reward() for _ in range(n2)] for _ in range(n1)] for _ in range(n)]
+    transitions = [[[transition_row() for _ in range(n2)] for _ in range(n1)] for _ in range(n)]
+    return Game(rewards, transitions)
+
+
 @st.composite
 def coprime_games(draw) -> Game:
     n = draw(st.integers(1, 3))
@@ -382,6 +400,18 @@ class TestAgainstKeptReferences:
                 assert pencil_matrix_kronecker(game, k, lam, z) == kronecker_by_permutations(
                     game, k, lam, z
                 )
+
+    def test_integer_block_minors_on_prime_denominators(self):
+        # a 4-state game whose rewards and transition rows carry >= 30-bit
+        # prime denominators, so D = b*L runs to hundreds of bits; z on
+        # both sides of [0, 1], lam = 1 (c = 0) and a small rate
+        game = prime_game(random.Random(4242), 4, 2, 2)
+        for lam in (Fraction(1), Fraction(1, 1000)):
+            for z in (Fraction(-7, 3), Fraction(19, 8)):
+                for k in range(1, 5):
+                    blockwise = pencil_matrix_kronecker(game, k, lam, z)
+                    assert blockwise == build_pencil(game, k, lam).matrix_at(z)
+                    assert blockwise == kronecker_by_permutations(game, k, lam, z)
 
     def test_first_bordered_pivot_zero(self):
         # at lam = 1 the system is diagonal, so for k = 1 the bordered

@@ -14,7 +14,6 @@ from stochgame.ratlinalg import (
     format_decimal,
     int_adjugate,
     int_det,
-    kron,
     parse_rational,
     sign,
     simplest_between,
@@ -23,6 +22,7 @@ from stochgame.ratlinalg import (
 )
 
 from gens import rand_fraction, rand_matrix
+from pencil_refs import kron
 
 fractions_st = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
