@@ -1,21 +1,28 @@
 """Self-contained invariant suite run against a single game.
 
 Backs the `check` CLI command: every structural fact the solvers rely on
-(denominator lower bound, multilinearity of the pencil, strict decrease
-of the pencil value, root location at the oracle value, agreement of the
-two pencil constructions, and the absorbing-game identity) is evaluated
-on the given game with a seeded sample of strategies and parameters.
-All comparisons are exact.  The root check signs the pencil's integer
-grid as the bisections do, and the strict-decrease check reads exact
-values from the same grid (`GamePencil.value_at`), as the oracle does
-from its own one-shot grids.  The entry cap is checked first and passed
-to every pencil.  One run builds each (state, lam) pencil once: the
-multilinearity, strict-decrease and root checks and the direct side of
-the Kronecker check read it from a dict local to `run_invariant_checks`.
+is evaluated exactly on the given game, with a seeded sample of
+strategies and parameters.  Each check but the absorbing identity reads
+whole objects from the run's integer pencils (`GamePencil`):
+
+- denominator bound: every denominator of the pencils at lam = 1/2, 1/4
+  and 1/10 against lam**n times the scale, so every profile pair;
+- multilinearity: one column of each grid, weighted by a mixed strategy
+  of player 1, against the mixed chain's determinants (a rational route),
+  numerator and denominator separately, so no z is drawn;
+- strict decrease and root: exact values (`GamePencil.value_at`) at seeded
+  z, and signs at the oracle value taken as the bisections take them;
+- Kronecker: the whole pencil against `pencil_matrix_kronecker`, grid for
+  grid over one scale, which implies equality at every z.
+
+The entry cap is checked first and passed to every pencil, and each
+(state, lam) pencil is built once per run, in a dict local to
+`run_invariant_checks`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +36,9 @@ from .gamecore import Game, StationaryStrategy, chain_system
 # `checks.solve_matrix_game` by name
 from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
 from .oracle import shapley_operator, value_iteration
-# `pencil_matrix` stays bound here, unused, and every pencil is built through
-# `checks.build_pencil`: the benchmark's trace layer wraps both by name
+# `pencil_matrix` and `payoff_denominator` stay bound here, unused, and every
+# pencil is built through `checks.build_pencil`: the benchmark's trace layer
+# wraps all three by name
 from .pencil import (  # noqa: F401
     DEFAULT_MAX_ENTRIES,
     GamePencil,
@@ -52,7 +60,6 @@ class CheckOutcome:
     detail: str = ""
 
 
-_PAIR_SAMPLE = 48  # profile pairs drawn per discount rate from a game with more
 _Z_NUM = _Z_DEN = 8  # sampled targets are z = p/q, 0 <= p <= _Z_NUM, 1 <= q <= _Z_DEN
 
 
@@ -71,35 +78,22 @@ def _random_strategy(rng: random.Random, n_states: int, n_actions: int) -> Stati
     return StationaryStrategy(rows)
 
 
-def _profile(rank: int, n_actions: int, n_states: int) -> tuple[int, ...]:
-    """Inverse of `profile_row_index`: the profile with mixed-radix rank `rank`."""
-    return tuple(rank // n_actions**e % n_actions for e in range(n_states - 1, -1, -1))
-
-
-def _sampled_profile_pairs(game: Game, rng: random.Random) -> list:
-    """Every profile pair in row-major order, or _PAIR_SAMPLE drawn as ranks."""
-    n = game.n_states
-    n_cols = game.n_actions2**n
-    total = game.n_actions1**n * n_cols
-    ranks = rng.sample(range(total), _PAIR_SAMPLE) if total > _PAIR_SAMPLE else range(total)
-    return [
-        (_profile(row, game.n_actions1, n), _profile(col, game.n_actions2, n))
-        for row, col in (divmod(rank, n_cols) for rank in ranks)
-    ]
-
-
-def _check_denominator_bound(game: Game, rng: random.Random) -> CheckOutcome:
+def _check_denominator_bound(
+    game: Game, k: int, pencil_at: Callable[[int, Fraction], GamePencil]
+) -> CheckOutcome:
     n = game.n_states
     for lam in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)):
-        floor = lam**n
-        for i_vec, j_vec in _sampled_profile_pairs(game, rng):
-            value = payoff_denominator(game, i_vec, j_vec, lam)
-            if value < floor:
-                return CheckOutcome(
-                    "denominator-lower-bound",
-                    False,
-                    f"denominator {value} < {floor} at lam={lam}, profiles {i_vec}/{j_vec}",
-                )
+        pencil = pencil_at(k, lam)
+        floor = lam**n * pencil.scale
+        for r, row in enumerate(pencil.denominators):
+            for c, den in enumerate(row):
+                if den < floor:
+                    return CheckOutcome(
+                        "denominator-lower-bound",
+                        False,
+                        f"denominator {Fraction(den, pencil.scale)} < {lam**n} at lam={lam}, "
+                        f"profile pair ({r}, {c})",
+                    )
     return CheckOutcome("denominator-lower-bound", True)
 
 
@@ -113,24 +107,26 @@ def _check_multilinearity(
 ) -> CheckOutcome:
     for _ in range(6):
         lam = Fraction(1, rng.randint(2, 8))
-        z = _random_fraction(rng)
         x = _random_strategy(rng, game.n_states, game.n_actions1)
         j_vec = tuple(rng.randrange(game.n_actions2) for _ in range(game.n_states))
-        matrix = pencil_at(k, lam).matrix_at(z)
+        pencil = pencil_at(k, lam)
         col = profile_row_index(j_vec, game.n_actions2)
-        mixed_entry = Fraction(0)
-        for row, i_vec in enumerate(player1_profiles(game)):
-            weight = Fraction(1)
-            for l, a in enumerate(i_vec):
-                weight *= x.rows[l][a]
-            mixed_entry += weight * matrix.entry(row, col)
-        numerator, denominator = _mixed_determinants(game, x, j_vec, k, lam)
-        if mixed_entry != numerator - z * denominator:
-            return CheckOutcome(
-                "pencil-multilinearity",
-                False,
-                f"mismatch at lam={lam}, z={z}, column profile {j_vec}",
-            )
+        weights = [
+            math.prod(x.rows[l][a] for l, a in enumerate(i_vec))
+            for i_vec in player1_profiles(game)
+        ]
+        mixed = [
+            sum(w * row[col] for w, row in zip(weights, grid)) / pencil.scale
+            for grid in (pencil.numerators, pencil.denominators)
+        ]
+        expected = _mixed_determinants(game, x, j_vec, k, lam)
+        for part, got, want in zip(("numerator", "denominator"), mixed, expected):
+            if got != want:
+                return CheckOutcome(
+                    "pencil-multilinearity",
+                    False,
+                    f"{part} mismatch at lam={lam}, column profile {j_vec}",
+                )
     return CheckOutcome("pencil-multilinearity", True)
 
 
@@ -190,14 +186,11 @@ def _check_kronecker(
 ) -> CheckOutcome:
     for k in range(1, game.n_states + 1):
         lam = Fraction(1, rng.randint(2, 8))
-        z = _random_fraction(rng)
-        direct = pencil_at(k, lam).matrix_at(z)
-        blockwise = pencil_matrix_kronecker(game, k, lam, z, max_entries)
-        if direct != blockwise:
+        if pencil_at(k, lam) != pencil_matrix_kronecker(game, k, lam, max_entries):
             return CheckOutcome(
                 "kronecker-equivalence",
                 False,
-                f"constructions disagree at state {k}, lam={lam}, z={z}",
+                f"constructions disagree at state {k}, lam={lam}",
             )
     return CheckOutcome("kronecker-equivalence", True)
 
@@ -239,7 +232,7 @@ def run_invariant_checks(
         return pencil
 
     outcomes = [
-        _check_denominator_bound(game, rng),
+        _check_denominator_bound(game, k, pencil_at),
         _check_multilinearity(game, k, rng, pencil_at),
         _check_strict_decrease(game, k, rng, pencil_at),
         _check_root_at_oracle(game, k, pencil_at),

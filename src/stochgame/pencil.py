@@ -24,10 +24,11 @@ The bisections read signs straight from these integers
 (`GamePencil.scaled_at`) and exact values from the same grid
 (`GamePencil.value_at`); `matrix_at` and `pencil_matrix` give the
 rational matrix itself as a `RatMatrix`.  `pencil_matrix_kronecker`
-rebuilds that matrix from integer block minors over its own common
-denominator: Kronecker products of per-state blocks, shared between the
-numerator and the denominator grids.  It never forms a per-profile chain
-matrix nor runs a Bareiss pass, so the two constructions check each other.
+rebuilds the same `GamePencil` from integer block minors over its own
+common denominator: Kronecker products of per-state blocks, shared between
+the numerator and the denominator grids.  It never forms a per-profile
+chain matrix nor runs a Bareiss pass, and its scale equals the direct one,
+so the two constructions check each other by comparing integer grids.
 
 Every entry is a pure function of its own profile pair, and all results
 here are immutable once built.
@@ -252,10 +253,9 @@ def pencil_matrix_kronecker(
     game: Game,
     k: int,
     lam: RationalLike,
-    z: RationalLike,
     max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> RatMatrix:
-    """Same contract as pencil_matrix, built from Kronecker block minors.
+) -> GamePencil:
+    """The pencil `build_pencil` returns at a rate, built from Kronecker block minors.
 
     Block row r of the n x (n+1) array B = [-lam*G | U*delta - (1-lam)*Q]
     holds state r's blocks.  Its block minor on rows m.. and a set S of
@@ -272,12 +272,13 @@ def pencil_matrix_kronecker(
     it).  The minors are memoized on S, so the two share every lower one.
 
     Blocks are int grids: for lam = a/b and D = b*L (L the lcm of the game
-    data's denominators) a minor on m block rows is the rational one times
-    D**m, so entry (r, c) at z = p/q is ((-1)**k*q*N - p*Den) / (q*D**n).
+    data's denominators, read from the rational data) a minor on m block
+    rows is the rational one times D**m, so both grids are over the scale
+    D**n.  That is `build_pencil`'s scale, so the two pencils are equal as
+    integers exactly when they are equal as rationals.
     """
     lam = check_discount(lam)
     game.check_state(k)
-    z = to_fraction(z)
     _check_cap(game, max_entries)
     n = game.n_states
     big_l = math.lcm(*(x.denominator for state in game.rewards for row in state for x in row),
@@ -314,9 +315,6 @@ def pencil_matrix_kronecker(
 
     den_grid = minor(tuple(range(1, n + 1)))
     num_grid = minor((0,) + tuple(t for t in range(1, n + 1) if t != k))
-    p, q = z.numerator, z.denominator
-    q_k, area = (-1) ** k * q, q * scale**n
-    return RatMatrix([
-        [Fraction(q_k * num - p * den, area) for num, den in zip(num_row, den_row)]
-        for num_row, den_row in zip(num_grid, den_grid)
-    ])
+    sign = (-1) ** k
+    numerators = tuple(tuple(sign * x for x in row) for row in num_grid)
+    return GamePencil(numerators, tuple(map(tuple, den_grid)), scale**n)

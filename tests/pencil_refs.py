@@ -80,7 +80,7 @@ def block_determinant(blocks: list[list[RatMatrix]]) -> RatMatrix:
 
 
 def kronecker_by_permutations(game, k: int, lam, z) -> RatMatrix:
-    """`pencil_matrix_kronecker` by two full permutation expansions."""
+    """`pencil_matrix_kronecker(game, k, lam).matrix_at(z)` by two full permutation expansions."""
     lam = check_discount(lam)
     z = to_fraction(z)
     n = game.n_states

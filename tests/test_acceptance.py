@@ -19,7 +19,6 @@ from stochgame.matrixgame import shapley_snow_value, solve_matrix_game
 from stochgame.oracle import mdp_limit_brute_force, shapley_operator, value_iteration
 from stochgame.pencil import (
     build_pencil,
-    pencil_matrix,
     pencil_matrix_kronecker,
     player1_profiles,
     profile_row_index,
@@ -234,19 +233,13 @@ def test_criterion_7_kronecker_equivalence(fixture_docs):
         for _ in range(2):
             k = rng.randint(1, game.n_states)
             lam = Fraction(1, rng.randint(2, 9))
-            z = rand_fraction(rng)
-            if pencil_matrix(game, k, lam, z) != pencil_matrix_kronecker(
-                game, k, lam, z
-            ):
+            if build_pencil(game, k, lam) != pencil_matrix_kronecker(game, k, lam):
                 failures += 1
     for _ in range(50):
         game = rand_game(rng, 2, rng.randint(1, 3), rng.randint(1, 3))
         k = rng.randint(1, 2)
         lam = Fraction(1, rng.randint(2, 9))
-        z = rand_fraction(rng)
-        if pencil_matrix(game, k, lam, z) != pencil_matrix_kronecker(
-            game, k, lam, z
-        ):
+        if build_pencil(game, k, lam) != pencil_matrix_kronecker(game, k, lam):
             failures += 1
     report(
         7,

@@ -1,14 +1,11 @@
-import itertools
-import random
-import tracemalloc
+import dataclasses
+import re
 
 import pytest
 
 from stochgame import checks, pencil
-from stochgame.checks import _sampled_profile_pairs, run_invariant_checks
-from stochgame.pencil import DEFAULT_MAX_ENTRIES, player1_profiles, player2_profiles
-
-from gens import rand_game
+from stochgame.checks import run_invariant_checks
+from stochgame.pencil import DEFAULT_MAX_ENTRIES
 
 EXPECTED_NAMES = [
     "denominator-lower-bound",
@@ -61,8 +58,10 @@ def test_every_pencil_gets_the_callers_cap(fixture_docs, monkeypatch):
 
 @pytest.mark.parametrize("name, seed", [("two_state_3x3", 1), ("three_state_2x2", 0)])
 def test_one_pencil_per_state_and_rate(name, seed, fixture_docs, monkeypatch):
-    # the checks read 6 + 4 + 1 pencils at the given state and one per state
-    # for the Kronecker check; repeated (state, lam) pairs are built once
+    # the checks read 3 + 6 + 4 pencils at the given state (the bound's three
+    # rates, whose lam = 1/4 is the root check's, then the multilinearity and
+    # strict-decrease draws) and one per state for the Kronecker check;
+    # repeated (state, lam) pairs are built once
     built = []
     build_pencil = checks.build_pencil
 
@@ -78,30 +77,51 @@ def test_one_pencil_per_state_and_rate(name, seed, fixture_docs, monkeypatch):
     assert len(built) < 6 + 4 + 1 + game.n_states
 
 
-def listed_profile_pairs(game, rng):
-    """Reference: list every profile pair, then sample 48 if there are more."""
-    pairs = list(itertools.product(player1_profiles(game), player2_profiles(game)))
-    return rng.sample(pairs, 48) if len(pairs) > 48 else pairs
+def outcome(outcomes, name):
+    (found,) = [o for o in outcomes if o.name == name]
+    return found
 
 
-def test_sampled_pairs_match_the_full_listing():
-    rng = random.Random(31)
-    for _ in range(40):
-        game = rand_game(rng, rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 3))
-        seed = rng.randrange(2**32)
-        drawn, listed = random.Random(seed), random.Random(seed)
-        assert _sampled_profile_pairs(game, drawn) == listed_profile_pairs(game, listed)
-        assert drawn.getstate() == listed.getstate()
+def test_kronecker_mismatch_fails(fixture_docs, monkeypatch):
+    kronecker = checks.pencil_matrix_kronecker
+
+    def off_by_one(game, k, lam, max_entries):
+        built = kronecker(game, k, lam, max_entries)
+        first = (built.numerators[0][0] + 1,) + built.numerators[0][1:]
+        return dataclasses.replace(built, numerators=(first,) + built.numerators[1:])
+
+    monkeypatch.setattr(checks, "pencil_matrix_kronecker", off_by_one)
+    outcomes = run_invariant_checks(fixture_docs["two_state_2x2"].game)
+    found = outcome(outcomes, "kronecker-equivalence")
+    assert found.passed is False
+    assert re.fullmatch(r"constructions disagree at state 1, lam=1/\d", found.detail)
 
 
-def test_sampling_does_not_list_the_pairs():
-    # a 10-state 2x2 game has 2**20 profile pairs; listing them took 67 MB
-    game = rand_game(random.Random(32), 10, 2, 2)
-    tracemalloc.start()
-    try:
-        pairs = _sampled_profile_pairs(game, random.Random(0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(pairs) == 48
-    assert peak < 1_000_000
+def test_denominator_below_the_bound_fails(fixture_docs, monkeypatch):
+    build_pencil = checks.build_pencil
+
+    def zeroed(game, k, lam, max_entries):
+        built = build_pencil(game, k, lam, max_entries)
+        first = (0,) + built.denominators[0][1:]
+        return dataclasses.replace(built, denominators=(first,) + built.denominators[1:])
+
+    monkeypatch.setattr(checks, "build_pencil", zeroed)
+    outcomes = run_invariant_checks(fixture_docs["two_state_2x2"].game)
+    found = outcome(outcomes, "denominator-lower-bound")
+    assert found.passed is False
+    assert found.detail == "denominator 0 < 1/4 at lam=1/2, profile pair (0, 0)"
+
+
+def test_multilinearity_mismatch_fails(fixture_docs, monkeypatch):
+    mixed_determinants = checks._mixed_determinants
+
+    def shifted(*args):
+        numerator, denominator = mixed_determinants(*args)
+        return numerator + 1, denominator
+
+    monkeypatch.setattr(checks, "_mixed_determinants", shifted)
+    outcomes = run_invariant_checks(fixture_docs["two_state_2x2"].game)
+    found = outcome(outcomes, "pencil-multilinearity")
+    assert found.passed is False
+    assert re.fullmatch(r"numerator mismatch at lam=1/\d, column profile \(\d, \d\)",
+                        found.detail)

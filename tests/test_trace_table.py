@@ -38,6 +38,6 @@ def test_trace_table_installs_and_uninstalls(monkeypatch, capsys):
     assert all(after[key] is value for key, value in before.items())
     metrics = layers.per_layer_metrics(tracer, untraced_s=1.0)
     for layer in ("gamefile.parse", "solver", "checks", "pencil.build",
-                  "pencil.kronecker", "pencil.payoff_det", "absorbing.kohlberg"):
+                  "pencil.kronecker", "absorbing.kohlberg"):
         assert metrics[f"{layer}.calls"] > 0, layer
     assert metrics["solver.probes"] > 0
