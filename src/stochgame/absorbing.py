@@ -8,8 +8,9 @@ Kohlberg quotient (Phi(lam, u(z)) - z) / lam built from the Shapley
 operator, and at every finite discount rate that quotient coincides
 exactly with the profile matrix-game value divided by lam**n;
 `verify_kohlberg_identity` checks the chain of equalities entry by entry.
-Every exact value here is read from an integer grid, as the solvers and
-the oracle read theirs (`Game.int_rewards`, `GamePencil.value_at`).
+The solver signs the quotient's numerator, `shifted_live_grid`.  Every
+exact value here is read from an integer grid, as the solvers and the
+oracle read theirs (`Game.int_rewards`, `GamePencil.value_at`).
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from .gamecore import Game, check_discount
 # benchmark's trace layer wraps `absorbing.<name>` by name
 from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
 from .oracle import _one_shot_grids
-from .pencil import DEFAULT_MAX_ENTRIES, build_pencil, pencil_matrix  # noqa: F401
-from .ratlinalg import RationalLike, to_fraction
+from .pencil import DEFAULT_MAX_ENTRIES, GamePencil, build_pencil, pencil_matrix  # noqa: F401
+from .ratlinalg import IntPoly, RationalLike, to_fraction
 
 
 def _leak(game: Game) -> tuple[int, int, int] | None:
@@ -73,12 +74,22 @@ def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:
     return ab.absorbed_values
 
 
+def shifted_live_grid(ab: AbsorbingGame, lam: Fraction | IntPoly, z: Fraction) -> tuple[list, int]:
+    """State 1's one-shot grid at (z, v_2, ..., v_n) minus z, and its positive scale b*L*d.
+
+    At `ratlinalg.LAM` each entry is a germ in lam, with w = (z,) + u:
+    (sum_t Lq_t d w_t - L d z) + lam (d L g - sum_t Lq_t d w_t).
+    """
+    (grid,), scale = _one_shot_grids(ab.game, lam, (z,) + absorbed_values(ab), (0,))
+    shift = scale // z.denominator * z.numerator  # d, so the scale, carries z's denominator
+    return [[x - shift for x in row] for row in grid], scale
+
+
 def kohlberg_quotient(ab: AbsorbingGame, lam: RationalLike, z: RationalLike) -> Fraction:
     """Pre-limit quotient (Phi_1(lam, (z, v_2, ..., v_n)) - z) / lam from state 1's game alone."""
     lam = check_discount(lam)
-    z = to_fraction(z)
-    (grid,), scale = _one_shot_grids(ab.game, lam, (z,) + absorbed_values(ab), (0,))
-    return (matrix_game_value(grid) / scale - z) / lam
+    grid, scale = shifted_live_grid(ab, lam, to_fraction(z))
+    return matrix_game_value(grid) / scale / lam
 
 
 @dataclass(frozen=True)
@@ -119,10 +130,12 @@ def verify_kohlberg_identity(
     ab: AbsorbingGame,
     lam: RationalLike,
     z: RationalLike,
+    pencil: GamePencil,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> IdentityReport:
     """Check val(profile matrix)/lam**n == Kohlberg quotient, exactly.
 
+    `pencil` is the game's own (state 1, lam) pencil, which the caller holds.
     Also verifies the structure behind the identity.  Raw profile-matrix
     entries depend on absorbed-state actions whenever absorbed rewards
     vary with actions (the Cramer numerator carries the absorbed stage
@@ -136,7 +149,6 @@ def verify_kohlberg_identity(
     z = to_fraction(z)
     game = ab.game
     n = game.n_states
-    pencil = build_pencil(game, 1, lam, max_entries)
     reduced = build_pencil(value_reduced_game(ab), 1, lam, max_entries)
     grid = reduced.scaled_at(z)
     row_block = game.n_actions1 ** (n - 1)

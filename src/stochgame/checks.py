@@ -17,7 +17,7 @@ whole objects from the run's integer pencils (`GamePencil`):
 
 The entry cap is checked first and passed to every pencil, and each
 (state, lam) pencil is built once per run, in a dict local to
-`run_invariant_checks`.
+`run_invariant_checks` that the absorbing identity reads from too.
 """
 
 from __future__ import annotations
@@ -195,14 +195,19 @@ def _check_kronecker(
     return CheckOutcome("kronecker-equivalence", True)
 
 
-def _check_absorbing(game: Game, rng: random.Random, max_entries: int) -> CheckOutcome:
+def _check_absorbing(
+    game: Game,
+    rng: random.Random,
+    pencil_at: Callable[[int, Fraction], GamePencil],
+    max_entries: int,
+) -> CheckOutcome:
     if not is_absorbing(game):
         return CheckOutcome("absorbing-identity", True, "not absorbing; skipped")
     ab = AbsorbingGame.from_game(game)
     for _ in range(4):
         lam = Fraction(1, rng.randint(2, 10))
         z = _random_fraction(rng)
-        report = verify_kohlberg_identity(ab, lam, z, max_entries)
+        report = verify_kohlberg_identity(ab, lam, z, pencil_at(1, lam), max_entries)
         if not report.ok:
             return CheckOutcome("absorbing-identity", False, report.detail)
     return CheckOutcome("absorbing-identity", True)
@@ -237,6 +242,6 @@ def run_invariant_checks(
         _check_strict_decrease(game, k, rng, pencil_at),
         _check_root_at_oracle(game, k, pencil_at),
         _check_kronecker(game, rng, pencil_at, max_entries),
-        _check_absorbing(game, rng, max_entries),
+        _check_absorbing(game, rng, pencil_at, max_entries),
     ]
     return outcomes

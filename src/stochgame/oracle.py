@@ -36,12 +36,14 @@ from .gamecore import (
 # `oracle.solve_matrix_game` by name
 from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
 from .pencil import _IntegerSystem, player1_profiles, player2_profiles
-from .ratlinalg import LAM, RatMatrix, RationalLike, ceil_log2, simplest_between, to_fraction
+from .ratlinalg import (
+    LAM, IntPoly, RatMatrix, RationalLike, ceil_log2, simplest_between, to_fraction
+)
 
 
 def _one_shot_grids(
-    game: Game, lam: Fraction, u: Sequence[RationalLike], states: Sequence[int]
-) -> tuple[list[list[list[int]]], int]:
+    game: Game, lam: Fraction | IntPoly, u: Sequence[RationalLike], states: Sequence[int]
+) -> tuple[list[list[list]], int]:
     """Integer grids of the one-shot games at the 0-based `states`, and their scale b*L*d."""
     cont = [to_fraction(x) for x in u]
     if len(cont) != game.n_states:

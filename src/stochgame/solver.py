@@ -15,6 +15,10 @@ the sign of a polynomial for every small enough lam > 0.  No discount rate
 is ever chosen, so no depth, window or cap enters the decision.  An exact
 zero moves both brackets, which collapses the interval onto an exact root
 when one is hit.
+
+From state 1 of an absorbing game the same sign is read from state 1's
+|I| x |J| one-shot game minus z (Kohlberg's quotient, strictly decreasing
+in z with root v_lam); the profile matrix is not built, but its cap holds.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .absorbing import AbsorbingGame, is_absorbing, shifted_live_grid
 from .errors import GameValidationError
 from .gamecore import Game, affine_normalize, check_discount
 from .matrixgame import matrix_game_sign, solve_matrix_game
-from .pencil import DEFAULT_MAX_ENTRIES, build_pencil
+from .pencil import DEFAULT_MAX_ENTRIES, _check_cap, build_pencil
 from .ratlinalg import LAM, IntPoly, RationalLike, ceil_log2
 
 
@@ -102,7 +107,7 @@ def pencil_value(
 def _solve(
     game: Game, k: int, lam: Fraction | IntPoly, r: int, max_entries: int
 ) -> BisectionResult:
-    """Bisect the normalized game's pencil at lam (a checked rate or LAM) to 2**-r.
+    """Bisect the normalized game's sign at lam (a checked rate or LAM) to 2**-r.
 
     A reward span above 1 adds ceil(log2 span) iterations, so the radius
     still maps back below 2**-r in the original scale.
@@ -110,8 +115,13 @@ def _solve(
     game.check_state(k)
     _check_precision(r)
     ngame, scale, offset, r_eff = _normalized(game, r)
-    pencil = build_pencil(ngame, k, lam, max_entries)
-    return _bisect(lambda z: matrix_game_sign(pencil.scaled_at(z)), r_eff, scale, offset)
+    if k == 1 and is_absorbing(ngame):
+        _check_cap(ngame, max_entries)
+        ab = AbsorbingGame(ngame)
+        grid_at = lambda z: shifted_live_grid(ab, lam, z)[0]  # noqa: E731
+    else:
+        grid_at = build_pencil(ngame, k, lam, max_entries).scaled_at
+    return _bisect(lambda z: matrix_game_sign(grid_at(z)), r_eff, scale, offset)
 
 
 def discounted_value(

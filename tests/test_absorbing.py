@@ -15,7 +15,7 @@ from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.oracle import shapley_auxiliary
-from stochgame.pencil import pencil_matrix
+from stochgame.pencil import build_pencil, pencil_matrix
 from stochgame.ratlinalg import RatMatrix
 from stochgame.solver import limit_sign
 
@@ -110,7 +110,8 @@ class TestKohlbergQuotient:
 class TestIdentity:
     def test_big_match_exact(self, fixture_docs):
         ab = AbsorbingGame.from_game(fixture_docs["big_match"].game)
-        report = verify_kohlberg_identity(ab, Fraction(1, 2), Fraction(1, 2))
+        lam = z = Fraction(1, 2)
+        report = verify_kohlberg_identity(ab, lam, z, build_pencil(ab.game, 1, lam))
         assert report.ok
         assert report.pencil_side == report.quotient_side == 0
 
@@ -118,7 +119,7 @@ class TestIdentity:
         game = one_state_game([[3, 1], [0, 2]])
         ab = AbsorbingGame.from_game(game)
         lam, z = Fraction(1, 3), Fraction(1, 4)
-        report = verify_kohlberg_identity(ab, lam, z)
+        report = verify_kohlberg_identity(ab, lam, z, build_pencil(game, 1, lam))
         assert report.ok
         assert report.pencil_side == Fraction(3, 2) - z
 
@@ -129,7 +130,7 @@ class TestIdentity:
             ab = AbsorbingGame.from_game(game)
             lam = Fraction(1, rng.randint(2, 9))
             z = Fraction(rng.randint(-3, 6), rng.randint(1, 5))
-            report = verify_kohlberg_identity(ab, lam, z)
+            report = verify_kohlberg_identity(ab, lam, z, build_pencil(game, 1, lam))
             assert report.ok, report.detail
 
     def test_dedup_affine_identity(self, fixture_docs):

@@ -257,7 +257,7 @@ def test_criterion_8_absorbing_identity():
         ab = AbsorbingGame.from_game(game)
         lam = Fraction(1, rng.randint(2, 12))
         z = rand_fraction(rng)
-        rep = verify_kohlberg_identity(ab, lam, z)
+        rep = verify_kohlberg_identity(ab, lam, z, build_pencil(game, 1, lam))
         if not (rep.values_equal and rep.ok):
             failures += 1
     report(

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from stochgame import checks, pencil
+from stochgame import absorbing, checks, pencil
 from stochgame.checks import run_invariant_checks
 from stochgame.pencil import DEFAULT_MAX_ENTRIES
 
@@ -75,6 +75,27 @@ def test_one_pencil_per_state_and_rate(name, seed, fixture_docs, monkeypatch):
     assert all(o.passed for o in outcomes)
     assert len(built) == len(set(built))
     assert len(built) < 6 + 4 + 1 + game.n_states
+
+
+@pytest.mark.parametrize("name", ["absorbing_mix", "big_match"])
+def test_identity_check_shares_the_runs_pencils(name, fixture_docs, monkeypatch):
+    # the identity check reads the game's (1, lam) pencil from the run and
+    # builds only the value-reduced game's; no raw pencil is built twice
+    game = fixture_docs[name].game
+    built = []
+    for module in (checks, absorbing):
+        def recording(g, k, lam, max_entries, build=module.build_pencil):
+            if g is game:
+                built.append((k, lam))
+            return build(g, k, lam, max_entries)
+
+        monkeypatch.setattr(module, "build_pencil", recording)
+    for seed in range(10):
+        built.clear()
+        outcomes = run_invariant_checks(game, seed=seed)
+        assert outcome(outcomes, "absorbing-identity").passed
+        assert "skipped" not in outcome(outcomes, "absorbing-identity").detail
+        assert len(built) == len(set(built)), seed
 
 
 def outcome(outcomes, name):

@@ -17,6 +17,7 @@ import absorbing_refs
 from stochgame import absorbing
 from stochgame.absorbing import AbsorbingGame
 from stochgame.gamecore import Game, affine_normalize
+from stochgame.pencil import build_pencil
 
 from gens import rand_absorbing_game, rand_game
 from test_absorbing import absorbing_with_state2
@@ -52,7 +53,7 @@ def test_integer_form_is_the_data_times_the_common_denominator(game):
     _assert_integer_form(affine_normalize(game)[0])
 
 
-def _prime_absorbing_game(rng: random.Random, n: int, n1: int, n2: int) -> Game:
+def prime_absorbing_game(rng: random.Random, n: int, n1: int, n2: int) -> Game:
     """Absorbing game whose data share three >= 30-bit prime denominators."""
     primes = rng.sample(BIG_PRIMES, 3)
 
@@ -81,7 +82,7 @@ def _identity_cases(count: int):
             if (n1 * n2) ** n <= _ENTRY_LIMIT:
                 break
         if index % 2:
-            game = _prime_absorbing_game(rng, n, n1, n2)
+            game = prime_absorbing_game(rng, n, n1, n2)
         else:
             game = rand_absorbing_game(rng, n, n1, n2)
         lam = IDENTITY_LAMBDAS[index % len(IDENTITY_LAMBDAS)]
@@ -97,7 +98,7 @@ def test_identity_matches_fraction_reference():
         quotient = absorbing.kohlberg_quotient(ab, lam, z)
         assert quotient == absorbing_refs.kohlberg_quotient(ab, lam, z)
         # IdentityReport's == compares all six fields
-        report = absorbing.verify_kohlberg_identity(ab, lam, z)
+        report = absorbing.verify_kohlberg_identity(ab, lam, z, build_pencil(ab.game, 1, lam))
         assert report == absorbing_refs.verify_kohlberg_identity(ab, lam, z)
     assert {(True, False), (False, True)} <= seen_z
 
@@ -107,7 +108,7 @@ def test_forced_dependence_failure_matches_reference(monkeypatch):
     ab = AbsorbingGame.from_game(absorbing_with_state2([[3, 1], [0, 2]]))
     monkeypatch.setattr(absorbing, "value_reduced_game", lambda ab: ab.game)
     lam, z = Fraction(1, 3), Fraction(1, 5)
-    report = absorbing.verify_kohlberg_identity(ab, lam, z)
+    report = absorbing.verify_kohlberg_identity(ab, lam, z, build_pencil(ab.game, 1, lam))
     expected = absorbing_refs.verify_kohlberg_identity(ab, lam, z)
     assert not report.dependence_ok
     assert report.detail == expected.detail

@@ -2,8 +2,8 @@
 
 `perfbench/layers.install` patches stochgame functions by name; a deleted
 or renamed one would break `perfbench/run.py --trace 1`.  This installs
-the table on the already-imported modules (no fresh import), runs one
-`value` and one `check` through the CLI, and uninstalls.
+the table on the already-imported modules (no fresh import), runs two
+`value`s (one per solver route) and one `check` through the CLI, and uninstalls.
 """
 
 import importlib
@@ -28,7 +28,9 @@ def test_trace_table_installs_and_uninstalls(monkeypatch, capsys):
     try:
         layers.install(tracer, mods)
         assert _bindings(mods) != before
+        # big_match takes the absorbing route, two_state_2x2 the profile pencil
         assert mods["cli"].main(["value", "big_match", "--precision", "4", "--json"]) == 0
+        assert mods["cli"].main(["value", "two_state_2x2", "--precision", "4", "--json"]) == 0
         assert mods["cli"].main(["check", "absorbing_mix", "--json"]) == 0
     finally:
         tracer.uninstall()
