@@ -8,9 +8,10 @@ Kohlberg quotient (Phi(lam, u(z)) - z) / lam built from the Shapley
 operator, and at every finite discount rate that quotient coincides
 exactly with the profile matrix-game value divided by lam**n;
 `verify_kohlberg_identity` checks the chain of equalities entry by entry.
-The solver signs the quotient's numerator, `shifted_live_grid`.  Every
-exact value here is read from an integer grid, as the solvers and the
-oracle read theirs (`Game.int_rewards`, `GamePencil.value_at`).
+The solver signs the quotient's numerator, which is affine in z: one
+`live_pencil` per solve serves every probe.  Every exact value here is
+read from an integer grid, as the solvers and the oracle read theirs
+(`Game.int_rewards`, `GamePencil.value_at`).
 """
 
 from __future__ import annotations
@@ -74,22 +75,31 @@ def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:
     return ab.absorbed_values
 
 
-def shifted_live_grid(ab: AbsorbingGame, lam: Fraction | IntPoly, z: Fraction) -> tuple[list, int]:
-    """State 1's one-shot grid at (z, v_2, ..., v_n) minus z, and its positive scale b*L*d.
+def live_pencil(ab: AbsorbingGame, lam: Fraction | IntPoly) -> GamePencil:
+    """State 1's one-shot game minus z as a pencil in z, at a rate or at `ratlinalg.LAM`.
 
-    At `ratlinalg.LAM` each entry is a germ in lam, with w = (z,) + u:
-    (sum_t Lq_t d w_t - L d z) + lam (d L g - sum_t Lq_t d w_t).
+    With w = (z, v_2, ..., v_n) the game lam g + (1-lam) sum_t q_t w_t - z
+    is affine in z.  Over the positive scale b*L*d of the one-shot grid at
+    (0, v_2, ..., v_n), with d the lcm of the absorbed values' denominators,
+    N is that grid and D = scale - (b-a) d Lq_11, so `scaled_at(z)` is the
+    game at z times a positive integer.  At `ratlinalg.LAM` the entries of
+    both grids are germs in lam.
     """
-    (grid,), scale = _one_shot_grids(ab.game, lam, (z,) + absorbed_values(ab), (0,))
-    shift = scale // z.denominator * z.numerator  # d, so the scale, carries z's denominator
-    return [[x - shift for x in row] for row in grid], scale
+    game = ab.game
+    (grid,), scale = _one_shot_grids(game, lam, (0,) + absorbed_values(ab), (0,))
+    cd = (lam.denominator - lam.numerator) * (scale // (lam.denominator * game.denominator_lcm()))
+    return GamePencil(
+        numerators=tuple(map(tuple, grid)),
+        denominators=tuple(tuple(scale - cd * dist[0] for dist in row)
+                           for row in game.int_transitions[0]),
+        scale=scale,
+    )
 
 
 def kohlberg_quotient(ab: AbsorbingGame, lam: RationalLike, z: RationalLike) -> Fraction:
     """Pre-limit quotient (Phi_1(lam, (z, v_2, ..., v_n)) - z) / lam from state 1's game alone."""
     lam = check_discount(lam)
-    grid, scale = shifted_live_grid(ab, lam, to_fraction(z))
-    return matrix_game_value(grid) / scale / lam
+    return live_pencil(ab, lam).value_at(z) / lam
 
 
 @dataclass(frozen=True)

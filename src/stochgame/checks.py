@@ -8,8 +8,9 @@ whole objects from the run's integer pencils (`GamePencil`):
 - denominator bound: every denominator of the pencils at lam = 1/2, 1/4
   and 1/10 against lam**n times the scale, so every profile pair;
 - multilinearity: one column of each grid, weighted by a mixed strategy
-  of player 1, against the mixed chain's determinants (a rational route),
-  numerator and denominator separately, so no z is drawn;
+  of player 1, against the mixed chain's determinants (from the rational
+  chain data, each row cleared of its own denominators), numerator and
+  denominator separately, so no z is drawn;
 - strict decrease and root: exact values (`GamePencil.value_at`) at seeded
   z, and signs at the oracle value taken as the bisections take them;
 - Kronecker: the whole pencil against `pencil_matrix_kronecker`, grid for
@@ -31,7 +32,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
-from .gamecore import Game, StationaryStrategy, chain_system
+from .gamecore import Game, StationaryStrategy, expected_reward, transition_matrix
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `checks.solve_matrix_game` by name
 from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
@@ -50,7 +51,8 @@ from .pencil import (  # noqa: F401
     player1_profiles,
     profile_row_index,
 )
-from .ratlinalg import det
+# `det` stays bound here, unused: the benchmark's trace layer wraps `checks.det` by name
+from .ratlinalg import det, int_det  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,26 @@ def _check_denominator_bound(
 
 
 def _mixed_determinants(game: Game, x: StationaryStrategy, j_vec, k: int, lam: Fraction):
-    system, rhs = chain_system(game, x, StationaryStrategy.pure(j_vec, game.n_actions2), lam)
-    return det(system.replace_column(k, rhs)), det(system)
+    """(Cramer numerator, system determinant) of the mixed chain (Id - (1-lam) Q, lam g).
+
+    Row l times b*m_l, for lam = a/b and m_l the lcm of the denominators
+    of Q's row l and of g_l, is an integer row, read from the rational
+    chain data rather than the pencils' integer form; `int_det` takes both
+    determinants over those rows, and each is divided by the product of
+    the multipliers.
+    """
+    y = StationaryStrategy.pure(j_vec, game.n_actions2)
+    a, b = lam.numerator, lam.denominator
+    system, cramer, area = [], [], 1
+    for l, (q_row, g_l) in enumerate(zip(transition_matrix(game, x, y).rows,
+                                         expected_reward(game, x, y))):
+        m = math.lcm(g_l.denominator, *(p.denominator for p in q_row))
+        row = [(b * m if t == l else 0) - (b - a) * (m // p.denominator * p.numerator)
+               for t, p in enumerate(q_row)]
+        system.append(row)
+        cramer.append(row[: k - 1] + [a * (m // g_l.denominator * g_l.numerator)] + row[k:])
+        area *= b * m
+    return Fraction(int_det(cramer), area), Fraction(int_det(system), area)
 
 
 def _check_multilinearity(

@@ -6,7 +6,10 @@ runs an exact simplex on the standard LP formulation, fraction-free over
 one common denominator: the tableau holds integers and each pivot divides
 exactly by the previous pivot (Edmonds 1967, the Bareiss scheme of
 `ratlinalg.int_det`), so no Fraction is normalised until the answer.
-There are three entry points over that one pivot loop (`_bland_simplex`).
+The entering column is Dantzig's (most negative reduced cost) until the
+first degenerate pivot and Bland's from then on, which keeps the paths
+short and the loop finite.
+There are three entry points over that one pivot loop (`_simplex`).
 `solve_matrix_game` takes a `RatMatrix` and returns the value with both
 optimal strategies.  `matrix_game_value` takes an integer grid (a game
 scaled by a positive integer, as the oracle and the pencil build them)
@@ -56,31 +59,40 @@ class SnowCertificate:
     y_opt: tuple[Fraction, ...]
 
 
-def _bland_simplex(rows: list[list], scale) -> tuple:
-    """Fraction-free Bland simplex on the tableau [rows | I | scale].
+def _simplex(rows: list[list], scale) -> tuple:
+    """Fraction-free simplex on the tableau [rows | I | scale].
 
     The entries of `rows` are strictly positive elements of an ordered
     ring with exact division (ints, or `ratlinalg.IntPoly` ordered at
     lam -> 0+).  Solves  max 1.w  s.t. rows w <= scale, w >= 0  with
-    Bland's rule and Edmonds/Bareiss pivots: after each pivot every entry
-    equals det * (the rational tableau entry), where det is the current
-    pivot (the basis determinant, always positive), so all signs and
-    ratio comparisons agree with a rational tableau.  Each non-pivot row,
-    the cost row included, is updated to (x * piv - f * y) // det_prev, an
-    exact division by Sylvester's identity; the pivot row is left
-    unchanged.  Returns (tableau, cost row, basis, det); the optimum 1.w
-    is cost[-1] / det > 0.
+    Edmonds/Bareiss pivots: after each pivot every entry equals det * (the
+    rational tableau entry), where det is the current pivot (the basis
+    determinant, always positive), so all signs and comparisons agree with
+    a rational tableau.  Each non-pivot row, the cost row included, is
+    updated to (x * piv - f * y) // det_prev, an exact division by
+    Sylvester's identity; the pivot row is left unchanged.
+
+    The entering column is Dantzig's: the most negative reduced cost, ties
+    to the lowest index.  From the first degenerate pivot (its pivot row
+    has right-hand side 0) to the end of the solve it is Bland's: the
+    lowest index with a negative cost.  The leaving row is always Bland's,
+    so the loop terminates: every pivot before that one raises the
+    objective, so no basis repeats, and Bland's rule terminates from any
+    basis (Bland, Math. OR 1977).  Returns (tableau, cost row, basis,
+    det); the optimum 1.w is cost[-1] / det > 0.
     """
     p, q = len(rows), len(rows[0])
     tableau = [list(row) + [int(i == r) for r in range(p)] + [scale] for i, row in enumerate(rows)]
     cost = [-1] * q + [0] * (p + 1)
     basis = list(range(q, q + p))
     det = 1
+    bland = False
 
     while True:
-        enter = next((j for j in range(q + p) if cost[j] < 0), None)
-        if enter is None:
+        negative = [j for j in range(q + p) if cost[j] < 0]
+        if not negative:
             return tableau, cost, basis, det
+        enter = negative[0] if bland else min(negative, key=cost.__getitem__)
         # Bland's leaving rule: least ratio rhs/a over a > 0, ties to the
         # smallest basic variable; ratios compared by cross-multiplication
         leave = None
@@ -98,6 +110,7 @@ def _bland_simplex(rows: list[list], scale) -> tuple:
             raise ArithmeticError("unbounded matrix-game LP")
         pivot_row = tableau[leave]
         piv = pivot_row[enter]
+        bland = bland or not pivot_row[-1]
         for i in range(p):
             if i != leave:
                 f = tableau[i][enter]
@@ -119,7 +132,7 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
 
     Payoffs are shifted to be strictly positive (undone on output), then
     the minimizer's LP  max 1.w  s.t. M w <= 1, w >= 0  is solved by
-    `_bland_simplex` on integers: the shifted matrix is scaled by the lcm
+    `_simplex` on integers: the shifted matrix is scaled by the lcm
     D of its denominators, giving rows [D*M | I | D] (the slacks are
     scaled by D).  The maximizer's strategy is read off the dual values,
     and Fractions are built only from the final integers.
@@ -128,7 +141,7 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
     shift = _shift(payoff.rows)
     m = [[x + shift for x in row] for row in payoff.rows]
     scale = math.lcm(*(x.denominator for row in m for x in row))
-    tableau, cost, basis, det = _bland_simplex(
+    tableau, cost, basis, det = _simplex(
         [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
     )
     # optimal 1.w = total / det = 1 / val(shifted game) > 0; the slack
@@ -151,7 +164,7 @@ def _value_ratio(rows: list[list]) -> tuple:
     det / total - shift with det, total > 0.
     """
     shift = _shift(rows)
-    _, cost, _, det = _bland_simplex([[x + shift for x in row] for row in rows], 1)
+    _, cost, _, det = _simplex([[x + shift for x in row] for row in rows], 1)
     total = cost[-1]
     return det - shift * total, total
 

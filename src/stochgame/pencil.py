@@ -177,7 +177,8 @@ class GamePencil:
     exact value by q*scale, and `matrix_at` divides the entries into one
     reduced fraction each.  For lam = `ratlinalg.LAM` the grids
     hold `IntPoly` germs over scale L**n_states, and only `scaled_at`
-    applies.
+    applies.  `absorbing.live_pencil` builds the same kind of pencil for
+    state 1's |I| x |J| one-shot game, over its own scale.
     """
 
     numerators: tuple[tuple[int | IntPoly, ...], ...]

@@ -267,6 +267,13 @@ class IntPoly:
         a, b = self.coeffs, _coeffs(other)
         if not a or not b:
             return _ZERO
+        # a constant factor scales the other's coefficients
+        if len(b) == 1:
+            c = b[0]
+            return _wrap(tuple(x * c for x in a))
+        if len(a) == 1:
+            c = a[0]
+            return _wrap(tuple(c * y for y in b))
         # multiply the parts above the lowest nonzero terms
         va, vb = _order(a), _order(b)
         a, b = a[va:], b[vb:]
@@ -283,8 +290,18 @@ class IntPoly:
         rem, div = self.coeffs, _coeffs(other)
         if not div:
             raise ZeroDivisionError("IntPoly division by zero")
-        if not rem:
-            return _ZERO
+        if not rem or div == (1,):
+            return self
+        if len(div) == 1:
+            # a constant divisor divides each coefficient
+            c = div[0]
+            quot = []
+            for x in rem:
+                q, r = divmod(x, c)
+                if r:
+                    raise ArithmeticError("inexact IntPoly division")
+                quot.append(q)
+            return _wrap(tuple(quot))
         # long division from the top, on the parts above the lowest terms
         shift = _order(div)
         if _order(rem) < shift:

@@ -3,9 +3,10 @@
 Both algorithms normalize rewards into [0, 1], bisect z over that interval
 and decide each step from the exact sign of the profile matrix-game value
 at z, read straight from the pencil's integer grid: `matrix_game_sign`
-runs the one Bland/Bareiss pivot loop on `GamePencil.scaled_at(z)`, the
-matrix at z times a positive integer, so no entry becomes a Fraction and
-no strategy is computed.  For the discounted value the pencil is built at
+runs the one fraction-free pivot loop (Dantzig's entering rule, Bland's
+after a degenerate pivot) on `GamePencil.scaled_at(z)`, the matrix at z
+times a positive integer, so no entry becomes a Fraction and no strategy
+is computed.  For the discounted value the pencil is built at
 the given discount rate.  For the limit value it is built at
 `ratlinalg.LAM`, and the sign is that of val W(lam, z) as lam -> 0+,
 decided exactly over Z[lam] (Jeroslow, "Asymptotic linear programming",
@@ -18,7 +19,9 @@ when one is hit.
 
 From state 1 of an absorbing game the same sign is read from state 1's
 |I| x |J| one-shot game minus z (Kohlberg's quotient, strictly decreasing
-in z with root v_lam); the profile matrix is not built, but its cap holds.
+in z with root v_lam), built once per solve as a pencil in z
+(`absorbing.live_pencil`); the profile matrix is not built, but its cap
+holds.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .absorbing import AbsorbingGame, is_absorbing, shifted_live_grid
+from .absorbing import AbsorbingGame, is_absorbing, live_pencil
 from .errors import GameValidationError
 from .gamecore import Game, affine_normalize, check_discount
 from .matrixgame import matrix_game_sign, solve_matrix_game
@@ -117,11 +120,10 @@ def _solve(
     ngame, scale, offset, r_eff = _normalized(game, r)
     if k == 1 and is_absorbing(ngame):
         _check_cap(ngame, max_entries)
-        ab = AbsorbingGame(ngame)
-        grid_at = lambda z: shifted_live_grid(ab, lam, z)[0]  # noqa: E731
+        pencil = live_pencil(AbsorbingGame(ngame), lam)
     else:
-        grid_at = build_pencil(ngame, k, lam, max_entries).scaled_at
-    return _bisect(lambda z: matrix_game_sign(grid_at(z)), r_eff, scale, offset)
+        pencil = build_pencil(ngame, k, lam, max_entries)
+    return _bisect(lambda z: matrix_game_sign(pencil.scaled_at(z)), r_eff, scale, offset)
 
 
 def discounted_value(

@@ -1,7 +1,7 @@
 """The solver's absorbing route: state 1's one-shot game minus z instead of the profile pencil.
 
-For an absorbing game at state 1 the solver signs Kohlberg's shifted
-one-shot grid (`absorbing.shifted_live_grid`); every other game and
+For an absorbing game at state 1 the solver signs Kohlberg's one-shot
+game minus z (`absorbing.live_pencil`); every other game and
 state keeps the profile pencil.  Both signs are sign(v_lam - z) at every
 z, so the bisections must agree entry for entry.
 """

@@ -1,11 +1,17 @@
 import dataclasses
+import random
 import re
+from fractions import Fraction
 
 import pytest
 
 from stochgame import absorbing, checks, pencil
 from stochgame.checks import run_invariant_checks
+from stochgame.gamecore import StationaryStrategy, chain_system
 from stochgame.pencil import DEFAULT_MAX_ENTRIES
+from stochgame.ratlinalg import det
+
+from gens import rand_game, rand_profile, rand_strategy
 
 EXPECTED_NAMES = [
     "denominator-lower-bound",
@@ -131,6 +137,22 @@ def test_denominator_below_the_bound_fails(fixture_docs, monkeypatch):
     found = outcome(outcomes, "denominator-lower-bound")
     assert found.passed is False
     assert found.detail == "denominator 0 < 1/4 at lam=1/2, profile pair (0, 0)"
+
+
+def test_mixed_determinants_match_the_rational_route():
+    # the Fraction determinants of the chain system and its Cramer matrix
+    rng = random.Random(21)
+    for trial in range(40):
+        n = trial % 3 + 1
+        game = rand_game(rng, n, rng.randint(1, 3), rng.randint(1, 3))
+        x = rand_strategy(rng, n, game.n_actions1)
+        j_vec = rand_profile(rng, n, game.n_actions2)
+        k = rng.randint(1, n)
+        lam = Fraction(rng.randint(1, 9), rng.randint(9, 12))
+        system, rhs = chain_system(game, x, StationaryStrategy.pure(j_vec, game.n_actions2), lam)
+        assert checks._mixed_determinants(game, x, j_vec, k, lam) == (
+            det(system.replace_column(k, rhs)), det(system)
+        ), trial
 
 
 def test_multilinearity_mismatch_fails(fixture_docs, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from stochgame import matrixgame
+from stochgame.absorbing import AbsorbingGame, is_absorbing, live_pencil
 from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import (
     matrix_game_sign,
@@ -15,8 +16,9 @@ from stochgame.matrixgame import (
     solve_matrix_game,
 )
 from stochgame.pencil import build_pencil
-from stochgame.ratlinalg import LAM, RatMatrix, sign
+from stochgame.ratlinalg import LAM, IntPoly, RatMatrix, sign
 
+from bland_ref import bland_value_ratio
 from gens import rand_fraction, rand_matrix
 
 payoff_matrices = st.integers(min_value=1, max_value=3).flatmap(
@@ -52,6 +54,12 @@ wide_payoff_matrices = st.integers(min_value=1, max_value=4).flatmap(
 # the second pivot ties on the ratio test, and Bland's rule lets the
 # smallest basic variable (w_1, not the slack of row 1) leave
 BLAND_TIE = RatMatrix([[-2, -1], [2, -1]])
+# the first pivot ties on the ratio test and leaves row 2's right-hand
+# side 0; Dantzig's second pivot leaves from that row, a degenerate pivot,
+# so the third enters Bland's column (w_2, the lowest negative cost), not
+# Dantzig's (w_4, the most negative).  That gives y = (0, 1, 0, 0), where
+# Dantzig's rule throughout stops at the also optimal y = (0, 0, 1/2, 1/2).
+DEGENERATE = RatMatrix([[2, 0, -1, 1], [2, 0, 0, 0]])
 # every entry <= 0, so the solver must shift before its LP is bounded
 NONPOSITIVE = RatMatrix([[0, "-3/2", -1], [-2, "-1/3", "-5/7"]])
 # saddle points: maximin = minimax, so matrix_game_value returns the entry
@@ -183,7 +191,7 @@ class TestMatrixGameSign:
         def pivot_loop(rows, scale):
             raise AssertionError("pivot loop reached")
 
-        monkeypatch.setattr(matrixgame, "_bland_simplex", pivot_loop)
+        monkeypatch.setattr(matrixgame, "_simplex", pivot_loop)
         assert matrix_game_value(integer_rows(STRICT_SADDLE)) == 2
         assert matrix_game_value(integer_rows(ZERO_SADDLE)) == 0
         with pytest.raises(AssertionError, match="pivot loop reached"):
@@ -202,6 +210,67 @@ class TestMatrixGameSign:
             if led:
                 assert matrix_game_sign(germ) == led
             assert matrix_game_sign([[LAM * y for y in row] for row in b]) == matrix_game_sign(b)
+
+
+germs = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(IntPoly)
+germ_matrices = st.integers(min_value=1, max_value=3).flatmap(
+    lambda q: st.lists(st.lists(germs, min_size=q, max_size=q), min_size=1, max_size=3)
+)
+
+
+@pytest.fixture(scope="module")
+def pencil_germ_grids(fixture_docs) -> list[list[list]]:
+    """The germ grids the limit bisection signs: every fixture's state-1 pencil at LAM."""
+    out = []
+    for doc in fixture_docs.values():
+        game, _, _ = affine_normalize(doc.game)
+        if is_absorbing(game):
+            pencil = live_pencil(AbsorbingGame(game), LAM)
+        else:
+            pencil = build_pencil(game, 1, LAM)
+        out += [pencil.scaled_at(z) for z in (Fraction(1, 3), Fraction(1, 2), Fraction(55, 128))]
+    return out
+
+
+class TestPivotRule:
+    """Dantzig's entering rule with Bland's after a degenerate pivot, against pure Bland."""
+
+    def test_degenerate_pivot_falls_back_to_bland(self):
+        sol = solve_matrix_game(DEGENERATE)
+        assert sol.value == 0
+        assert sol.x_opt == (0, 1)
+        assert sol.y_opt == (0, 1, 0, 0)
+        assert_solution_certifies(DEGENERATE, sol)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(payoff_matrices, wide_payoff_matrices))
+    @example(BLAND_TIE)
+    @example(NONPOSITIVE)
+    @example(DEGENERATE)
+    def test_values_match_the_bland_loop(self, m):
+        rows = integer_rows(m)
+        num, total = bland_value_ratio(rows)
+        assert matrix_game_value(rows) == Fraction(num, total)
+        assert matrix_game_sign(rows) == sign(num)
+        scale = math.lcm(*(x.denominator for row in m.rows for x in row))
+        sol = solve_matrix_game(m)
+        assert sol.value == Fraction(num, total * scale)
+        assert_solution_certifies(m, sol)
+
+    @settings(max_examples=80, deadline=None)
+    @given(germ_matrices)
+    def test_germ_signs_and_values_match_the_bland_loop(self, rows):
+        num, total = matrixgame._value_ratio(rows)
+        ref_num, ref_total = bland_value_ratio(rows)
+        assert matrix_game_sign(rows) == sign(ref_num)
+        assert num * ref_total == ref_num * total
+
+    def test_pencil_germ_grids_match_the_bland_loop(self, pencil_germ_grids):
+        for rows in pencil_germ_grids:
+            num, total = matrixgame._value_ratio(rows)
+            ref_num, ref_total = bland_value_ratio(rows)
+            assert matrix_game_sign(rows) == sign(ref_num)
+            assert num * ref_total == ref_num * total
 
 
 class TestShapleySnow:

@@ -299,6 +299,7 @@ coefficients = st.lists(
     st.one_of(st.integers(-9, 9), st.integers(-(2**70), 2**70)), max_size=6
 )
 polys = coefficients.map(IntPoly)
+constants = st.one_of(st.integers(-(2**70), 2**70), st.integers(-9, 9).map(lambda k: IntPoly((k,))))
 
 
 def at(p: IntPoly, x):
@@ -337,6 +338,17 @@ class TestIntPoly:
         if b:
             assert (a * b) // b == a
             assert (a * b) // IntPoly(b.coeffs) == a
+
+    @given(polys, constants, st.integers(-5, 5))
+    def test_constant_operands(self, a, c, x):
+        # an int or a constant germ scales the coefficients, both ways round
+        k = c.coeff(0) if isinstance(c, IntPoly) else c
+        assert at(a * c, x) == at(c * a, x) == at(a, x) * k
+        if k:
+            assert (a * c) // c == a
+            if k not in (1, -1):
+                with pytest.raises(ArithmeticError):
+                    (a * c + 1) // c
 
     def test_inexact_division_raises(self):
         with pytest.raises(ArithmeticError):

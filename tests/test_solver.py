@@ -219,6 +219,19 @@ class TestLimitValue:
             anchored = anchored_limit_value(game, k, 8)
             assert exact == anchored, (trial, exact, anchored)
 
+    def test_four_state_pin(self):
+        # recorded under the pure Bland pivot loop, which took about 90 s on a
+        # 2-vCPU VM; with Dantzig's entering rule it takes 1-2 s there
+        result = limit_value(rand_game(random.Random(4), 4, 2, 2), 1, 10)
+        assert (result.value_estimate, result.radius) == (Fraction(-2073, 4096), Fraction(3, 4096))
+        assert result.trace == (
+            (Fraction(1, 2), -1), (Fraction(1, 4), 1), (Fraction(3, 8), 1),
+            (Fraction(7, 16), -1), (Fraction(13, 32), 1), (Fraction(27, 64), -1),
+            (Fraction(53, 128), 1), (Fraction(107, 256), -1), (Fraction(213, 512), -1),
+            (Fraction(425, 1024), 1), (Fraction(851, 2048), 1), (Fraction(1703, 4096), -1),
+            (Fraction(3405, 8192), 1),
+        )
+
 
 class TestLambdaRExponent:
     def test_monotone_in_precision(self, fixture_docs):
