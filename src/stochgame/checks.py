@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
-from .gamecore import Game, StationaryStrategy, expected_reward, transition_matrix
+from .gamecore import Game, StationaryStrategy
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `checks.solve_matrix_game` by name
 from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
@@ -102,17 +102,19 @@ def _check_denominator_bound(
 def _mixed_determinants(game: Game, x: StationaryStrategy, j_vec, k: int, lam: Fraction):
     """(Cramer numerator, system determinant) of the mixed chain (Id - (1-lam) Q, lam g).
 
-    Row l times b*m_l, for lam = a/b and m_l the lcm of the denominators
-    of Q's row l and of g_l, is an integer row, read from the rational
-    chain data rather than the pencils' integer form; `int_det` takes both
-    determinants over those rows, and each is divided by the product of
-    the multipliers.
+    Row l of Q and g_l mix column j_vec[l] of state l + 1's rational
+    transitions and rewards by x's row l, read from the rational data
+    rather than the pencils' integer form.  Row l times b*m_l, for
+    lam = a/b and m_l the lcm of the denominators of Q's row l and of
+    g_l, is an integer row; `int_det` takes both determinants over those
+    rows, and each is divided by the product of the multipliers.
     """
-    y = StationaryStrategy.pure(j_vec, game.n_actions2)
     a, b = lam.numerator, lam.denominator
     system, cramer, area = [], [], 1
-    for l, (q_row, g_l) in enumerate(zip(transition_matrix(game, x, y).rows,
-                                         expected_reward(game, x, y))):
+    for l, (x_l, j) in enumerate(zip(x.rows, j_vec)):
+        dists = [row[j] for row in game.transitions[l]]
+        q_row = [sum(w * dist[t] for w, dist in zip(x_l, dists)) for t in range(game.n_states)]
+        g_l = sum(w * row[j] for w, row in zip(x_l, game.rewards[l]))
         m = math.lcm(g_l.denominator, *(p.denominator for p in q_row))
         row = [(b * m if t == l else 0) - (b - a) * (m // p.denominator * p.numerator)
                for t, p in enumerate(q_row)]

@@ -16,7 +16,8 @@ scaled by a positive integer, as the oracle and the pencil build them)
 and returns only its exact value, pivoting only if it has no saddle point.
 `matrix_game_sign` runs the same loop over any ordered ring with exact
 division and returns only the sign of the value; over `ratlinalg.IntPoly`
-germs that is the sign for every small enough discount rate.
+germs that is the sign for every small enough discount rate, and each row
+update is one fused `ratlinalg.bareiss_row` step.
 `shapley_snow_value` recomputes the value by enumerating
 square kernels and certifying one, which serves as an independent
 cross-check of the LP throughout the test suite.
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlinalg import RatMatrix, int_adjugate, sign
+from .ratlinalg import IntPoly, RatMatrix, bareiss_row, int_adjugate, sign
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,11 @@ class SnowCertificate:
     y_opt: tuple[Fraction, ...]
 
 
+def _int_row(row, pivot_row, piv, f, det) -> list[int]:
+    """The Sylvester/Bareiss row step (x*piv - f*y) // det on integers."""
+    return [(x * piv - f * y) // det for x, y in zip(row, pivot_row)]
+
+
 def _simplex(rows: list[list], scale) -> tuple:
     """Fraction-free simplex on the tableau [rows | I | scale].
 
@@ -70,7 +76,10 @@ def _simplex(rows: list[list], scale) -> tuple:
     determinant, always positive), so all signs and comparisons agree with
     a rational tableau.  Each non-pivot row, the cost row included, is
     updated to (x * piv - f * y) // det_prev, an exact division by
-    Sylvester's identity; the pivot row is left unchanged.
+    Sylvester's identity; the pivot row is left unchanged.  The ring is
+    read once, from the first entry of `rows`: a germ tableau updates its
+    rows by `ratlinalg.bareiss_row`, one `IntPoly` per entry, and an
+    integer tableau by `_int_row`.
 
     The entering column is Dantzig's: the most negative reduced cost, ties
     to the lowest index.  From the first degenerate pivot (its pivot row
@@ -87,6 +96,7 @@ def _simplex(rows: list[list], scale) -> tuple:
     basis = list(range(q, q + p))
     det = 1
     bland = False
+    step = bareiss_row if isinstance(rows[0][0], IntPoly) else _int_row
 
     while True:
         negative = [j for j in range(q + p) if cost[j] < 0]
@@ -113,10 +123,8 @@ def _simplex(rows: list[list], scale) -> tuple:
         bland = bland or not pivot_row[-1]
         for i in range(p):
             if i != leave:
-                f = tableau[i][enter]
-                tableau[i] = [(x * piv - f * y) // det for x, y in zip(tableau[i], pivot_row)]
-        f = cost[enter]
-        cost = [(x * piv - f * y) // det for x, y in zip(cost, pivot_row)]
+                tableau[i] = step(tableau[i], pivot_row, piv, tableau[i][enter], det)
+        cost = step(cost, pivot_row, piv, cost[enter], det)
         det = piv
         basis[leave] = enter
 

@@ -51,6 +51,7 @@ from .ratlinalg import (  # noqa: F401
     RatMatrix,
     RationalLike,
     bareiss_eliminate,
+    bareiss_row,
     det,
     int_det,
     to_fraction,
@@ -194,12 +195,20 @@ class GamePencil:
         return len(self.numerators[0])
 
     def scaled_at(self, z: RationalLike) -> list[list]:
-        """Entries q*N - p*D at z = p/q: the matrix at z times q*scale > 0."""
+        """Entries q*N - p*D at z = p/q: the matrix at z times q*scale > 0.
+
+        On germ grids (read from the first numerator) this is the Bareiss
+        row step with det = 1, so each row is one `ratlinalg.bareiss_row`
+        call (one `IntPoly` per entry); integer grids take the plain
+        integer expression.
+        """
         z = to_fraction(z)
         p, q = z.numerator, z.denominator
+        rows = zip(self.numerators, self.denominators)
+        if isinstance(self.numerators[0][0], IntPoly):
+            return [bareiss_row(num_row, den_row, q, p, 1) for num_row, den_row in rows]
         return [
-            [q * num - p * den for num, den in zip(num_row, den_row)]
-            for num_row, den_row in zip(self.numerators, self.denominators)
+            [q * num - p * den for num, den in zip(num_row, den_row)] for num_row, den_row in rows
         ]
 
     def value_at(self, z: RationalLike) -> Fraction:

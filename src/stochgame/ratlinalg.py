@@ -6,8 +6,12 @@ and gcd(|numerator|, denominator) = 1 after each operation.  This module
 adds strict text parsing, correctly rounded decimal rendering, and small
 dense matrices with exact determinants and linear solves.  `IntPoly` is
 the one other number type: an integer polynomial in the discount rate,
-ordered by its sign as the rate tends to 0.  There is no floating point
-anywhere; zero tests are exact.
+ordered by its sign as the rate tends to 0.  `bareiss_row` is the
+Sylvester/Bareiss row step (x*piv - f*y) // det over those germs, fused
+on coefficient lists; the germ pencils (`bareiss_eliminate` at `LAM`),
+their entries at z and the germ simplex tableaux all update through it,
+while integer matrices keep the plain integer step.  There is no
+floating point anywhere; zero tests are exact.
 """
 
 from __future__ import annotations
@@ -236,7 +240,9 @@ class IntPoly:
         return 1
 
     def order(self) -> int:
-        """Index of the lowest-order nonzero coefficient (none for zero)."""
+        """Index of the lowest-order nonzero coefficient; ValueError for zero."""
+        if not self.coeffs:
+            raise ValueError("the zero polynomial IntPoly(()) has no order")
         return _order(self.coeffs)
 
     def coeff(self, i: int) -> int:
@@ -287,40 +293,10 @@ class IntPoly:
     __rmul__ = __mul__
 
     def __floordiv__(self, other) -> "IntPoly":
-        rem, div = self.coeffs, _coeffs(other)
+        div = _coeffs(other)
         if not div:
             raise ZeroDivisionError("IntPoly division by zero")
-        if not rem or div == (1,):
-            return self
-        if len(div) == 1:
-            # a constant divisor divides each coefficient
-            c = div[0]
-            quot = []
-            for x in rem:
-                q, r = divmod(x, c)
-                if r:
-                    raise ArithmeticError("inexact IntPoly division")
-                quot.append(q)
-            return _wrap(tuple(quot))
-        # long division from the top, on the parts above the lowest terms
-        shift = _order(div)
-        if _order(rem) < shift:
-            raise ArithmeticError("inexact IntPoly division")
-        rem, div = list(rem[shift:]), div[shift:]
-        top = len(div) - 1
-        lead = div[top]
-        quot = [0] * max(len(rem) - top, 0)
-        for i in range(len(quot) - 1, -1, -1):
-            q, r = divmod(rem[i + top], lead)
-            if r:
-                raise ArithmeticError("inexact IntPoly division")
-            if q:
-                quot[i] = q
-                for j, d in enumerate(div, i):
-                    rem[j] -= q * d
-        if any(rem):
-            raise ArithmeticError("inexact IntPoly division")
-        return _wrap(tuple(quot))
+        return _wrap(_quotient(self.coeffs, div))
 
     def __rfloordiv__(self, other) -> "IntPoly":
         return _wrap(_coeffs(other)) // self
@@ -393,6 +369,90 @@ def _sum(a: tuple, b: tuple, f: int) -> IntPoly:
     return _wrap(tuple(out))
 
 
+def _quotient(num, div: tuple) -> tuple:
+    """Exact quotient of trimmed coefficient sequences, div nonzero.
+
+    Raises ArithmeticError if a remainder is left.  A constant divisor
+    divides each coefficient; any other is divided out by long division
+    from the top, on the parts above the lowest terms.
+    """
+    if len(div) == 1:
+        c = div[0]
+        if c == 1:
+            return tuple(num)
+        quot = []
+        for x in num:
+            q, r = divmod(x, c)
+            if r:
+                raise ArithmeticError("inexact IntPoly division")
+            quot.append(q)
+        return tuple(quot)
+    if not num:
+        return ()
+    shift = _order(div)
+    if _order(num) < shift:
+        raise ArithmeticError("inexact IntPoly division")
+    rem, div = list(num[shift:]), div[shift:]
+    top = len(div) - 1
+    lead = div[top]
+    quot = [0] * max(len(rem) - top, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        q, r = divmod(rem[i + top], lead)
+        if r:
+            raise ArithmeticError("inexact IntPoly division")
+        if q:
+            quot[i] = q
+            for j, d in enumerate(div, i):
+                rem[j] -= q * d
+    if any(rem):
+        raise ArithmeticError("inexact IntPoly division")
+    return tuple(quot)
+
+
+def bareiss_row(row, pivot_row, piv, f, det) -> list[IntPoly]:
+    """The Sylvester/Bareiss row step over germs, one `IntPoly` per entry.
+
+    Returns [(x*piv - f*y) // det for x, y in zip(row, pivot_row)] for
+    entries that are `IntPoly` germs or ints (the result holds germs).
+    Both products accumulate into one coefficient list, skipping zero
+    entries and zero coefficients, and one exact division by det follows;
+    it raises ArithmeticError if a remainder is left.  Each caller picks
+    the ring once, by whether the first entry of its grid is an `IntPoly`,
+    and runs the plain expression on integer grids.
+    """
+    dc = _coeffs(det)
+    if not dc:
+        raise ZeroDivisionError("IntPoly division by zero")
+    pc, fc = _coeffs(piv), _coeffs(f)
+    # the nonzero terms (power, coefficient) of the two fixed factors
+    p_terms = [(j, c) for j, c in enumerate(pc) if c]
+    f_terms = [(j, c) for j, c in enumerate(fc) if c]
+    p_len, f_len = len(pc) - 1, len(fc) - 1
+    out = []
+    for x, y in zip(row, pivot_row):
+        xc = x.coeffs if isinstance(x, IntPoly) else ((x,) if x else ())
+        yc = y.coeffs if isinstance(y, IntPoly) else ((y,) if y else ())
+        # coefficients of x*piv - f*y, 0 when both products vanish
+        size = max(len(xc) + p_len if xc and p_terms else 0,
+                   len(yc) + f_len if yc and f_terms else 0)
+        if not size:
+            out.append(_ZERO)
+            continue
+        acc = [0] * size
+        for i, a in enumerate(xc):
+            if a:
+                for j, c in p_terms:
+                    acc[i + j] += a * c
+        for i, a in enumerate(yc):
+            if a:
+                for j, c in f_terms:
+                    acc[i + j] -= a * c
+        while acc and not acc[-1]:
+            acc.pop()
+        out.append(_wrap(_quotient(acc, dc)) if acc else _ZERO)
+    return out
+
+
 LAM = IntPoly((0, 1))
 
 
@@ -404,10 +464,14 @@ def bareiss_eliminate(a: list[list[int]], s: int) -> int:
     is the determinant of the rows 0..s-1 and i of the row-swapped matrix
     restricted to the columns 0..s-1 and j; every division is exact, on
     bordered columns beyond the square part too, which keeps intermediate
-    entries at minor-sized bit growth.
+    entries at minor-sized bit growth.  A matrix whose top-left entry is
+    an `IntPoly` (the germ pencils at `LAM` hold germs throughout) takes
+    each row step as one `bareiss_row` call; any other keeps the plain
+    update, which is exact over germs too.
     """
     n = len(a)
     width = len(a[0])
+    germs = isinstance(a[0][0], IntPoly)
     flips = 1
     prev = 1
     for k in range(s):
@@ -421,11 +485,15 @@ def bareiss_eliminate(a: list[list[int]], s: int) -> int:
                 return 0
         pivot = a[k][k]
         row_k = a[k]
+        tail_k = row_k[k + 1 :]
         for i in range(k + 1, n):
             row_i = a[i]
             head = row_i[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
+            if germs:
+                row_i[k + 1 :] = bareiss_row(row_i[k + 1 :], tail_k, pivot, head, prev)
+            else:
+                for j in range(k + 1, width):
+                    row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
     return flips

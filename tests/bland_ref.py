@@ -5,12 +5,19 @@ cost) and falls back to Bland's rule after a degenerate pivot.  The loop
 it replaced entered by Bland's rule throughout, with the same Bareiss
 updates and the same leaving rule; it stays here as an independent
 reference for the signs and values over any ordered ring with exact
-division (ints, or `ratlinalg.IntPoly` germs).
+division (ints, or `ratlinalg.IntPoly` germs).  Its row update is the
+plain expression `plain_row`, which also serves as the reference for the
+fused germ step `ratlinalg.bareiss_row`.
 """
 
 from __future__ import annotations
 
 from stochgame.matrixgame import _shift
+
+
+def plain_row(row, pivot_row, piv, f, det) -> list:
+    """The Sylvester/Bareiss row step by the ring's own operators."""
+    return [(x * piv - f * y) // det for x, y in zip(row, pivot_row)]
 
 
 def bland_simplex(rows: list[list], scale) -> tuple:
@@ -39,10 +46,8 @@ def bland_simplex(rows: list[list], scale) -> tuple:
         piv = pivot_row[enter]
         for i in range(p):
             if i != leave:
-                f = tableau[i][enter]
-                tableau[i] = [(x * piv - f * y) // det for x, y in zip(tableau[i], pivot_row)]
-        f = cost[enter]
-        cost = [(x * piv - f * y) // det for x, y in zip(cost, pivot_row)]
+                tableau[i] = plain_row(tableau[i], pivot_row, piv, tableau[i][enter], det)
+        cost = plain_row(cost, pivot_row, piv, cost[enter], det)
         det = piv
         basis[leave] = enter
 

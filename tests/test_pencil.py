@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stochgame.absorbing import AbsorbingGame, is_absorbing, live_pencil
 from stochgame.errors import ResourceCapError
 from stochgame.gamecore import Game, StationaryStrategy, discounted_payoff
 from stochgame.matrixgame import solve_matrix_game
@@ -20,6 +21,7 @@ from stochgame.pencil import (
 )
 from stochgame.ratlinalg import LAM, RatMatrix, det
 
+from bland_ref import plain_row
 from gens import rand_game, rand_profile, rand_stochastic_matrix, rand_strategy
 from pencil_refs import kronecker_by_permutations, two_pass_dets
 
@@ -413,3 +415,30 @@ class TestAgainstKeptReferences:
         assert den == ints.scale
         g = game.rewards[0][0][1]
         assert Fraction(num, ints.scale) == g
+
+
+class TestGermScaledAt:
+    """The fused germ step in `scaled_at` against the plain q*num - p*den."""
+
+    ZS = (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(5, 2), Fraction(2**40 + 1, 2**41))
+
+    @staticmethod
+    def plain_at(pencil, z):
+        return [plain_row(num_row, den_row, z.denominator, z.numerator, 1)
+                for num_row, den_row in zip(pencil.numerators, pencil.denominators)]
+
+    def test_profile_pencils(self, fixture_docs):
+        for doc in fixture_docs.values():
+            game = doc.game
+            for k in range(1, game.n_states + 1):
+                pencil = build_pencil(game, k, LAM)
+                for z in self.ZS:
+                    assert pencil.scaled_at(z) == self.plain_at(pencil, z)
+
+    def test_live_pencils(self, fixture_docs):
+        games = [doc.game for doc in fixture_docs.values() if is_absorbing(doc.game)]
+        assert games
+        for game in games:
+            pencil = live_pencil(AbsorbingGame.from_game(game), LAM)
+            for z in self.ZS:
+                assert pencil.scaled_at(z) == self.plain_at(pencil, z)

@@ -9,6 +9,7 @@ from stochgame.ratlinalg import (
     LAM,
     IntPoly,
     RatMatrix,
+    bareiss_row,
     ceil_log2,
     det,
     format_decimal,
@@ -21,6 +22,7 @@ from stochgame.ratlinalg import (
     to_fraction,
 )
 
+from bland_ref import plain_row
 from gens import rand_fraction, rand_matrix
 from pencil_refs import kron
 
@@ -319,6 +321,10 @@ class TestIntPoly:
         assert 2 - LAM == IntPoly((2, -1)) and 3 * LAM == LAM * 3 == IntPoly((0, 3))
         assert IntPoly((0, 0, 7, 1)).order() == 2 and IntPoly((1, 2)).coeff(5) == 0
 
+    def test_zero_has_no_order(self):
+        with pytest.raises(ValueError, match="zero polynomial"):
+            IntPoly(()).order()
+
     @given(polys, polys, polys)
     def test_ring_laws(self, a, b, c):
         assert a + b == b + a and a * b == b * a
@@ -383,3 +389,61 @@ class TestIntPoly:
         expected = int_det([[at(p, x) for p in row] for row in m])
         assert at(IntPoly(()) + int_det([list(row) for row in m]), x) == expected
 
+
+
+# entries of a row step: zero, constants, germs of positive order, negative
+# coefficients, and plain ints of both sizes
+step_entries = st.one_of(
+    polys,
+    coefficients.map(lambda c: IntPoly([0, 0] + c)),
+    st.integers(-9, 9),
+    st.integers(-(2**70), 2**70),
+)
+
+
+def leibniz3(m):
+    """3x3 determinant by the six-term expansion, in the entries' own ring."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+class TestBareissRow:
+    @given(st.lists(st.tuples(step_entries, step_entries), max_size=6),
+           step_entries, step_entries, step_entries)
+    def test_matches_the_plain_expression(self, pairs, piv, f, det):
+        # scaling both rows by det makes every division exact
+        if not det:
+            det = 1
+        row = [x * det for x, _ in pairs]
+        pivot_row = [y * det for _, y in pairs]
+        got = bareiss_row(row, pivot_row, piv, f, det)
+        assert got == plain_row(row, pivot_row, piv, f, det)
+        assert all(isinstance(x, IntPoly) for x in got)
+
+    @pytest.mark.parametrize("m", [
+        [[2 + LAM, 3, 1 + LAM], [1, LAM, 3], [LAM, 1, 2]],
+        [[2, 3, 5], [3, 7, 11], [5, 13, 17]],
+    ])
+    def test_two_steps_give_the_determinant(self, m):
+        first = [bareiss_row(row[1:], m[0][1:], m[0][0], row[0], 1) for row in m[1:]]
+        (piv, *upper), (f, *lower) = first
+        # the second step divides by the first pivot, which divides neither
+        # product on its own, only their difference
+        for product in (lower[0] * piv, f * upper[0]):
+            with pytest.raises(ArithmeticError):
+                product // m[0][0]
+        (last,) = bareiss_row(lower, upper, piv, f, m[0][0])
+        assert last == leibniz3(m)
+        for t in range(-3, 4):
+            ints = [[at(IntPoly(()) + x, t) for x in row] for row in m]
+            assert at(last, t) == int_det(ints)
+
+    def test_inexact_division_raises(self):
+        with pytest.raises(ArithmeticError):
+            bareiss_row([1, 2], [0, 0], 1, 0, 2)
+        with pytest.raises(ArithmeticError):
+            bareiss_row([LAM + 1], [LAM], 1, 1, LAM)
+        with pytest.raises(ArithmeticError):
+            bareiss_row([LAM * LAM + 1], [0], 1, 0, LAM + 1)
+        with pytest.raises(ZeroDivisionError):
+            bareiss_row([LAM], [1], 1, 1, IntPoly(()))
