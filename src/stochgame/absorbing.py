@@ -65,14 +65,12 @@ class AbsorbingGame:
 
     @cached_property
     def absorbed_values(self) -> tuple[Fraction, ...]:
-        """Computed on first use and kept: each identity check reads them twice."""
+        """Values of the absorbed states 2..n (their reward-matrix values).
+
+        Computed on first use and kept: each identity check reads them twice.
+        """
         big_l = self.game.denominator_lcm()
         return tuple(matrix_game_value(rows) / big_l for rows in self.game.int_rewards[1:])
-
-
-def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:
-    """Values of the absorbed states 2..n (their reward-matrix values), computed once per game."""
-    return ab.absorbed_values
 
 
 def live_pencil(ab: AbsorbingGame, lam: Fraction | IntPoly) -> GamePencil:
@@ -86,7 +84,7 @@ def live_pencil(ab: AbsorbingGame, lam: Fraction | IntPoly) -> GamePencil:
     both grids are germs in lam.
     """
     game = ab.game
-    (grid,), scale = _one_shot_grids(game, lam, (0,) + absorbed_values(ab), (0,))
+    (grid,), scale = _one_shot_grids(game, lam, (0,) + ab.absorbed_values, (0,))
     cd = (lam.denominator - lam.numerator) * (scale // (lam.denominator * game.denominator_lcm()))
     return GamePencil(
         numerators=tuple(map(tuple, grid)),
@@ -128,7 +126,7 @@ def value_reduced_game(ab: AbsorbingGame) -> Game:
     action (the absorption weights are nonnegative).
     """
     game = ab.game
-    values = absorbed_values(ab)
+    values = ab.absorbed_values
     rewards = (game.rewards[0],) + tuple(
         tuple(tuple(values[l - 1] for _ in row) for row in game.rewards[l])
         for l in range(1, game.n_states)

@@ -9,7 +9,7 @@ whole objects from the run's integer pencils (`GamePencil`):
   and 1/10 against lam**n times the scale, so every profile pair;
 - multilinearity: one column of each grid, weighted by a mixed strategy
   of player 1, against the mixed chain's determinants (from the rational
-  chain data, each row cleared of its own denominators), numerator and
+  chain data, each row mixed over one integer scale), numerator and
   denominator separately, so no z is drawn;
 - strict decrease and root: exact values (`GamePencil.value_at`) at seeded
   z, and signs at the oracle value taken as the bisections take them;
@@ -104,23 +104,32 @@ def _mixed_determinants(game: Game, x: StationaryStrategy, j_vec, k: int, lam: F
 
     Row l of Q and g_l mix column j_vec[l] of state l + 1's rational
     transitions and rewards by x's row l, read from the rational data
-    rather than the pencils' integer form.  Row l times b*m_l, for
-    lam = a/b and m_l the lcm of the denominators of Q's row l and of
-    g_l, is an integer row; `int_det` takes both determinants over those
-    rows, and each is divided by the product of the multipliers.
+    rather than the pencils' integer form, over one integer scale: for
+    lam = a/b, mx the lcm of the denominators of x's row l and mp that of
+    the column's transitions and rewards, row l times b*mx*mp is the
+    integer row b*mx*mp*[t == l] - (b-a) * sum_i (mx x_i)(mp q_i), and its
+    Cramer entry a * sum_i (mx x_i)(mp g_i).  `int_det` takes both
+    determinants over those rows, and each is divided by the product of
+    the row scales.
     """
     a, b = lam.numerator, lam.denominator
     system, cramer, area = [], [], 1
     for l, (x_l, j) in enumerate(zip(x.rows, j_vec)):
         dists = [row[j] for row in game.transitions[l]]
-        q_row = [sum(w * dist[t] for w, dist in zip(x_l, dists)) for t in range(game.n_states)]
-        g_l = sum(w * row[j] for w, row in zip(x_l, game.rewards[l]))
-        m = math.lcm(g_l.denominator, *(p.denominator for p in q_row))
-        row = [(b * m if t == l else 0) - (b - a) * (m // p.denominator * p.numerator)
-               for t, p in enumerate(q_row)]
+        rewards = [row[j] for row in game.rewards[l]]
+        mx = math.lcm(*(w.denominator for w in x_l))
+        mp = math.lcm(*(g.denominator for g in rewards), *(p.denominator for d in dists for p in d))
+        # the nonzero weights times mx, each with its action's scaled column
+        mixed = [(mx // w.denominator * w.numerator, d, g)
+                 for w, d, g in zip(x_l, dists, rewards) if w]
+        m = b * mx * mp
+        row = [(m if t == l else 0)
+               - (b - a) * sum(w * (mp // d[t].denominator * d[t].numerator) for w, d, _ in mixed)
+               for t in range(game.n_states)]
         system.append(row)
-        cramer.append(row[: k - 1] + [a * (m // g_l.denominator * g_l.numerator)] + row[k:])
-        area *= b * m
+        g_l = sum(w * (mp // g.denominator * g.numerator) for w, _, g in mixed)
+        cramer.append(row[: k - 1] + [a * g_l] + row[k:])
+        area *= m
     return Fraction(int_det(cramer), area), Fraction(int_det(system), area)
 
 

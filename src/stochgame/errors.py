@@ -22,6 +22,3 @@ class GameFileError(GameValidationError):
 class ResourceCapError(RuntimeError):
     """A pure-profile payoff matrix would exceed the configured entry cap."""
 
-
-class SingularMatrixError(ArithmeticError):
-    """Exact linear solve against a singular matrix."""

@@ -3,9 +3,11 @@
 A game has states 1..n (state parameters in the public API are 1-based,
 matching the file format; tuples are indexed 0-based internally), global
 action sets for both players, a reward tensor and an exactly stochastic
-transition kernel.  Stationary strategies (`StationaryStrategy.pure` for
-pure ones) induce a Markov chain whose transition matrix, expected
-rewards, linear system and discounted payoffs are computed exactly here.
+transition kernel, held once more as integers over the game's least
+common denominator.  A `StationaryStrategy` is one probability row per
+state; the Markov chain a pair of them induces, and its discounted
+payoffs, are computed in the test suite (`tests/chain_refs.py`), and
+`checks._mixed_determinants` mixes the chain rows it needs itself.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GameValidationError
-from .ratlinalg import RatMatrix, RationalLike, solve_linear, to_fraction
+from .ratlinalg import RationalLike, to_fraction
 
 
 def check_discount(lam: RationalLike) -> Fraction:
@@ -160,23 +162,6 @@ class StationaryStrategy:
     def __setattr__(self, name, value):
         raise AttributeError("StationaryStrategy is immutable")
 
-    @classmethod
-    def pure(cls, actions: Sequence[int], n_actions: int) -> "StationaryStrategy":
-        """Point mass on a 0-based action per state."""
-        rows = []
-        for l, a in enumerate(actions):
-            if not 0 <= a < n_actions:
-                raise GameValidationError(
-                    f"action {a} at state {l + 1} out of range 0..{n_actions - 1}"
-                )
-            rows.append([Fraction(int(c == a)) for c in range(n_actions)])
-        return cls(rows)
-
-    @classmethod
-    def uniform(cls, n_states: int, n_actions: int) -> "StationaryStrategy":
-        row = [Fraction(1, n_actions)] * n_actions
-        return cls([row] * n_states)
-
     @property
     def n_states(self) -> int:
         return len(self.rows)
@@ -189,82 +174,6 @@ class StationaryStrategy:
 
     def __repr__(self) -> str:
         return f"StationaryStrategy({[list(map(str, r)) for r in self.rows]})"
-
-
-def _check_pair(game: Game, x: StationaryStrategy, y: StationaryStrategy) -> None:
-    if x.n_states != game.n_states or y.n_states != game.n_states:
-        raise GameValidationError("strategy state count does not match the game")
-    if any(len(row) != game.n_actions1 for row in x.rows):
-        raise GameValidationError("player 1 strategy has wrong action count")
-    if any(len(row) != game.n_actions2 for row in y.rows):
-        raise GameValidationError("player 2 strategy has wrong action count")
-
-
-def transition_matrix(game: Game, x: StationaryStrategy, y: StationaryStrategy) -> RatMatrix:
-    """n x n chain transition matrix induced by stationary strategies."""
-    _check_pair(game, x, y)
-    out = []
-    for l in range(game.n_states):
-        q_l = game.transitions[l]
-        xr, yr = x.rows[l], y.rows[l]
-        row = [Fraction(0)] * game.n_states
-        for i, xi in enumerate(xr):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(yr):
-                w = xi * yj
-                if w == 0:
-                    continue
-                dist = q_l[i][j]
-                for t in range(game.n_states):
-                    row[t] += w * dist[t]
-        out.append(row)
-    return RatMatrix(out)
-
-
-def expected_reward(game: Game, x: StationaryStrategy, y: StationaryStrategy) -> tuple[Fraction, ...]:
-    """Per-state expected stage reward under stationary strategies."""
-    _check_pair(game, x, y)
-    out = []
-    for l in range(game.n_states):
-        g_l = game.rewards[l]
-        total = Fraction(0)
-        for i, xi in enumerate(x.rows[l]):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y.rows[l]):
-                total += xi * yj * g_l[i][j]
-        out.append(total)
-    return tuple(out)
-
-
-def chain_system(
-    game: Game, x: StationaryStrategy, y: StationaryStrategy, lam: RationalLike
-) -> tuple[RatMatrix, tuple[Fraction, ...]]:
-    """The chain's system (Id - (1-lam) Q, lam g); its solution is the payoff vector."""
-    lam = check_discount(lam)
-    q = transition_matrix(game, x, y)
-    g = expected_reward(game, x, y)
-    beta = 1 - lam
-    n = game.n_states
-    system = RatMatrix(
-        [
-            [Fraction(int(l == t)) - beta * q.rows[l][t] for t in range(n)]
-            for l in range(n)
-        ]
-    )
-    return system, tuple(lam * gv for gv in g)
-
-
-def discounted_payoff(
-    game: Game, x: StationaryStrategy, y: StationaryStrategy, lam: RationalLike
-) -> tuple[Fraction, ...]:
-    """Normalized discounted payoff vector: (Id - (1-lam) Q)^-1 lam g, exact.
-
-    The system matrix is invertible for every discount rate in (0, 1]
-    because Q is stochastic, so this never fails.
-    """
-    return solve_linear(*chain_system(game, x, y, lam))
 
 
 def affine_normalize(game: Game) -> tuple[Game, Fraction, Fraction]:

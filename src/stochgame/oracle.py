@@ -15,8 +15,8 @@ exact value from the one pivot loop and the oracle divides by the
 scale, with no Fraction matrix in between.  Iterates are snapped to a
 dyadic grid fine enough that the rounding is absorbed by the stopping
 certificate, because raw fixed-point iterates roughly double their bit
-size per step.  One-player games additionally get a brute-force
-reference over pure stationary strategies.
+size per step.  The exact one-player brute force that checks both
+bisections lives in the test suite (`tests/mdp_refs.py`).
 """
 
 from __future__ import annotations
@@ -26,19 +26,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import GameValidationError
-from .gamecore import (
-    Game,
-    StationaryStrategy,
-    check_discount,
-    discounted_payoff,
-)
+from .gamecore import Game, check_discount
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `oracle.solve_matrix_game` by name
 from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
-from .pencil import _IntegerSystem, player1_profiles, player2_profiles
-from .ratlinalg import (
-    LAM, IntPoly, RatMatrix, RationalLike, ceil_log2, simplest_between, to_fraction
-)
+from .ratlinalg import IntPoly, RationalLike, ceil_log2, simplest_between, to_fraction
 
 
 def _one_shot_grids(
@@ -64,16 +56,6 @@ def _one_shot_grids(
         for l in states
     ]
     return grids, lam.denominator * game.denominator_lcm() * d
-
-
-def shapley_auxiliary(
-    game: Game, lam: RationalLike, u: Sequence[RationalLike], state: int
-) -> RatMatrix:
-    """One-shot payoff matrix at a state: lam*g + (1-lam) * q . u."""
-    lam = check_discount(lam)
-    game.check_state(state)
-    (grid,), scale = _one_shot_grids(game, lam, u, (state - 1,))
-    return RatMatrix([[Fraction(x, scale) for x in row] for row in grid])
 
 
 def shapley_operator(
@@ -136,55 +118,3 @@ def value_iteration(
             exact = polish(u, bound)
             if exact is not None:
                 return exact
-
-
-def _best_pure(game: Game, payoff) -> Fraction:
-    """The free player's best payoff(i_vec, j_vec) over its pure profiles."""
-    fixed = (0,) * game.n_states
-    if game.n_actions2 == 1:
-        return max(payoff(i_vec, fixed) for i_vec in player1_profiles(game))
-    if game.n_actions1 == 1:
-        return min(payoff(fixed, j_vec) for j_vec in player2_profiles(game))
-    raise GameValidationError(
-        "brute force needs a one-player game (some side with a single action)"
-    )
-
-
-def mdp_brute_force(game: Game, k: int, lam: RationalLike) -> Fraction:
-    """Exact discounted value of a one-player game from state k.
-
-    Optimizes over pure stationary strategies of the free player, which
-    is exhaustive because one-player games admit pure optimal stationary
-    strategies.
-    """
-    lam = check_discount(lam)
-    game.check_state(k)
-
-    def payoff(i_vec, j_vec) -> Fraction:
-        x = StationaryStrategy.pure(i_vec, game.n_actions1)
-        y = StationaryStrategy.pure(j_vec, game.n_actions2)
-        return discounted_payoff(game, x, y, lam)[k - 1]
-
-    return _best_pure(game, payoff)
-
-
-def mdp_limit_brute_force(game: Game, k: int) -> Fraction:
-    """Exact vanishing-discount value of a one-player game from state k.
-
-    A pure profile's discounted payoff is N(lam) / D(lam), its Cramer
-    numerator over its system determinant as integer polynomials in lam
-    (the pencil's germs), so its limit as lam -> 0+ is N_s / D_s with s
-    the lowest order of D.  The free player's best limit is the limit
-    value: some pure stationary strategy is optimal at each discount rate
-    and there are finitely many, so the limit of the best is the best limit.
-    """
-    game.check_state(k)
-    ints = _IntegerSystem(game, LAM)
-
-    def limit(i_vec, j_vec) -> Fraction:
-        num, den = ints.dets(k, i_vec, j_vec)
-        s = den.order()
-        # a singular Cramer matrix gives a zero numerator (an int or IntPoly 0)
-        return Fraction(num.coeff(s), den.coeff(s)) if num else Fraction(0)
-
-    return _best_pure(game, limit)

@@ -53,7 +53,6 @@ from .ratlinalg import (  # noqa: F401
     bareiss_eliminate,
     bareiss_row,
     det,
-    int_det,
     to_fraction,
 )
 
@@ -108,10 +107,6 @@ class _IntegerSystem:
             for t, lq in enumerate(self.game.int_transitions[l][i][j])
         ]
 
-    def system(self, i_vec, j_vec) -> list[list]:
-        """Scaled system matrix of one profile pair."""
-        return [self._system_row(l, i, j) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
-
     def _bordered_row(self, k: int, l: int, i: int, j: int) -> list:
         row = self._rows.get((k, l, i, j))
         if row is None:
@@ -139,15 +134,7 @@ class _IntegerSystem:
 def payoff_denominator(game: Game, i_vec, j_vec, lam: RationalLike) -> Fraction:
     """det(Id - (1-lam) Q) for a pure profile; at least lam**n_states."""
     ints = _IntegerSystem(game, check_discount(lam))
-    return Fraction(int_det(ints.system(i_vec, j_vec)), ints.scale)
-
-
-def payoff_numerator(game: Game, k: int, i_vec, j_vec, lam: RationalLike) -> Fraction:
-    """Cramer numerator: column k of the system matrix replaced by lam * g."""
-    lam = check_discount(lam)
-    game.check_state(k)
-    ints = _IntegerSystem(game, lam)
-    return Fraction(ints.dets(k, i_vec, j_vec)[0], ints.scale)
+    return Fraction(ints.dets(1, i_vec, j_vec)[1], ints.scale)
 
 
 def _check_cap(game: Game, max_entries: int) -> tuple[int, int]:

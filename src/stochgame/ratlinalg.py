@@ -4,9 +4,9 @@ Every quantity in this package is a `fractions.Fraction`, which already
 guarantees the canonical form we rely on everywhere: positive denominator
 and gcd(|numerator|, denominator) = 1 after each operation.  This module
 adds strict text parsing, correctly rounded decimal rendering, and small
-dense matrices with exact determinants and linear solves.  `IntPoly` is
-the one other number type: an integer polynomial in the discount rate,
-ordered by its sign as the rate tends to 0.  `bareiss_row` is the
+dense matrices with exact determinants.  `IntPoly` is the one other
+number type: an integer polynomial in the discount rate, ordered by its
+sign as the rate tends to 0.  `bareiss_row` is the
 Sylvester/Bareiss row step (x*piv - f*y) // det over those germs, fused
 on coefficient lists; the germ pencils (`bareiss_eliminate` at `LAM`),
 their entries at z and the germ simplex tableaux all update through it,
@@ -20,8 +20,6 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-from .errors import SingularMatrixError
 
 RationalLike = Union[Fraction, int, str]
 
@@ -522,54 +520,3 @@ def det(m: RatMatrix) -> Fraction:
         a.append([int(x * mult) for x in row])
         scale *= mult
     return Fraction(int_det(a), scale)
-
-
-def int_adjugate(a: list[list[int]]) -> list[list[int]]:
-    """Adjugate of an integer matrix via Bareiss cofactor minors."""
-    n = len(a)
-    if n == 1:
-        return [[1]]
-    idx = range(n)
-    out = [[0] * n for _ in idx]
-    for i in idx:
-        rows = [a[r] for r in idx if r != i]
-        for j in idx:
-            cof = int_det([[row[c] for c in idx if c != j] for row in rows])
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
-
-
-def solve_linear(a: RatMatrix, b: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Exact solution of A x = b via Gaussian elimination.
-
-    Pivot rule: first nonzero entry in column order (exact arithmetic makes
-    the choice irrelevant to the result).  Raises SingularMatrixError when
-    no pivot exists.
-    """
-    if not a.is_square:
-        raise ValueError(f"linear solve needs a square matrix, got {a.shape}")
-    n = a.n_rows
-    rhs = [to_fraction(x) for x in b]
-    if len(rhs) != n:
-        raise ValueError(f"right-hand side length {len(rhs)} != size {n}")
-    rows = [list(row) for row in a.rows]
-    for k in range(n):
-        pivot_row = next((r for r in range(k, n) if rows[r][k] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"singular matrix: no pivot in column {k + 1}")
-        if pivot_row != k:
-            rows[k], rows[pivot_row] = rows[pivot_row], rows[k]
-            rhs[k], rhs[pivot_row] = rhs[pivot_row], rhs[k]
-        pivot = rows[k][k]
-        for i in range(k + 1, n):
-            factor = rows[i][k] / pivot
-            if factor == 0:
-                continue
-            for j in range(k, n):
-                rows[i][j] -= factor * rows[k][j]
-            rhs[i] -= factor * rhs[k]
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        acc = rhs[k] - sum(rows[k][j] * x[j] for j in range(k + 1, n))
-        x[k] = acc / rows[k][k]
-    return tuple(x)

@@ -15,7 +15,9 @@ them ordered by the sign of the lowest-order nonzero coefficient, which is
 the sign of a polynomial for every small enough lam > 0.  No discount rate
 is ever chosen, so no depth, window or cap enters the decision.  An exact
 zero moves both brackets, which collapses the interval onto an exact root
-when one is hit.
+when one is hit.  A single sign or value needs no wrapper: the limit sign
+at z is `matrix_game_sign(build_pencil(game, k, LAM).scaled_at(z))`, and
+the exact value at a rate is `build_pencil(game, k, lam).value_at(z)`.
 
 From state 1 of an absorbing game the same sign is read from state 1's
 |I| x |J| one-shot game minus z (Kohlberg's quotient, strictly decreasing
@@ -32,7 +34,9 @@ from fractions import Fraction
 from .absorbing import AbsorbingGame, is_absorbing, live_pencil
 from .errors import GameValidationError
 from .gamecore import Game, affine_normalize, check_discount
-from .matrixgame import matrix_game_sign, solve_matrix_game
+# `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
+# `solver.solve_matrix_game` by name
+from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
 from .pencil import DEFAULT_MAX_ENTRIES, _check_cap, build_pencil
 from .ratlinalg import LAM, IntPoly, RationalLike, ceil_log2
 
@@ -95,18 +99,6 @@ def _bisect(sign_at, r_eff: int, scale: Fraction, offset: Fraction) -> Bisection
     )
 
 
-def pencil_value(
-    game: Game,
-    k: int,
-    lam: RationalLike,
-    z: RationalLike,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
-) -> Fraction:
-    """Exact value of the profile matrix game at target z."""
-    pencil = build_pencil(game, k, lam, max_entries)
-    return solve_matrix_game(pencil.matrix_at(z)).value
-
-
 def _solve(
     game: Game, k: int, lam: Fraction | IntPoly, r: int, max_entries: int
 ) -> BisectionResult:
@@ -135,18 +127,6 @@ def discounted_value(
 ) -> BisectionResult:
     """Approximate the discounted value from state k within 2**-r."""
     return _solve(game, k, check_discount(lam), r, max_entries)
-
-
-def limit_sign(
-    game: Game, k: int, z: RationalLike, max_entries: int = DEFAULT_MAX_ENTRIES
-) -> int:
-    """Sign of val W(lam, z) as lam -> 0+: the vanishing-discount criterion at z.
-
-    The game is used as given: callers working on an arbitrary reward
-    scale should normalize first so z ranges over [0, 1].
-    """
-    pencil = build_pencil(game, k, LAM, max_entries)
-    return matrix_game_sign(pencil.scaled_at(z))
 
 
 def limit_value(

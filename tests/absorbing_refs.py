@@ -5,7 +5,7 @@ absorbed values from `Game.int_rewards`, the Kohlberg quotient from the
 Shapley operator and both pencil values from `GamePencil.value_at`.  The
 route it replaced stays here: each value from `solve_matrix_game` on a
 `RatMatrix` (the absorbed reward matrices, the one-shot matrix of
-`shapley_auxiliary`, and both pencils as `pencil_matrix` builds them), with
+`fraction_auxiliary`, and both pencils as `pencil_matrix` builds them), with
 block constancy checked entry by entry on the reduced pencil's Fractions.
 The value-reduced game comes from `absorbing.value_reduced_game`, looked up
 at call time, so a test that patches it patches both routes.
@@ -19,9 +19,10 @@ from stochgame import absorbing
 from stochgame.absorbing import AbsorbingGame, IdentityReport
 from stochgame.gamecore import check_discount
 from stochgame.matrixgame import solve_matrix_game
-from stochgame.oracle import shapley_auxiliary
 from stochgame.pencil import DEFAULT_MAX_ENTRIES, pencil_matrix
 from stochgame.ratlinalg import RatMatrix, to_fraction
+
+from test_oracle import fraction_auxiliary
 
 
 def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:
@@ -34,7 +35,7 @@ def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:
 def kohlberg_quotient(ab: AbsorbingGame, lam, z) -> Fraction:
     lam = check_discount(lam)
     z = to_fraction(z)
-    aux = shapley_auxiliary(ab.game, lam, (z,) + absorbed_values(ab), 1)
+    aux = fraction_auxiliary(ab.game, lam, (z,) + absorbed_values(ab), 0)
     return (solve_matrix_game(aux).value - z) / lam
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import build_pencil
 from stochgame.ratlinalg import sign
-from stochgame.solver import _bisect, _normalized, pencil_value
+from stochgame.solver import _bisect, _normalized
 
 WINDOW = 3
 
@@ -67,7 +67,7 @@ def shallow_ladder_sign(game, k: int, z, depth_cap: int = 64) -> tuple[int | Non
     run_sign: int | None = None
     run_length = 0
     for t in range(1, depth_cap + 1):
-        s = sign(pencil_value(game, k, Fraction(1, 2**t), z))
+        s = sign(build_pencil(game, k, Fraction(1, 2**t)).value_at(z))
         if s == run_sign:
             run_length += 1
         else:

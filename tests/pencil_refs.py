@@ -29,7 +29,7 @@ def cramer(ints, system: list[list], k: int, i_vec, j_vec) -> list[list]:
 
 def two_pass_dets(ints, k: int, i_vec, j_vec) -> tuple:
     """Scaled (Cramer numerator, system determinant) by two eliminations."""
-    system = ints.system(i_vec, j_vec)
+    system = [ints._system_row(l, i, j) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
     return int_det(cramer(ints, system, k, i_vec, j_vec)), int_det(system)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from stochgame.absorbing import (
     AbsorbingGame,
-    absorbed_values,
     is_absorbing,
     kohlberg_quotient,
     value_reduced_game,
@@ -13,15 +12,14 @@ from stochgame.absorbing import (
 )
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game
-from stochgame.matrixgame import solve_matrix_game
-from stochgame.oracle import shapley_auxiliary
+from stochgame.matrixgame import matrix_game_sign, solve_matrix_game
 from stochgame.pencil import build_pencil, pencil_matrix
-from stochgame.ratlinalg import RatMatrix
-from stochgame.solver import limit_sign
+from stochgame.ratlinalg import LAM, RatMatrix
 
 from gens import rand_absorbing_game
 
 from test_gamecore import one_state_game
+from test_oracle import fraction_auxiliary
 
 
 def absorbing_with_state2(rewards2) -> Game:
@@ -59,15 +57,15 @@ class TestStructure:
 class TestAbsorbedValues:
     def test_constant_one(self, fixture_docs):
         ab = AbsorbingGame.from_game(fixture_docs["big_match"].game)
-        assert absorbed_values(ab) == (1, 0)
+        assert ab.absorbed_values == (1, 0)
 
     def test_matching_pennies_absorbed_state(self):
         ab = AbsorbingGame.from_game(absorbing_with_state2([[1, -1], [-1, 1]]))
-        assert absorbed_values(ab) == (0,)
+        assert ab.absorbed_values == (0,)
 
     def test_hand_solved_absorbed_state(self):
         ab = AbsorbingGame.from_game(absorbing_with_state2([[3, 1], [0, 2]]))
-        assert absorbed_values(ab) == (Fraction(3, 2),)
+        assert ab.absorbed_values == (Fraction(3, 2),)
 
 
 class TestKohlbergQuotient:
@@ -140,8 +138,8 @@ class TestIdentity:
             ab = AbsorbingGame.from_game(game)
             n = game.n_states
             for lam, z in ((Fraction(1, 2), Fraction(1, 3)), (Fraction(1, 5), Fraction(3, 4))):
-                u = (z,) + absorbed_values(ab)
-                aux = shapley_auxiliary(game, lam, u, 1)
+                u = (z,) + ab.absorbed_values
+                aux = fraction_auxiliary(game, lam, u, 0)
                 shifted = aux + RatMatrix.constant(aux.n_rows, aux.n_cols, -z)
                 lhs = solve_matrix_game(pencil_matrix(game, 1, lam, z)).value
                 rhs = lam ** (n - 1) * solve_matrix_game(shifted).value
@@ -158,9 +156,10 @@ class TestIdentity:
     def test_sign_agreement_with_limit_sign(self, fixture_docs):
         game = fixture_docs["absorbing_mix"].game
         ab = AbsorbingGame.from_game(game)
+        germs = build_pencil(game, 1, LAM)
         for z in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
             quotient_signs = set()
             for t in range(8, 12):
                 q = kohlberg_quotient(ab, Fraction(1, 2**t), z)
                 quotient_signs.add((q > 0) - (q < 0))
-            assert quotient_signs == {limit_sign(game, 1, z)}
+            assert quotient_signs == {matrix_game_sign(germs.scaled_at(z))}

@@ -15,18 +15,18 @@ import pytest
 
 from stochgame.absorbing import AbsorbingGame, verify_kohlberg_identity
 from stochgame.gamecore import affine_normalize
-from stochgame.matrixgame import shapley_snow_value, solve_matrix_game
-from stochgame.oracle import mdp_limit_brute_force, shapley_operator, value_iteration
+from stochgame.matrixgame import matrix_game_sign, solve_matrix_game
+from stochgame.oracle import shapley_operator, value_iteration
 from stochgame.pencil import (
     build_pencil,
     pencil_matrix_kronecker,
     player1_profiles,
     profile_row_index,
 )
-from stochgame.ratlinalg import RatMatrix, det, sign
-from stochgame.solver import _normalized, discounted_value, limit_sign, limit_value
-from stochgame.gamecore import StationaryStrategy, expected_reward, transition_matrix
+from stochgame.ratlinalg import LAM, RatMatrix, det, sign
+from stochgame.solver import _normalized, discounted_value, limit_value
 
+from chain_refs import expected_reward, transition_matrix
 from conftest import ALL_FIXTURES
 from gens import (
     rand_absorbing_game,
@@ -38,6 +38,8 @@ from gens import (
     rand_strategy,
 )
 from ladder import anchor_pencils, anchor_rungs, anchored_sign, shallow_ladder_sign
+from mdp_refs import mdp_limit_brute_force, pure
+from snow_ref import shapley_snow_certificate
 
 SEED = 20260810
 ROOT_CHECK_LAMBDAS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 16))
@@ -116,7 +118,7 @@ def test_criterion_2_pencil_multilinearity():
             if weight:
                 mixed_entry += weight * matrix.entry(row, col)
         # independent route: determinants of the mixed-strategy chain
-        y = StationaryStrategy.pure(j_vec, n_j)
+        y = pure(j_vec, n_j)
         q = transition_matrix(game, x, y)
         g = expected_reward(game, x, y)
         system = RatMatrix(
@@ -274,7 +276,7 @@ def test_criterion_9_kernel_certificates(fixture_docs, root_oracle_data):
     failures = 0
     for _ in range(200):
         m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        if shapley_snow_value(m) != solve_matrix_game(m).value:
+        if shapley_snow_certificate(m).value != solve_matrix_game(m).value:
             failures += 1
     checked = 0
     for name in ALL_FIXTURES:
@@ -287,7 +289,7 @@ def test_criterion_9_kernel_certificates(fixture_docs, root_oracle_data):
                 continue
             for z, _ in entry["result"].trace:
                 w = pencil.matrix_at(z)
-                if shapley_snow_value(w) != solve_matrix_game(w).value:
+                if shapley_snow_certificate(w).value != solve_matrix_game(w).value:
                     failures += 1
                 checked += 1
             # matrices probed by the criterion-5 root-location checks
@@ -299,7 +301,7 @@ def test_criterion_9_kernel_certificates(fixture_docs, root_oracle_data):
                 spots = [z_star - ORACLE_TOL, z_star + ORACLE_TOL]
             for z in spots:
                 w = raw_pencil.matrix_at(z)
-                if shapley_snow_value(w) != solve_matrix_game(w).value:
+                if shapley_snow_certificate(w).value != solve_matrix_game(w).value:
                     failures += 1
                 checked += 1
     # profile matrices of the Big Match limit run (criterion 6), at the
@@ -311,7 +313,7 @@ def test_criterion_9_kernel_certificates(fixture_docs, root_oracle_data):
     for z, _ in lim.trace:
         w = rung.matrix_at(z)
         if w.n_rows <= 16 and w.n_cols <= 16:
-            if shapley_snow_value(w) != solve_matrix_game(w).value:
+            if shapley_snow_certificate(w).value != solve_matrix_game(w).value:
                 failures += 1
             checked += 1
     for lam in (Fraction(1, 2**4), Fraction(1, 2**8)):
@@ -319,7 +321,7 @@ def test_criterion_9_kernel_certificates(fixture_docs, root_oracle_data):
         pencil = build_pencil(nbm, 1, lam)
         for z, _ in disc.trace:
             w = pencil.matrix_at(z)
-            if shapley_snow_value(w) != solve_matrix_game(w).value:
+            if shapley_snow_certificate(w).value != solve_matrix_game(w).value:
                 failures += 1
             checked += 1
     elapsed = time.perf_counter() - start
@@ -365,8 +367,9 @@ def test_criterion_11_sign_stability(fixture_docs):
         game, _, _ = affine_normalize(fixture_docs[name].game)
         k = fixture_docs[name].initial_state or 1
         pencils = anchor_pencils(game, k, 4)
+        germs = build_pencil(game, k, LAM)
         for z in grid:
-            exact = limit_sign(game, k, z)
+            exact = matrix_game_sign(germs.scaled_at(z))
             if exact != anchored_sign(pencils, z):
                 mismatches.append((name, z))
             shallow, _ = shallow_ladder_sign(game, k, z, depth_cap=64)

@@ -7,11 +7,12 @@ import pytest
 
 from stochgame import absorbing, checks, pencil
 from stochgame.checks import run_invariant_checks
-from stochgame.gamecore import StationaryStrategy, chain_system
 from stochgame.pencil import DEFAULT_MAX_ENTRIES
 from stochgame.ratlinalg import det
 
+from chain_refs import chain_system
 from gens import rand_game, rand_profile, rand_strategy
+from mdp_refs import pure
 
 EXPECTED_NAMES = [
     "denominator-lower-bound",
@@ -149,7 +150,7 @@ def test_mixed_determinants_match_the_rational_route():
         j_vec = rand_profile(rng, n, game.n_actions2)
         k = rng.randint(1, n)
         lam = Fraction(rng.randint(1, 9), rng.randint(9, 12))
-        system, rhs = chain_system(game, x, StationaryStrategy.pure(j_vec, game.n_actions2), lam)
+        system, rhs = chain_system(game, x, pure(j_vec, game.n_actions2), lam)
         assert checks._mixed_determinants(game, x, j_vec, k, lam) == (
             det(system.replace_column(k, rhs)), det(system)
         ), trial

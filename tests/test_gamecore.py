@@ -4,19 +4,13 @@ from fractions import Fraction
 import pytest
 
 from stochgame.errors import GameValidationError
-from stochgame.gamecore import (
-    Game,
-    StationaryStrategy,
-    affine_normalize,
-    check_discount,
-    discounted_payoff,
-    expected_reward,
-    transition_matrix,
-)
-from stochgame.pencil import payoff_denominator, payoff_numerator
+from stochgame.gamecore import Game, StationaryStrategy, affine_normalize, check_discount
+from stochgame.pencil import build_pencil, payoff_denominator, profile_row_index
 from stochgame.ratlinalg import RatMatrix
 
+from chain_refs import discounted_payoff, expected_reward, transition_matrix
 from gens import rand_game, rand_profile, rand_strategy
+from mdp_refs import pure
 
 
 def cycle_game() -> Game:
@@ -28,10 +22,19 @@ def cycle_game() -> Game:
 
 
 def pure_pair(game: Game, i_vec, j_vec) -> tuple[StationaryStrategy, StationaryStrategy]:
-    return (
-        StationaryStrategy.pure(i_vec, game.n_actions1),
-        StationaryStrategy.pure(j_vec, game.n_actions2),
-    )
+    return pure(i_vec, game.n_actions1), pure(j_vec, game.n_actions2)
+
+
+def grid_numerator(game: Game, k: int, i_vec, j_vec, lam) -> Fraction:
+    """A profile pair's Cramer numerator, read from the pencil's numerator grid."""
+    pencil = build_pencil(game, k, lam)
+    r = profile_row_index(i_vec, game.n_actions1)
+    c = profile_row_index(j_vec, game.n_actions2)
+    return Fraction(pencil.numerators[r][c], pencil.scale)
+
+
+def uniform(n_states: int, n_actions: int) -> StationaryStrategy:
+    return StationaryStrategy([[Fraction(1, n_actions)] * n_actions] * n_states)
 
 
 def one_state_game(payoff_rows) -> Game:
@@ -77,9 +80,9 @@ class TestValidation:
         x, y = pure_pair(game, (0,), (1,))
         assert transition_matrix(game, x, y) == RatMatrix([[1]])
         with pytest.raises(GameValidationError, match="out of range"):
-            StationaryStrategy.pure((2,), game.n_actions1)
+            pure((2,), game.n_actions1)
         with pytest.raises(GameValidationError, match="state count"):
-            transition_matrix(game, StationaryStrategy.pure((0, 0), game.n_actions1), y)
+            transition_matrix(game, pure((0, 0), game.n_actions1), y)
 
     def test_strategy_game_shape_mismatch(self):
         game = one_state_game([[1, 0], [0, 1]])
@@ -97,13 +100,13 @@ class TestTransitionMatrix:
 
     def test_single_state(self):
         game = one_state_game([[1, 0], [0, 1]])
-        x = StationaryStrategy.uniform(1, 2)
+        x = uniform(1, 2)
         assert transition_matrix(game, x, x) == RatMatrix([[1]])
 
     def test_uniform_mixes_average_the_pure_kernels(self, fixture_docs):
         game = fixture_docs["two_state_2x2"].game
-        xu = StationaryStrategy.uniform(2, 2)
-        yu = StationaryStrategy.uniform(2, 2)
+        xu = uniform(2, 2)
+        yu = uniform(2, 2)
         # oracle: average the four pure-action rows per state by hand
         expected = []
         for l in range(2):
@@ -142,20 +145,20 @@ class TestExpectedReward:
 
     def test_uniform_average(self):
         game = one_state_game([[3, 1], [0, 2]])
-        u = StationaryStrategy.uniform(1, 2)
+        u = uniform(1, 2)
         assert expected_reward(game, u, u) == (Fraction(3, 2),)
 
 
 class TestDiscountedPayoff:
     def test_constant_single_state(self):
         game = one_state_game([["5/3"]])
-        x = StationaryStrategy.pure((0,), 1)
+        x = pure((0,), 1)
         for lam in (Fraction(1, 7), Fraction(1, 2), Fraction(1)):
             assert discounted_payoff(game, x, x, lam) == (Fraction(5, 3),)
 
     def test_cycle_hand_values(self):
         game = cycle_game()
-        x = StationaryStrategy.pure((0, 0), 1)
+        x = pure((0, 0), 1)
         assert discounted_payoff(game, x, x, Fraction(1, 2)) == (
             Fraction(2, 3),
             Fraction(1, 3),
@@ -193,7 +196,7 @@ class TestDiscountedPayoff:
             x, y = pure_pair(game, i_vec, j_vec)
             gamma = discounted_payoff(game, x, y, lam)
             for k in range(1, game.n_states + 1):
-                num = payoff_numerator(game, k, i_vec, j_vec, lam)
+                num = grid_numerator(game, k, i_vec, j_vec, lam)
                 den = payoff_denominator(game, i_vec, j_vec, lam)
                 assert gamma[k - 1] * den == num
 

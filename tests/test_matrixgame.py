@@ -11,8 +11,6 @@ from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import (
     matrix_game_sign,
     matrix_game_value,
-    shapley_snow_certificate,
-    shapley_snow_value,
     solve_matrix_game,
 )
 from stochgame.pencil import build_pencil
@@ -20,6 +18,7 @@ from stochgame.ratlinalg import LAM, IntPoly, RatMatrix, sign
 
 from bland_ref import bland_value_ratio
 from gens import rand_fraction, rand_matrix
+from snow_ref import shapley_snow_certificate
 
 payoff_matrices = st.integers(min_value=1, max_value=3).flatmap(
     lambda q: st.lists(
@@ -298,9 +297,9 @@ class TestShapleySnow:
         rng = random.Random(15)
         for _ in range(80):
             m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-            assert shapley_snow_value(m) == solve_matrix_game(m).value
+            assert shapley_snow_certificate(m).value == solve_matrix_game(m).value
         for m in anchor_rung_matrices:
-            assert shapley_snow_value(m) == solve_matrix_game(m).value
+            assert shapley_snow_certificate(m).value == solve_matrix_game(m).value
 
     def test_certificate_strategies_are_optimal(self):
         rng = random.Random(16)
@@ -323,4 +322,4 @@ class TestPropertyBased:
     @example(BLAND_TIE)
     @example(NONPOSITIVE)
     def test_kernel_value_matches_lp(self, m):
-        assert shapley_snow_value(m) == solve_matrix_game(m).value
+        assert shapley_snow_certificate(m).value == solve_matrix_game(m).value

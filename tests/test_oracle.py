@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochgame.errors import GameValidationError
-from stochgame.gamecore import Game, StationaryStrategy, discounted_payoff
+from stochgame.gamecore import Game
 from stochgame.matrixgame import solve_matrix_game
-from stochgame.oracle import (
-    _grid_bits,
-    mdp_brute_force,
-    mdp_limit_brute_force,
-    shapley_auxiliary,
-    shapley_operator,
-    value_iteration,
-)
+from stochgame.oracle import _grid_bits, _one_shot_grids, shapley_operator, value_iteration
 from stochgame.ratlinalg import RatMatrix
+from chain_refs import discounted_payoff
 from gens import rand_fraction, rand_game, rand_one_player_game
+from mdp_refs import mdp_brute_force, mdp_limit_brute_force, pure
 
 from test_gamecore import cycle_game, one_state_game
 
@@ -33,6 +28,12 @@ def fraction_auxiliary(game, lam, u, l: int) -> RatMatrix:
             for g_row, q_row in zip(game.rewards[l], game.transitions[l])
         ]
     )
+
+
+def grid_auxiliaries(game, lam, u) -> list[RatMatrix]:
+    """Every state's one-shot game as the oracle builds it: its integer grid over the scale."""
+    grids, scale = _one_shot_grids(game, lam, u, range(game.n_states))
+    return [RatMatrix([[Fraction(x, scale) for x in row] for row in grid]) for grid in grids]
 
 
 def fraction_shapley_operator(game, lam, u) -> tuple[Fraction, ...]:
@@ -80,7 +81,7 @@ class TestShapleyAuxiliary:
         game = fixture_docs["two_state_2x2"].game
         lam = Fraction(1, 3)
         u = (Fraction(1, 2), Fraction(-1, 4))
-        aux = shapley_auxiliary(game, lam, u, 2)
+        aux = grid_auxiliaries(game, lam, u)[1]
         l = 1
         for i in range(2):
             for j in range(2):
@@ -94,8 +95,6 @@ class TestShapleyAuxiliary:
         for u in ((Fraction(0),), (0, Fraction(1, 3), 1)):
             with pytest.raises(GameValidationError):
                 shapley_operator(game, Fraction(1, 2), u)
-            with pytest.raises(GameValidationError):
-                shapley_auxiliary(game, Fraction(1, 2), u, 1)
 
 
 class TestShapleyOperator:
@@ -139,8 +138,8 @@ class TestShapleyOperator:
     def test_integer_grid_matches_fraction_reference(self, game, lam, data):
         u = tuple(data.draw(continuation_entries) for _ in range(game.n_states))
         assert shapley_operator(game, lam, u) == fraction_shapley_operator(game, lam, u)
-        for l in range(game.n_states):
-            assert shapley_auxiliary(game, lam, u, l + 1) == fraction_auxiliary(game, lam, u, l)
+        for l, aux in enumerate(grid_auxiliaries(game, lam, u)):
+            assert aux == fraction_auxiliary(game, lam, u, l)
 
     def test_big_match_fixed_point(self, fixture_docs):
         game = fixture_docs["big_match"].game
@@ -204,11 +203,9 @@ class TestMdpBruteForce:
     def test_matches_profile_enumeration(self, fixture_docs):
         game = fixture_docs["mdp_two_state"].game
         lam = Fraction(1, 2)
-        y = StationaryStrategy.pure((0, 0), 1)
+        y = pure((0, 0), 1)
         best = max(
-            discounted_payoff(
-                game, StationaryStrategy.pure(prof, 2), y, lam
-            )[0]
+            discounted_payoff(game, pure(prof, 2), y, lam)[0]
             for prof in [(0, 0), (0, 1), (1, 0), (1, 1)]
         )
         assert mdp_brute_force(game, 1, lam) == best
@@ -217,9 +214,9 @@ class TestMdpBruteForce:
         rng = random.Random(52)
         game = rand_one_player_game(rng, 2, 3, maximizer=False)
         lam = Fraction(1, 3)
-        x = StationaryStrategy.pure((0, 0), 1)
+        x = pure((0, 0), 1)
         values = [
-            discounted_payoff(game, x, StationaryStrategy.pure(prof, 3), lam)[0]
+            discounted_payoff(game, x, pure(prof, 3), lam)[0]
             for prof in [(a, b) for a in range(3) for b in range(3)]
         ]
         assert mdp_brute_force(game, 1, lam) == min(values)

@@ -6,13 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from stochgame.absorbing import AbsorbingGame, is_absorbing, live_pencil
 from stochgame.errors import ResourceCapError
-from stochgame.gamecore import Game, StationaryStrategy, discounted_payoff
+from stochgame.gamecore import Game
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import (
     _IntegerSystem,
     build_pencil,
     payoff_denominator,
-    payoff_numerator,
     pencil_matrix,
     pencil_matrix_kronecker,
     player1_profiles,
@@ -22,10 +21,12 @@ from stochgame.pencil import (
 from stochgame.ratlinalg import LAM, RatMatrix, det
 
 from bland_ref import plain_row
+from chain_refs import discounted_payoff, expected_reward, transition_matrix
 from gens import rand_game, rand_profile, rand_stochastic_matrix, rand_strategy
+from mdp_refs import pure
 from pencil_refs import kronecker_by_permutations, two_pass_dets
 
-from test_gamecore import cycle_game, one_state_game
+from test_gamecore import cycle_game, grid_numerator, one_state_game
 
 
 def zero_reward_game(rng: random.Random) -> Game:
@@ -69,7 +70,7 @@ class TestNumerator:
     def test_single_state(self):
         game = one_state_game([[3, 1], [0, 2]])
         lam = Fraction(1, 3)
-        assert payoff_numerator(game, 1, (0,), (1,), lam) == lam * 1
+        assert grid_numerator(game, 1, (0,), (1,), lam) == lam * 1
 
     def test_zero_rewards_vanish(self):
         rng = random.Random(32)
@@ -79,17 +80,17 @@ class TestNumerator:
                 i_vec = rand_profile(rng, 2, 2)
                 j_vec = rand_profile(rng, 2, 2)
                 lam = Fraction(1, rng.randint(2, 7))
-                assert payoff_numerator(game, k, i_vec, j_vec, lam) == 0
+                assert grid_numerator(game, k, i_vec, j_vec, lam) == 0
 
     def test_cycle_hand_value(self):
-        num = payoff_numerator(cycle_game(), 1, (0, 0), (0, 0), Fraction(1, 2))
+        num = grid_numerator(cycle_game(), 1, (0, 0), (0, 0), Fraction(1, 2))
         assert num == Fraction(1, 2)
         den = payoff_denominator(cycle_game(), (0, 0), (0, 0), Fraction(1, 2))
         assert num / den == Fraction(2, 3)
 
     def test_state_index_checked(self):
         with pytest.raises(Exception):
-            payoff_numerator(cycle_game(), 3, (0, 0), (0, 0), Fraction(1, 2))
+            grid_numerator(cycle_game(), 3, (0, 0), (0, 0), Fraction(1, 2))
 
 
 class TestPencilMatrix:
@@ -115,10 +116,10 @@ class TestPencilMatrix:
         lam = Fraction(1, 2)
         # profile (absorb, *, *) vs (match, *, *): system det lam**2, numerator lam**2
         assert payoff_denominator(game, (0, 0, 0), (0, 0, 0), lam) == Fraction(1, 4)
-        assert payoff_numerator(game, 1, (0, 0, 0), (0, 0, 0), lam) == Fraction(1, 4)
+        assert grid_numerator(game, 1, (0, 0, 0), (0, 0, 0), lam) == Fraction(1, 4)
         # profile (stay, *, *) vs (match, *, *): det lam**3, numerator 0
         assert payoff_denominator(game, (1, 0, 0), (0, 0, 0), lam) == Fraction(1, 8)
-        assert payoff_numerator(game, 1, (1, 0, 0), (0, 0, 0), lam) == 0
+        assert grid_numerator(game, 1, (1, 0, 0), (0, 0, 0), lam) == 0
         z = Fraction(1, 3)
         built = pencil_matrix(game, 1, lam, z)
         assert built.entry(0, 0) == Fraction(1, 4) - z * Fraction(1, 4)
@@ -187,9 +188,7 @@ class TestMultilinearity:
             x = rand_strategy(rng, 2, 2)
             j_vec = rand_profile(rng, 2, 2)
             lam = Fraction(1, rng.randint(2, 6))
-            y = StationaryStrategy.pure(j_vec, 2)
-            from stochgame.gamecore import expected_reward, transition_matrix
-
+            y = pure(j_vec, 2)
             q = transition_matrix(game, x, y)
             g = expected_reward(game, x, y)
             system = RatMatrix(
@@ -200,12 +199,14 @@ class TestMultilinearity:
             )
             mixed_den = det(system)
             mixed_num = det(system.replace_column(k, [lam * gv for gv in g]))
+            pencil = build_pencil(game, k, lam)
+            col = profile_row_index(j_vec, 2)
             total_den = Fraction(0)
             total_num = Fraction(0)
-            for i_vec in player1_profiles(game):
+            for row, i_vec in enumerate(player1_profiles(game)):
                 weight = x.rows[0][i_vec[0]] * x.rows[1][i_vec[1]]
                 total_den += weight * payoff_denominator(game, i_vec, j_vec, lam)
-                total_num += weight * payoff_numerator(game, k, i_vec, j_vec, lam)
+                total_num += weight * Fraction(pencil.numerators[row][col], pencil.scale)
             assert mixed_den == total_den
             assert mixed_num == total_num
 
@@ -222,9 +223,7 @@ class TestMultilinearity:
         for row, i_vec in enumerate(player1_profiles(game)):
             weight = x.rows[0][i_vec[0]] * x.rows[1][i_vec[1]]
             mixed_entry += weight * matrix.entry(row, col)
-        y = StationaryStrategy.pure(j_vec, 2)
-        from stochgame.gamecore import expected_reward, transition_matrix
-
+        y = pure(j_vec, 2)
         q = transition_matrix(game, x, y)
         g = expected_reward(game, x, y)
         system = RatMatrix(
@@ -314,13 +313,14 @@ class TestIntegerGridCrossChecks:
         n = game.n_states
         for lam in CROSS_CHECK_LAMBDAS:
             for k in range(1, n + 1):
+                pencil = build_pencil(game, k, lam)
                 at_zero = pencil_matrix(game, k, lam, 0)
                 at_one = pencil_matrix(game, k, lam, 1)
                 for r, i_vec in enumerate(player1_profiles(game)):
-                    x = StationaryStrategy.pure(i_vec, game.n_actions1)
+                    x = pure(i_vec, game.n_actions1)
                     for c, j_vec in enumerate(player2_profiles(game)):
-                        y = StationaryStrategy.pure(j_vec, game.n_actions2)
-                        num = payoff_numerator(game, k, i_vec, j_vec, lam)
+                        y = pure(j_vec, game.n_actions2)
+                        num = Fraction(pencil.numerators[r][c], pencil.scale)
                         den = payoff_denominator(game, i_vec, j_vec, lam)
                         assert den >= lam**n
                         assert num == discounted_payoff(game, x, y, lam)[k - 1] * den

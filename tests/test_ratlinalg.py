@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from stochgame.errors import SingularMatrixError
 from stochgame.ratlinalg import (
     LAM,
     IntPoly,
@@ -13,18 +12,18 @@ from stochgame.ratlinalg import (
     ceil_log2,
     det,
     format_decimal,
-    int_adjugate,
     int_det,
     parse_rational,
     sign,
     simplest_between,
-    solve_linear,
     to_fraction,
 )
 
 from bland_ref import plain_row
+from chain_refs import SingularMatrixError, solve_linear
 from gens import rand_fraction, rand_matrix
 from pencil_refs import kron
+from snow_ref import int_adjugate
 
 fractions_st = st.fractions(
     min_value=-50, max_value=50, max_denominator=40

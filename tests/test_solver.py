@@ -4,18 +4,10 @@ from fractions import Fraction
 import pytest
 
 from stochgame.errors import GameValidationError
-from stochgame.matrixgame import solve_matrix_game
+from stochgame.matrixgame import matrix_game_sign, solve_matrix_game
 from stochgame.pencil import build_pencil
-from stochgame.ratlinalg import sign
-from stochgame.solver import (
-    _bisect,
-    _normalized,
-    discounted_value,
-    limit_sign,
-    limit_value,
-    pencil_value,
-)
-from stochgame.oracle import mdp_limit_brute_force
+from stochgame.ratlinalg import LAM, sign
+from stochgame.solver import _bisect, _normalized, discounted_value, limit_value
 
 from gens import rand_absorbing_game, rand_game
 from ladder import (
@@ -26,6 +18,7 @@ from ladder import (
     lambda_r_exponent,
     shallow_ladder_sign,
 )
+from mdp_refs import mdp_limit_brute_force
 
 from test_gamecore import cycle_game, one_state_game
 
@@ -35,15 +28,16 @@ class TestPencilValue:
         game = one_state_game([[3, 1], [0, 2]])
         val_g = Fraction(3, 2)
         for lam in (Fraction(1, 4), Fraction(2, 3)):
+            pencil = build_pencil(game, 1, lam)
             for z in (Fraction(0), Fraction(1), val_g):
-                assert pencil_value(game, 1, lam, z) == lam * (val_g - z)
-        assert pencil_value(game, 1, Fraction(1, 4), val_g) == 0
+                assert pencil.value_at(z) == lam * (val_g - z)
+        assert build_pencil(game, 1, Fraction(1, 4)).value_at(val_g) == 0
 
     def test_large_target_is_negative(self):
         rng = random.Random(40)
         game = rand_game(rng, 2, 2, 2, reward_lo=-2, reward_hi=2)
         z = game.max_reward() + 1
-        assert pencil_value(game, 1, Fraction(1, 3), z) < 0
+        assert build_pencil(game, 1, Fraction(1, 3)).value_at(z) < 0
 
     def test_strict_decrease_quantified(self):
         rng = random.Random(41)
@@ -121,19 +115,21 @@ class TestDiscountedValue:
             r = 8
             ngame, scale, offset, r_eff = _normalized(game, r)
             for lam in (Fraction(1, 4), Fraction(2, 3), Fraction(1, 9), Fraction(1)):
+                pencil = build_pencil(ngame, k, lam)
                 reference = _bisect(
-                    lambda z: sign(pencil_value(ngame, k, lam, z)), r_eff, scale, offset
+                    lambda z: sign(solve_matrix_game(pencil.matrix_at(z)).value),
+                    r_eff, scale, offset,
                 )
                 assert discounted_value(game, k, lam, r) == reference, (trial, lam)
 
 
 class TestLimitSign:
     def test_single_state_signs(self):
-        game = one_state_game([[3, 1], [0, 2]])
+        germs = build_pencil(one_state_game([[3, 1], [0, 2]]), 1, LAM)
         val_g = Fraction(3, 2)
-        assert limit_sign(game, 1, val_g - 1) == 1
-        assert limit_sign(game, 1, val_g + 1) == -1
-        assert limit_sign(game, 1, val_g) == 0
+        assert matrix_game_sign(germs.scaled_at(val_g - 1)) == 1
+        assert matrix_game_sign(germs.scaled_at(val_g + 1)) == -1
+        assert matrix_game_sign(germs.scaled_at(val_g)) == 0
 
     def test_rewards_below_half_make_one_negative(self):
         rng = random.Random(42)
@@ -142,14 +138,15 @@ class TestLimitSign:
             tuple(tuple(tuple(x / 2 for x in row) for row in s) for s in game.rewards),
             game.transitions,
         )
-        assert limit_sign(halved, 1, Fraction(1)) == -1
+        assert matrix_game_sign(build_pencil(halved, 1, LAM).scaled_at(1)) == -1
 
     def test_shallow_comparison_on_small_game(self):
         game = one_state_game([[1, 0], [0, 1]])
         z = Fraction(1, 4)
         shallow, _ = shallow_ladder_sign(game, 1, z)
         anchored = anchored_sign(anchor_pencils(game, 1, 4), z)
-        assert shallow == anchored == limit_sign(game, 1, z) == 1
+        exact = matrix_game_sign(build_pencil(game, 1, LAM).scaled_at(z))
+        assert shallow == anchored == exact == 1
         assert anchor_rungs(game, 4)[0] == 40
 
     def test_shallow_ladder_transient_sign_is_caught(self, fixture_docs):
@@ -159,7 +156,7 @@ class TestLimitSign:
         z = Fraction(17, 32)
         shallow, depth = shallow_ladder_sign(game, 1, z)
         assert shallow == 1  # transient: 1/(2 - lam) > z only above lam = 2/17
-        assert limit_sign(game, 1, z) == -1
+        assert matrix_game_sign(build_pencil(game, 1, LAM).scaled_at(z)) == -1
         assert anchored_sign(anchor_pencils(game, 1, 8), z) == -1
 
 
@@ -193,11 +190,13 @@ class TestLimitValue:
         # rungs below the anchored ladder's window keep the exact sign
         game = fixture_docs["two_state_2x2"].game
         deepest = anchor_rungs(game, 4)[-1]
+        germs = build_pencil(game, 1, LAM)
+        rungs = [build_pencil(game, 1, Fraction(1, 2**extra))
+                 for extra in range(deepest + 1, deepest + 6)]
         for z in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            exact = limit_sign(game, 1, z)
-            for extra in range(deepest + 1, deepest + 6):
-                lam = Fraction(1, 2**extra)
-                deeper = pencil_value(game, 1, lam, z)
+            exact = matrix_game_sign(germs.scaled_at(z))
+            for pencil in rungs:
+                deeper = pencil.value_at(z)
                 s = (deeper > 0) - (deeper < 0)
                 assert s == exact
 
