@@ -26,7 +26,7 @@ from .gamecore import Game, check_discount
 # `solve_matrix_game` and `pencil_matrix` stay bound here, unused: the
 # benchmark's trace layer wraps `absorbing.<name>` by name
 from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
-from .oracle import _one_shot_grids
+from .oracle import _integer_vector, _one_shot_grids
 from .pencil import DEFAULT_MAX_ENTRIES, GamePencil, build_pencil, pencil_matrix  # noqa: F401
 from .ratlinalg import IntPoly, RationalLike, to_fraction
 
@@ -72,6 +72,14 @@ class AbsorbingGame:
         big_l = self.game.denominator_lcm()
         return tuple(matrix_game_value(rows) / big_l for rows in self.game.int_rewards[1:])
 
+    @cached_property
+    def reduced_game(self) -> Game:
+        """`value_reduced_game(self)`, built on first use and kept.
+
+        Every identity check builds a pencil of it.
+        """
+        return value_reduced_game(self)
+
 
 def live_pencil(ab: AbsorbingGame, lam: Fraction | IntPoly) -> GamePencil:
     """State 1's one-shot game minus z as a pencil in z, at a rate or at `ratlinalg.LAM`.
@@ -84,8 +92,9 @@ def live_pencil(ab: AbsorbingGame, lam: Fraction | IntPoly) -> GamePencil:
     both grids are germs in lam.
     """
     game = ab.game
-    (grid,), scale = _one_shot_grids(game, lam, (0,) + ab.absorbed_values, (0,))
-    cd = (lam.denominator - lam.numerator) * (scale // (lam.denominator * game.denominator_lcm()))
+    du, d = _integer_vector(game, (0,) + ab.absorbed_values)
+    (grid,), scale = _one_shot_grids(game, lam, du, d, (0,))
+    cd = (lam.denominator - lam.numerator) * d
     return GamePencil(
         numerators=tuple(map(tuple, grid)),
         denominators=tuple(tuple(scale - cd * dist[0] for dist in row)
@@ -157,7 +166,7 @@ def verify_kohlberg_identity(
     z = to_fraction(z)
     game = ab.game
     n = game.n_states
-    reduced = build_pencil(value_reduced_game(ab), 1, lam, max_entries)
+    reduced = build_pencil(ab.reduced_game, 1, lam, max_entries)
     grid = reduced.scaled_at(z)
     row_block = game.n_actions1 ** (n - 1)
     col_block = game.n_actions2 ** (n - 1)

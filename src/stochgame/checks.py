@@ -6,11 +6,12 @@ strategies and parameters.  Each check but the absorbing identity reads
 whole objects from the run's integer pencils (`GamePencil`):
 
 - denominator bound: every denominator of the pencils at lam = 1/2, 1/4
-  and 1/10 against lam**n times the scale, so every profile pair;
+  and 1/10 against lam**n times the scale, an int, so every profile pair;
 - multilinearity: one column of each grid, weighted by a mixed strategy
-  of player 1, against the mixed chain's determinants (from the rational
-  chain data, each row mixed over one integer scale), numerator and
-  denominator separately, so no z is drawn;
+  of player 1 (integer weights over the product of its rows' lcms),
+  against the mixed chain's determinants (from the rational chain data,
+  each row mixed over one integer scale), numerator and denominator
+  separately, so no z is drawn;
 - strict decrease and root: exact values (`GamePencil.value_at`) at seeded
   z, and signs at the oracle value taken as the bisections take them;
 - Kronecker: the whole pencil against `pencil_matrix_kronecker`, grid for
@@ -86,7 +87,8 @@ def _check_denominator_bound(
     n = game.n_states
     for lam in (Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)):
         pencil = pencil_at(k, lam)
-        floor = lam**n * pencil.scale
+        # lam**n * scale as an int: scale is (b*L)**n for lam = a/b
+        floor = lam.numerator**n * (pencil.scale // lam.denominator**n)
         for r, row in enumerate(pencil.denominators):
             for c, den in enumerate(row):
                 if den < floor:
@@ -142,12 +144,16 @@ def _check_multilinearity(
         j_vec = tuple(rng.randrange(game.n_actions2) for _ in range(game.n_states))
         pencil = pencil_at(k, lam)
         col = profile_row_index(j_vec, game.n_actions2)
+        # each row of x as integers over its lcm; a profile weighs the product
+        lcms = [math.lcm(*(w.denominator for w in row)) for row in x.rows]
+        int_rows = [[m // w.denominator * w.numerator for w in row] for m, row in zip(lcms, x.rows)]
         weights = [
-            math.prod(x.rows[l][a] for l, a in enumerate(i_vec))
+            math.prod(int_rows[l][a] for l, a in enumerate(i_vec))
             for i_vec in player1_profiles(game)
         ]
+        area = math.prod(lcms) * pencil.scale
         mixed = [
-            sum(w * row[col] for w, row in zip(weights, grid)) / pencil.scale
+            Fraction(sum(w * row[col] for w, row in zip(weights, grid)), area)
             for grid in (pencil.numerators, pencil.denominators)
         ]
         expected = _mixed_determinants(game, x, j_vec, k, lam)

@@ -13,7 +13,8 @@ There are three entry points over that one pivot loop (`_simplex`).
 `solve_matrix_game` takes a `RatMatrix` and returns the value with both
 optimal strategies.  `matrix_game_value` takes an integer grid (a game
 scaled by a positive integer, as the oracle and the pencil build them)
-and returns only its exact value, pivoting only if it has no saddle point.
+and returns only its exact value, pivoting only if it has no saddle point;
+`matrix_game_ratio` returns that value as an integer pair.
 `matrix_game_sign` runs the same loop over any ordered ring with exact
 division and returns only the sign of the value; over `ratlinalg.IntPoly`
 germs that is the sign for every small enough discount rate, and each row
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlinalg import IntPoly, RatMatrix, bareiss_row, sign
+from .ratlinalg import IntPoly, RatMatrix, bareiss_row, int_row, sign
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,6 @@ class GameSolution:
     y_opt: tuple[Fraction, ...]
 
 
-def _int_row(row, pivot_row, piv, f, det) -> list[int]:
-    """The Sylvester/Bareiss row step (x*piv - f*y) // det on integers."""
-    return [(x * piv - f * y) // det for x, y in zip(row, pivot_row)]
-
-
 def _simplex(rows: list[list], scale) -> tuple:
     """Fraction-free simplex on the tableau [rows | I | scale].
 
@@ -64,7 +60,7 @@ def _simplex(rows: list[list], scale) -> tuple:
     Sylvester's identity; the pivot row is left unchanged.  The ring is
     read once, from the first entry of `rows`: a germ tableau updates its
     rows by `ratlinalg.bareiss_row`, one `IntPoly` per entry, and an
-    integer tableau by `_int_row`.
+    integer tableau by `ratlinalg.int_row`.
 
     The entering column is Dantzig's: the most negative reduced cost, ties
     to the lowest index.  From the first degenerate pivot (its pivot row
@@ -81,7 +77,7 @@ def _simplex(rows: list[list], scale) -> tuple:
     basis = list(range(q, q + p))
     det = 1
     bland = False
-    step = bareiss_row if isinstance(rows[0][0], IntPoly) else _int_row
+    step = bareiss_row if isinstance(rows[0][0], IntPoly) else int_row
 
     while True:
         negative = [j for j in range(q + p) if cost[j] < 0]
@@ -162,13 +158,20 @@ def _value_ratio(rows: list[list]) -> tuple:
     return det - shift * total, total
 
 
-def matrix_game_value(rows: list[list[int]]) -> Fraction:
-    """Exact value of an integer matrix game; a saddle entry (maximin = minimax) needs no pivot."""
+def matrix_game_ratio(rows: list[list[int]]) -> tuple[int, int]:
+    """(numerator, positive denominator) of an integer matrix game's exact value, not reduced.
+
+    A saddle entry (maximin = minimax) is the value over 1, with no pivot.
+    """
     maximin = max(min(row) for row in rows)
     if maximin == min(max(col) for col in zip(*rows)):
-        return Fraction(maximin)
-    num, total = _value_ratio(rows)
-    return Fraction(num, total)
+        return maximin, 1
+    return _value_ratio(rows)
+
+
+def matrix_game_value(rows: list[list[int]]) -> Fraction:
+    """Exact value of an integer matrix game (`matrix_game_ratio` as a Fraction)."""
+    return Fraction(*matrix_game_ratio(rows))
 
 
 def matrix_game_sign(rows: list[list]) -> int:

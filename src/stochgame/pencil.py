@@ -11,14 +11,17 @@ Both determinants are computed over the integers.  With lam = a/b, c = b - a
 and L the least common denominator of the game data, every system matrix
 scaled by b*L is the integer matrix b*L*Id - c*L*Q, and its Cramer matrix
 takes a*L*g as column k (L*Q and L*g are `Game.int_transitions` and
-`Game.int_rewards`).  One Bareiss pass over the system matrix bordered by
-that column gives both determinants: the pair's denominator and numerator
+`Game.int_rewards`).  Eliminating the system matrix bordered by that
+column gives both determinants: the pair's denominator and numerator
 times the one scale (b*L)**n_states shared by the whole grid, so the grids
 are stored as integers over that scale and an entry at z = p/q is the
-single fraction (q*N - p*D) / (q*scale).  The same code runs over Z[lam]:
-for lam = `ratlinalg.LAM` the rows are L*Id - (1-lam)*L*Q, the Cramer
-column is lam*L*g, and the grids hold integer polynomials in lam whose
-signs as lam -> 0+ decide the limit value.
+single fraction (q*N - p*D) / (q*scale).  `build_pencil` runs that
+elimination once per prefix of action pairs, state by state, without
+pivot search: every pivot is a positive leading principal minor.  The
+same code runs over Z[lam]: for lam = `ratlinalg.LAM` the rows are
+L*Id - (1-lam)*L*Q, the Cramer column is lam*L*g, and the grids hold
+integer polynomials in lam whose signs as lam -> 0+ decide the limit
+value.
 
 The bisections read signs straight from these integers
 (`GamePencil.scaled_at`) and exact values from the same grid
@@ -50,9 +53,10 @@ from .ratlinalg import (  # noqa: F401
     IntPoly,
     RatMatrix,
     RationalLike,
-    bareiss_eliminate,
     bareiss_row,
     det,
+    int_det,
+    int_row,
     to_fraction,
 )
 
@@ -64,10 +68,6 @@ def player1_profiles(game: Game) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(game.n_actions1), repeat=game.n_states)
 
 
-def player2_profiles(game: Game) -> Iterator[tuple[int, ...]]:
-    return itertools.product(range(game.n_actions2), repeat=game.n_states)
-
-
 def profile_row_index(i_vec: Sequence[int], n_actions: int) -> int:
     """Mixed-radix rank of a profile, first state most significant."""
     idx = 0
@@ -76,65 +76,36 @@ def profile_row_index(i_vec: Sequence[int], n_actions: int) -> int:
     return idx
 
 
-class _IntegerSystem:
-    """The game's integer data (`Game.int_rewards`, `Game.int_transitions`) at lam = a/b.
+def _integer_rows(game: Game, lam) -> tuple[int, list]:
+    """b*L and the game's integer system rows at lam = a/b.
 
-    Row l of a profile pair's system matrix is row l of b*L*Id - c*L*Q for
-    its actions (i, j) in state l + 1, and its Cramer column holds a*L*g
-    there (c = b - a, L the game's least common denominator).
-    Determinants of matrices assembled from them equal the rational ones
-    times scale = (b*L)**n_states.  lam may also be `ratlinalg.LAM`
-    (a = lam, b = 1), which gives the rows L*Id - (1-lam)*L*Q and the
-    column lam*L*g over Z[lam].  `dets` borders each row with its Cramer
-    entry and takes both determinants from one elimination; each bordered
-    row is scaled on first use and kept, so one profile pair scales only
-    its own n rows.
+    rows[l][i][j] is row l of b*L*Id - c*L*Q at actions (i, j) in state
+    l + 1, followed by its Cramer entry a*L*g (c = b - a, L the game's
+    least common denominator, L*Q and L*g `Game.int_transitions` and
+    `Game.int_rewards`).  At `ratlinalg.LAM` (a = lam, b = 1) the entries
+    are germs: L*Id - (1-lam)*L*Q and lam*L*g.
     """
-
-    __slots__ = ("game", "a", "c", "diag", "scale", "_rows")
-
-    def __init__(self, game: Game, lam):
-        a, b = lam.numerator, lam.denominator
-        self.game = game
-        self.a, self.c = a, b - a
-        self.diag = b * game.denominator_lcm()
-        self.scale = self.diag**game.n_states
-        self._rows: dict = {}
-
-    def _system_row(self, l: int, i: int, j: int) -> list:
-        return [
-            (self.diag if t == l else 0) - self.c * lq
-            for t, lq in enumerate(self.game.int_transitions[l][i][j])
+    a, b = lam.numerator, lam.denominator
+    c = b - a
+    diag = b * game.denominator_lcm()
+    rows = [
+        [
+            [
+                [(diag if t == l else 0) - c * lq for t, lq in enumerate(dist)] + [a * lg]
+                for lg, dist in zip(g_row, q_row)
+            ]
+            for g_row, q_row in zip(game.int_rewards[l], game.int_transitions[l])
         ]
-
-    def _bordered_row(self, k: int, l: int, i: int, j: int) -> list:
-        row = self._rows.get((k, l, i, j))
-        if row is None:
-            sys_row = self._system_row(l, i, j)
-            cramer = self.a * self.game.int_rewards[l][i][j]
-            row = self._rows[k, l, i, j] = sys_row[: k - 1] + sys_row[k:] + [sys_row[k - 1], cramer]
-        return row
-
-    def dets(self, k: int, i_vec, j_vec) -> tuple:
-        """Scaled (Cramer numerator, system determinant) of one profile pair.
-
-        One Bareiss pass over the bordered n x (n+1) matrix
-        [A without column k | column k of A | a*L*g]: once its first n-1
-        columns are eliminated, the last row holds det(A) and det(A_k)
-        (column k replaced by a*L*g), each times (-1)**(n-k) for moving
-        column k last and times the row-swap parity.  If one of those
-        n-1 columns has no pivot, the parity is 0 and so are both.
-        """
-        a = [list(self._bordered_row(k, l, i, j)) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
-        n = len(a)
-        sign = bareiss_eliminate(a, n - 1) * (-1) ** (n - k)
-        return sign * a[n - 1][n], sign * a[n - 1][n - 1]
+        for l in range(game.n_states)
+    ]
+    return diag, rows
 
 
 def payoff_denominator(game: Game, i_vec, j_vec, lam: RationalLike) -> Fraction:
     """det(Id - (1-lam) Q) for a pure profile; at least lam**n_states."""
-    ints = _IntegerSystem(game, check_discount(lam))
-    return Fraction(ints.dets(1, i_vec, j_vec)[1], ints.scale)
+    diag, rows = _integer_rows(game, check_discount(lam))
+    system = [rows[l][i][j][:-1] for l, (i, j) in enumerate(zip(i_vec, j_vec))]
+    return Fraction(int_det(system), diag**game.n_states)
 
 
 def _check_cap(game: Game, max_entries: int) -> tuple[int, int]:
@@ -215,20 +186,70 @@ def build_pencil(
 
     lam is a rate in (0, 1], or `ratlinalg.LAM` for grids of integer
     polynomials in lam: the germs of the pencil as lam -> 0+.
+
+    Each pair's two determinants come from fraction-free (Bareiss)
+    elimination of its bordered n x (n+1) system [A | a*L*g]
+    (`_integer_rows`), with rows and columns in one state order that puts
+    k last, and the Cramer column after them.  Reordering rows and
+    columns alike keeps every determinant, so once the first n-1 columns
+    are eliminated the last row holds det(A) and, in the Cramer column,
+    det(A_k): A with column k replaced by a*L*g.
+
+    No pivot search, row swap or sign fix is needed.  A = b*L*Id - c*L*Q
+    is strictly diagonally dominant with a positive diagonal: each row's
+    diagonal exceeds the sum of its off-diagonal magnitudes by a*L > 0.
+    So is each of its principal submatrices, whose determinant is then
+    positive, and every Bareiss pivot is a leading principal minor of the
+    reordered A.  At a rate a pivot is a positive int.  At `LAM` it is a
+    polynomial positive at every lam in (0, 1], so a positive germ.
+
+    Row t of the elimination is state order[t]'s row at its action pair,
+    and pivot t reduces the rows below it.  So the action pairs are walked
+    depth first, state by state in that order: choosing a pair makes its
+    reduced row the next pivot, which reduces the rows of every pair of
+    every later state once (one `bareiss_row` per row on germs, one
+    `int_row` otherwise), and every profile below that prefix shares
+    them.  At the last state each pair's reduced row is its
+    (det(A), det(A_k)), written at its profile ranks.
     """
     if not isinstance(lam, IntPoly):
         lam = check_discount(lam)
     game.check_state(k)
-    _check_cap(game, max_entries)
-    ints = _IntegerSystem(game, lam)
-    cols = list(player2_profiles(game))
-    grid = [
-        [ints.dets(k, i_vec, j_vec) for j_vec in cols] for i_vec in player1_profiles(game)
+    n_rows, n_cols = _check_cap(game, max_entries)
+    n, n1, n2 = game.n_states, game.n_actions1, game.n_actions2
+    diag, rows = _integer_rows(game, lam)
+    order = [s for s in range(n) if s != k - 1] + [k - 1]
+    cols = order + [n]
+    # per depth: (row offset, column offset, reordered bordered row) of each action pair
+    levels = [
+        [
+            (i * n1 ** (n - 1 - s), j * n2 ** (n - 1 - s), [row[t] for t in cols])
+            for i, pair_rows in enumerate(rows[s])
+            for j, row in enumerate(pair_rows)
+        ]
+        for s in order
     ]
+    step = bareiss_row if isinstance(lam, IntPoly) else int_row
+    numerators = [[0] * n_cols for _ in range(n_rows)]
+    denominators = [[0] * n_cols for _ in range(n_rows)]
+
+    def walk(r: int, c: int, levels: list, prev) -> None:
+        # levels[0] holds this depth's action pairs, levels[1:] the later depths',
+        # each row reduced by the prefix's pivots, from the next pivot's column on
+        if len(levels) == 1:
+            for dr, dc, (den, num) in levels[0]:
+                denominators[r + dr][c + dc], numerators[r + dr][c + dc] = den, num
+            return
+        for dr, dc, (piv, *tail) in levels[0]:
+            later = [[(er, ec, step(row[1:], tail, piv, row[0], prev)) for er, ec, row in level]
+                     for level in levels[1:]]
+            walk(r + dr, c + dc, later, piv)
+
+    walk(0, 0, levels, 1)
     return GamePencil(
-        numerators=tuple(tuple(num for num, _ in row) for row in grid),
-        denominators=tuple(tuple(den for _, den in row) for row in grid),
-        scale=ints.scale,
+        numerators=tuple(map(tuple, numerators)),
+        denominators=tuple(map(tuple, denominators)),
+        scale=diag**n,
     )
 
 

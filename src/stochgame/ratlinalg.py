@@ -8,9 +8,10 @@ dense matrices with exact determinants.  `IntPoly` is the one other
 number type: an integer polynomial in the discount rate, ordered by its
 sign as the rate tends to 0.  `bareiss_row` is the
 Sylvester/Bareiss row step (x*piv - f*y) // det over those germs, fused
-on coefficient lists; the germ pencils (`bareiss_eliminate` at `LAM`),
-their entries at z and the germ simplex tableaux all update through it,
-while integer matrices keep the plain integer step.  There is no
+on coefficient lists; the germ pencils (`pencil.build_pencil` at `LAM`),
+their entries at z, germ determinants (`int_det`) and the germ simplex
+tableaux all update through it, while integer matrices take the plain
+integer step `int_row`.  There is no
 floating point anywhere; zero tests are exact.
 """
 
@@ -50,8 +51,25 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
 
+# digits per str() call: Python refuses int -> str conversions above a digit
+# limit (4300 by default, never set below 640), so longer numbers go in chunks
+_CHUNK = 600
+_CHUNK_BASE = 10**_CHUNK
+
+
+def _digits(n: int, width: int) -> str:
+    """Decimal digits of n >= 0, zero-padded to at least width >= 1, chunk by chunk."""
+    chunks = []
+    while n >= _CHUNK_BASE:
+        n, low = divmod(n, _CHUNK_BASE)
+        chunks.append(f"{low:0{_CHUNK}d}")
+        width -= _CHUNK
+    chunks.append(f"{n:0{max(width, 1)}d}")
+    return "".join(reversed(chunks))
+
+
 def format_decimal(value: Fraction, digits: int) -> str:
-    """Render ``value`` rounded to ``digits`` decimal places (ties to even)."""
+    """Render ``value`` rounded to ``digits`` decimal places (ties to even), at any length."""
     if digits < 0:
         raise ValueError("digit count must be nonnegative")
     num = value.numerator * 10**digits
@@ -59,11 +77,11 @@ def format_decimal(value: Fraction, digits: int) -> str:
     q, r = divmod(num, den)
     if 2 * r > den or (2 * r == den and q % 2 != 0):
         q += 1
-    if digits == 0:
-        return str(q)
     sign_str = "-" if q < 0 else ""
-    a = abs(q)
-    return f"{sign_str}{a // 10**digits}.{a % 10**digits:0{digits}d}"
+    if digits == 0:
+        return sign_str + _digits(abs(q), 1)
+    whole, frac = divmod(abs(q), 10**digits)
+    return f"{sign_str}{_digits(whole, 1)}.{_digits(frac, digits)}"
 
 
 def ceil_log2(x: Fraction) -> int:
@@ -451,28 +469,31 @@ def bareiss_row(row, pivot_row, piv, f, det) -> list[IntPoly]:
     return out
 
 
+def int_row(row, pivot_row, piv, f, det) -> list[int]:
+    """The Sylvester/Bareiss row step (x*piv - f*y) // det on integers."""
+    return [(x * piv - f * y) // det for x, y in zip(row, pivot_row)]
+
+
 LAM = IntPoly((0, 1))
 
 
-def bareiss_eliminate(a: list[list[int]], s: int) -> int:
-    """Eliminate the first s columns of a in place by fraction-free Bareiss steps.
+def int_det(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
 
-    Returns the row-swap parity (+1 or -1), or 0 if one of those columns
-    has no pivot.  Afterwards, by Sylvester's identity, a[i][j] for i, j >= s
-    is the determinant of the rows 0..s-1 and i of the row-swapped matrix
-    restricted to the columns 0..s-1 and j; every division is exact, on
-    bordered columns beyond the square part too, which keeps intermediate
-    entries at minor-sized bit growth.  A matrix whose top-left entry is
-    an `IntPoly` (the germ pencils at `LAM` hold germs throughout) takes
-    each row step as one `bareiss_row` call; any other keeps the plain
-    update, which is exact over germs too.
+    Mutates its argument.  Each column's pivot is the first nonzero entry
+    on or below the diagonal; a row swap flips the sign, and a column
+    without one makes the determinant 0.  After step k, by Sylvester's
+    identity, every entry below and right of the pivot is a (k+2)-minor of
+    the row-swapped matrix, so every division is exact and the last entry
+    is the determinant up to the swaps' sign.  A matrix whose top-left
+    entry is an `IntPoly` takes each row step as one `bareiss_row` call;
+    any other takes `int_row`, which is exact over germs too.
     """
     n = len(a)
-    width = len(a[0])
-    germs = isinstance(a[0][0], IntPoly)
+    step = bareiss_row if isinstance(a[0][0], IntPoly) else int_row
     flips = 1
     prev = 1
-    for k in range(s):
+    for k in range(n - 1):
         if a[k][k] == 0:
             for r in range(k + 1, n):
                 if a[r][k] != 0:
@@ -482,31 +503,11 @@ def bareiss_eliminate(a: list[list[int]], s: int) -> int:
             else:
                 return 0
         pivot = a[k][k]
-        row_k = a[k]
-        tail_k = row_k[k + 1 :]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            head = row_i[k]
-            if germs:
-                row_i[k + 1 :] = bareiss_row(row_i[k + 1 :], tail_k, pivot, head, prev)
-            else:
-                for j in range(k + 1, width):
-                    row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
+        tail_k = a[k][k + 1 :]
+        for row_i in a[k + 1 :]:
+            row_i[k + 1 :] = step(row_i[k + 1 :], tail_k, pivot, row_i[k], prev)
         prev = pivot
-    return flips
-
-
-def int_det(a: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free Bareiss elimination.
-
-    Mutates its argument: `bareiss_eliminate` clears all but the last
-    column, and the last entry is then the determinant up to the row-swap
-    parity (0 if a column had no pivot).  It runs unchanged over `IntPoly`
-    entries.
-    """
-    n = len(a)
-    return bareiss_eliminate(a, n - 1) * a[n - 1][n - 1]
+    return flips * a[n - 1][n - 1]
 
 
 def det(m: RatMatrix) -> Fraction:

@@ -14,10 +14,11 @@ from typing import Sequence
 
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game, StationaryStrategy, check_discount
-from stochgame.pencil import _IntegerSystem, player1_profiles, player2_profiles
+from stochgame.pencil import build_pencil, player1_profiles, profile_row_index
 from stochgame.ratlinalg import LAM, RationalLike
 
 from chain_refs import discounted_payoff
+from pencil_refs import player2_profiles
 
 
 def pure(actions: Sequence[int], n_actions: int) -> StationaryStrategy:
@@ -67,18 +68,18 @@ def mdp_limit_brute_force(game: Game, k: int) -> Fraction:
 
     A pure profile's discounted payoff is N(lam) / D(lam), its Cramer
     numerator over its system determinant as integer polynomials in lam
-    (the pencil's germs), so its limit as lam -> 0+ is N_s / D_s with s
-    the lowest order of D.  The free player's best limit is the limit
+    (the germ pencil's entries), so its limit as lam -> 0+ is N_s / D_s
+    with s the lowest order of D.  The free player's best limit is the limit
     value: some pure stationary strategy is optimal at each discount rate
     and there are finitely many, so the limit of the best is the best limit.
     """
-    game.check_state(k)
-    ints = _IntegerSystem(game, LAM)
+    pencil = build_pencil(game, k, LAM)
 
     def limit(i_vec, j_vec) -> Fraction:
-        num, den = ints.dets(k, i_vec, j_vec)
+        r = profile_row_index(i_vec, game.n_actions1)
+        c = profile_row_index(j_vec, game.n_actions2)
+        num, den = pencil.numerators[r][c], pencil.denominators[r][c]
         s = den.order()
-        # a singular Cramer matrix gives a zero numerator (an int or IntPoly 0)
-        return Fraction(num.coeff(s), den.coeff(s)) if num else Fraction(0)
+        return Fraction(num.coeff(s), den.coeff(s))
 
     return _best_pure(game, limit)

@@ -1,12 +1,15 @@
 """Earlier pencil routes, kept as test-side references.
 
-`pencil._IntegerSystem.dets` takes a profile pair's two determinants from
-one Bareiss pass over the bordered system matrix, and
+`pencil.build_pencil` eliminates each bordered system once per prefix of
+action pairs, with state k last and no pivot search, and
 `pencil.pencil_matrix_kronecker` expands shared block minors over integer
 blocks.  The routes they replaced stay here: two `int_det` eliminations
-per pair (the system matrix and its Cramer copy), and the full expansion
-over all n! block-column permutations on `Fraction` blocks, recomputed for
-the numerator and the denominator, with its `kron` and block helpers.
+per profile pair (the system matrix and its Cramer copy, each with its
+own pivot search) over rows built from the game's integer form, and the
+full expansion over all n! block-column permutations on `Fraction`
+blocks, recomputed for the numerator and the denominator, with its
+`kron` and block helpers.  `player2_profiles` enumerates player 2's
+pure stationary profiles in their rank order.
 """
 
 from __future__ import annotations
@@ -14,23 +17,50 @@ from __future__ import annotations
 import itertools
 
 from stochgame.gamecore import Game, check_discount
-from stochgame.ratlinalg import RatMatrix, int_det, to_fraction
+from stochgame.pencil import player1_profiles
+from stochgame.ratlinalg import IntPoly, RatMatrix, int_det, to_fraction
 
 
-def cramer(ints, system: list[list], k: int, i_vec, j_vec) -> list[list]:
-    """Copy of the scaled system with column k replaced by a*L*g."""
-    big_l = ints.game.denominator_lcm()
-    out = []
-    for l, row in enumerate(system):
-        g = ints.game.rewards[l][i_vec[l]][j_vec[l]]
-        out.append(row[: k - 1] + [ints.a * (big_l // g.denominator * g.numerator)] + row[k:])
-    return out
+def player2_profiles(game: Game):
+    """All pure stationary strategies of player 2, state 1 most significant."""
+    return itertools.product(range(game.n_actions2), repeat=game.n_states)
 
 
-def two_pass_dets(ints, k: int, i_vec, j_vec) -> tuple:
-    """Scaled (Cramer numerator, system determinant) by two eliminations."""
-    system = [ints._system_row(l, i, j) for l, (i, j) in enumerate(zip(i_vec, j_vec))]
-    return int_det(cramer(ints, system, k, i_vec, j_vec)), int_det(system)
+def two_pass_dets(game: Game, lam) -> tuple[int, dict]:
+    """(scale, grids) with grids[k] the (numerators, denominators) of `build_pencil(game, k, lam)`.
+
+    lam is a rate or `ratlinalg.LAM`.  With lam = a/b, c = b - a and L the
+    game's least common denominator, each pair's system rows are
+    b*L*[t == l] - c*L*q_lt, and its Cramer copy for state k has a*L*g_l
+    in column k; both determinants come from their own `int_det`.
+    """
+    if not isinstance(lam, IntPoly):
+        lam = check_discount(lam)
+    a, b = lam.numerator, lam.denominator
+    big_l = game.denominator_lcm()
+    n = game.n_states
+    grids = {}
+    for k in range(1, n + 1):
+        num_rows, den_rows = [], []
+        for i_vec in player1_profiles(game):
+            num_row, den_row = [], []
+            for j_vec in player2_profiles(game):
+                pairs = list(enumerate(zip(i_vec, j_vec)))
+                system = [
+                    [(b * big_l if t == l else 0) - (b - a) * lq
+                     for t, lq in enumerate(game.int_transitions[l][i][j])]
+                    for l, (i, j) in pairs
+                ]
+                cramer = [
+                    row[: k - 1] + [a * game.int_rewards[l][i][j]] + row[k:]
+                    for row, (l, (i, j)) in zip(system, pairs)
+                ]
+                num_row.append(int_det(cramer))
+                den_row.append(int_det(system))
+            num_rows.append(tuple(num_row))
+            den_rows.append(tuple(den_row))
+        grids[k] = (tuple(num_rows), tuple(den_rows))
+    return (b * big_l) ** n, grids
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:

@@ -1,4 +1,6 @@
 import json
+import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,22 @@ class TestDiscounted:
         )
         assert code == 0
         assert "0.3333" in capsys.readouterr().out
+
+    def test_digits_beyond_the_int_str_limit(self, capsys):
+        # 5000 digits pass Python's default 4300-digit int -> str limit, which stays as it is
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        argv = ["discounted", "single_2x2", "--lambda", "1/4", "--precision", "4"]
+        assert main(argv + ["--digits", "5000"]) == 0
+        text = capsys.readouterr().out
+        assert main(argv + ["--digits", "5000", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        value = Fraction(payload["value"])
+        rendered = payload["decimal"]
+        assert f"(~ {rendered})" in text
+        assert len(rendered.split(".")[1]) == 5000
+        # Decimal parses the digits without an int conversion
+        assert abs(Fraction(Decimal(rendered)) - value) <= Fraction(1, 2 * 10**5000)
 
     def test_explicit_file_path(self, capsys):
         code = main(

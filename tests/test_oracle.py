@@ -7,13 +7,21 @@ from hypothesis import given, settings, strategies as st
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game
 from stochgame.matrixgame import solve_matrix_game
-from stochgame.oracle import _grid_bits, _one_shot_grids, shapley_operator, value_iteration
+from stochgame.oracle import (
+    _grid_bits,
+    _integer_vector,
+    _one_shot_grids,
+    shapley_operator,
+    value_iteration,
+)
 from stochgame.ratlinalg import RatMatrix
+import oracle_refs
 from chain_refs import discounted_payoff
-from gens import rand_fraction, rand_game, rand_one_player_game
+from gens import rand_absorbing_game, rand_fraction, rand_game, rand_one_player_game
 from mdp_refs import mdp_brute_force, mdp_limit_brute_force, pure
 
 from test_gamecore import cycle_game, one_state_game
+from test_pencil import prime_game
 
 
 def sup_dist(u, v) -> Fraction:
@@ -32,7 +40,8 @@ def fraction_auxiliary(game, lam, u, l: int) -> RatMatrix:
 
 def grid_auxiliaries(game, lam, u) -> list[RatMatrix]:
     """Every state's one-shot game as the oracle builds it: its integer grid over the scale."""
-    grids, scale = _one_shot_grids(game, lam, u, range(game.n_states))
+    du, d = _integer_vector(game, u)
+    grids, scale = _one_shot_grids(game, lam, du, d, range(game.n_states))
     return [RatMatrix([[Fraction(x, scale) for x in row] for row in grid]) for grid in grids]
 
 
@@ -180,6 +189,23 @@ class TestValueIteration:
     def test_tolerance_validation(self):
         with pytest.raises(GameValidationError):
             value_iteration(cycle_game(), Fraction(1, 2), 0)
+
+    def test_matches_fraction_loop_reference(self):
+        # 210 seeded games, a third absorbing and a third on >= 30-bit prime
+        # denominators, each at one of the 15 (lam, tol) pairs in turn
+        lams = (Fraction(1), Fraction(2, 3), Fraction(1, 4), Fraction(1, 7), Fraction(1, 20))
+        tols = (Fraction(1, 64), Fraction(1, 4096), Fraction(1, 65536))
+        rng = random.Random(53)
+        for index in range(210):
+            n, n1, n2 = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+            if index % 3 == 0:
+                game = rand_game(rng, n, n1, n2)
+            elif index % 3 == 1:
+                game = rand_absorbing_game(rng, n, n1, n2)
+            else:
+                game = prime_game(rng, n, min(n1, 2), min(n2, 2))
+            lam, tol = lams[index % 5], tols[index // 5 % 3]
+            assert value_iteration(game, lam, tol) == oracle_refs.value_iteration(game, lam, tol)
 
 
 @given(

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stochgame.absorbing import AbsorbingGame, is_absorbing, live_pencil
-from stochgame.errors import ResourceCapError
+from stochgame.errors import GameValidationError, ResourceCapError
 from stochgame.gamecore import Game
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import (
-    _IntegerSystem,
+    GamePencil,
     build_pencil,
     payoff_denominator,
     pencil_matrix,
     pencil_matrix_kronecker,
     player1_profiles,
-    player2_profiles,
     profile_row_index,
 )
 from stochgame.ratlinalg import LAM, RatMatrix, det
@@ -24,7 +23,7 @@ from bland_ref import plain_row
 from chain_refs import discounted_payoff, expected_reward, transition_matrix
 from gens import rand_game, rand_profile, rand_stochastic_matrix, rand_strategy
 from mdp_refs import pure
-from pencil_refs import kronecker_by_permutations, two_pass_dets
+from pencil_refs import kronecker_by_permutations, player2_profiles, two_pass_dets
 
 from test_gamecore import cycle_game, grid_numerator, one_state_game
 
@@ -89,7 +88,7 @@ class TestNumerator:
         assert num / den == Fraction(2, 3)
 
     def test_state_index_checked(self):
-        with pytest.raises(Exception):
+        with pytest.raises(GameValidationError, match=r"state 3 out of range 1\.\.2"):
             grid_numerator(cycle_game(), 3, (0, 0), (0, 0), Fraction(1, 2))
 
 
@@ -370,18 +369,21 @@ def reference_games(draw) -> Game:
     return absorbing_copy(game) if draw(st.booleans()) else game
 
 
+def assert_walk_matches_two_eliminations(game: Game, lam) -> None:
+    """`build_pencil` at every k equals two `int_det` eliminations per profile pair."""
+    scale, grids = two_pass_dets(game, lam)
+    for k, (numerators, denominators) in grids.items():
+        assert build_pencil(game, k, lam) == GamePencil(numerators, denominators, scale)
+
+
 class TestAgainstKeptReferences:
-    """One bordered Bareiss pass and shared block minors against the routes they replaced."""
+    """The prefix walk and shared block minors against the routes they replaced."""
 
     @settings(max_examples=30, deadline=None)
     @given(reference_games())
     def test_bordered_dets_match_two_eliminations(self, game):
         for lam in REFERENCE_LAMBDAS + (LAM,):
-            ints = _IntegerSystem(game, lam)
-            for k in range(1, game.n_states + 1):
-                for i_vec in player1_profiles(game):
-                    for j_vec in player2_profiles(game):
-                        assert ints.dets(k, i_vec, j_vec) == two_pass_dets(ints, k, i_vec, j_vec)
+            assert_walk_matches_two_eliminations(game, lam)
 
     @settings(max_examples=20, deadline=None)
     @given(reference_games(), st.fractions(min_value=-2, max_value=2, max_denominator=2**40))
@@ -403,18 +405,24 @@ class TestAgainstKeptReferences:
                 for z in (Fraction(-7, 3), Fraction(19, 8)):
                     assert blockwise.matrix_at(z) == kronecker_by_permutations(game, k, lam, z)
 
-    def test_first_bordered_pivot_zero(self):
-        # at lam = 1 the system is diagonal, so for k = 1 the bordered
-        # matrix starts with column 2 of A: a zero pivot and one row swap
+    def test_full_discount_and_absorbing_games_match_two_eliminations(self, fixture_docs):
+        # at lam = 1 the system is b*L*Id: every pair's determinant is the
+        # scale and its numerator the stage reward at state k times it
         game = rand_game(random.Random(61), 3, 2, 2)
-        ints = _IntegerSystem(game, Fraction(1))
+        assert_walk_matches_two_eliminations(game, Fraction(1))
+        pencil = build_pencil(game, 1, Fraction(1))
         i_vec, j_vec = (0, 1, 1), (1, 0, 1)
-        assert ints._bordered_row(1, 0, 0, 1)[0] == 0
-        num, den = ints.dets(1, i_vec, j_vec)
-        assert (num, den) == two_pass_dets(ints, 1, i_vec, j_vec)
-        assert den == ints.scale
-        g = game.rewards[0][0][1]
-        assert Fraction(num, ints.scale) == g
+        r, c = profile_row_index(i_vec, 2), profile_row_index(j_vec, 2)
+        assert pencil.denominators[r][c] == pencil.scale
+        assert Fraction(pencil.numerators[r][c], pencil.scale) == game.rewards[0][0][1]
+        # an absorbed state's row is a*L on the diagonal and 0 elsewhere: the
+        # least pivot that diagonal dominance allows
+        rng = random.Random(62)
+        games = [absorbing_copy(rand_game(rng, 3, 2, 2)), absorbing_copy(prime_game(rng, 3, 2, 1))]
+        games += [doc.game for doc in fixture_docs.values() if is_absorbing(doc.game)]
+        for game in games:
+            for lam in (Fraction(1), Fraction(1, 1000), LAM):
+                assert_walk_matches_two_eliminations(game, lam)
 
 
 class TestGermScaledAt:
