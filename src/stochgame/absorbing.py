@@ -27,7 +27,13 @@ from .gamecore import Game, check_discount
 # benchmark's trace layer wraps `absorbing.<name>` by name
 from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
 from .oracle import _integer_vector, _one_shot_grids
-from .pencil import DEFAULT_MAX_ENTRIES, GamePencil, build_pencil, pencil_matrix  # noqa: F401
+from .pencil import (  # noqa: F401
+    DEFAULT_MAX_ENTRIES,
+    GamePencil,
+    _check_cap,
+    build_pencil,
+    pencil_matrix,
+)
 from .ratlinalg import IntPoly, RationalLike, to_fraction
 
 
@@ -76,9 +82,26 @@ class AbsorbingGame:
     def reduced_game(self) -> Game:
         """`value_reduced_game(self)`, built on first use and kept.
 
-        Every identity check builds a pencil of it.
+        Every identity check reads a pencil of it (`reduced_pencil`).
         """
         return value_reduced_game(self)
+
+    @cached_property
+    def _reduced_pencils(self) -> dict[Fraction, GamePencil]:
+        return {}
+
+    def reduced_pencil(self, lam: Fraction, max_entries: int = DEFAULT_MAX_ENTRIES) -> GamePencil:
+        """The (state 1, lam) pencil of `reduced_game`, built once per rate and kept.
+
+        The entry cap is checked on every call, as building would check it.
+        """
+        _check_cap(self.game, max_entries)
+        pencil = self._reduced_pencils.get(lam)
+        if pencil is None:
+            pencil = self._reduced_pencils[lam] = build_pencil(
+                self.reduced_game, 1, lam, max_entries
+            )
+        return pencil
 
 
 def live_pencil(ab: AbsorbingGame, lam: Fraction | IntPoly) -> GamePencil:
@@ -166,7 +189,7 @@ def verify_kohlberg_identity(
     z = to_fraction(z)
     game = ab.game
     n = game.n_states
-    reduced = build_pencil(ab.reduced_game, 1, lam, max_entries)
+    reduced = ab.reduced_pencil(lam, max_entries)
     grid = reduced.scaled_at(z)
     row_block = game.n_actions1 ** (n - 1)
     col_block = game.n_actions2 ** (n - 1)

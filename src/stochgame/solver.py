@@ -13,11 +13,17 @@ decided exactly over Z[lam] (Jeroslow, "Asymptotic linear programming",
 1973): the grids are integer polynomials in lam, and the simplex runs over
 them ordered by the sign of the lowest-order nonzero coefficient, which is
 the sign of a polynomial for every small enough lam > 0.  No discount rate
-is ever chosen, so no depth, window or cap enters the decision.  An exact
-zero moves both brackets, which collapses the interval onto an exact root
-when one is hit.  A single sign or value needs no wrapper: the limit sign
-at z is `matrix_game_sign(build_pencil(game, k, LAM).scaled_at(z))`, and
-the exact value at a rate is `build_pencil(game, k, lam).value_at(z)`.
+is ever chosen, so no depth, window or cap enters the decision.  Every
+entry of a profile germ pencil is divisible by lam (det(I - Q) = 0, and
+the Cramer column is lam*L*g).  When dividing both grids by lam**o, o the
+lowest lam-order of their nonzero entries, leaves only constants, as it
+does for a one-state game's lam*L*(g - z), the limit route bisects on
+that integer pencil instead (`_lam_reduced`): no sign changes, and the
+integer tableau decides them.  An exact zero moves both brackets, which
+collapses the interval onto an exact root when one is hit.  A single sign
+or value needs no wrapper: the limit sign at z is
+`matrix_game_sign(build_pencil(game, k, LAM).scaled_at(z))`, and the
+exact value at a rate is `build_pencil(game, k, lam).value_at(z)`.
 
 From state 1 of an absorbing game the same sign is read from state 1's
 |I| x |J| one-shot game minus z (Kohlberg's quotient, strictly decreasing
@@ -37,7 +43,7 @@ from .gamecore import Game, affine_normalize, check_discount
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `solver.solve_matrix_game` by name
 from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
-from .pencil import DEFAULT_MAX_ENTRIES, _check_cap, build_pencil
+from .pencil import DEFAULT_MAX_ENTRIES, GamePencil, _check_cap, build_pencil
 from .ratlinalg import LAM, IntPoly, RationalLike, ceil_log2
 
 
@@ -99,6 +105,22 @@ def _bisect(sign_at, r_eff: int, scale: Fraction, offset: Fraction) -> Bisection
     )
 
 
+def _lam_reduced(pencil: GamePencil) -> GamePencil:
+    """A germ pencil divided by lam**o as an integer pencil, when that leaves only constants.
+
+    o is the lowest lam-order of the nonzero entries; lam**o > 0, so every
+    sign at z is unchanged, and `matrix_game_sign` decides it on the
+    integer tableau.  Any other pencil comes back as it is.  The scale is
+    kept: only `scaled_at` reads the result.
+    """
+    grids = (pencil.numerators, pencil.denominators)
+    o = min(x.order() for grid in grids for row in grid for x in row if x)
+    if any(len(x.coeffs) > o + 1 for grid in grids for row in grid for x in row):
+        return pencil
+    num, den = (tuple(tuple(x.coeff(o) for x in row) for row in grid) for grid in grids)
+    return GamePencil(num, den, pencil.scale)
+
+
 def _solve(
     game: Game, k: int, lam: Fraction | IntPoly, r: int, max_entries: int
 ) -> BisectionResult:
@@ -115,6 +137,8 @@ def _solve(
         pencil = live_pencil(AbsorbingGame(ngame), lam)
     else:
         pencil = build_pencil(ngame, k, lam, max_entries)
+    if isinstance(lam, IntPoly):
+        pencil = _lam_reduced(pencil)
     return _bisect(lambda z: matrix_game_sign(pencil.scaled_at(z)), r_eff, scale, offset)
 
 
