@@ -7,7 +7,7 @@ profiles, with every number an arbitrary-precision rational.
 
 from .absorbing import AbsorbingGame, is_absorbing, kohlberg_quotient, verify_kohlberg_identity
 from .errors import GameFileError, GameValidationError, ResourceCapError
-from .gamecore import Game, StationaryStrategy, affine_normalize, check_discount
+from .gamecore import Game, affine_normalize, check_discount
 from .gamefile import GameFile, fixture_path, list_fixtures, load_fixture, parse_game, serialize_game
 from .matrixgame import GameSolution, solve_matrix_game
 from .oracle import shapley_operator, value_iteration
@@ -34,7 +34,6 @@ __all__ = [
     "GameValidationError",
     "RatMatrix",
     "ResourceCapError",
-    "StationaryStrategy",
     "affine_normalize",
     "build_pencil",
     "check_discount",

@@ -11,7 +11,9 @@ exactly with the profile matrix-game value divided by lam**n;
 The solver signs the quotient's numerator, which is affine in z: one
 `live_pencil` per solve serves every probe.  Every exact value here is
 read from an integer grid, as the solvers and the oracle read theirs
-(`Game.int_rewards`, `GamePencil.value_at`).
+(`Game.int_rewards`, `GamePencil.value_at`); the value-reduced grid, once
+it is checked constant on each live-state action block, is solved at
+|I| x |J| from one representative row and column per block.
 """
 
 from __future__ import annotations
@@ -183,7 +185,10 @@ def verify_kohlberg_identity(
     columns is checked on the value-reduced game, together with the exact
     equality of the two pencils' values, both on the integer grids at z
     (one positive scale per grid, so equal integers are equal rationals).
-    The first violated equality is reported with the offending entry.
+    Once the blocks are constant, the reduced grid's value is read from
+    its |I| x |J| block representatives, one row and one column per
+    live-state action; otherwise from the whole grid.  The first violated
+    equality is reported with the offending entry.
     """
     lam = check_discount(lam)
     z = to_fraction(z)
@@ -193,11 +198,11 @@ def verify_kohlberg_identity(
     grid = reduced.scaled_at(z)
     row_block = game.n_actions1 ** (n - 1)
     col_block = game.n_actions2 ** (n - 1)
+    area = z.denominator * reduced.scale
     detail = ""
     for r, c in itertools.product(range(len(grid)), range(len(grid[0]))):
         x, rep = grid[r][c], grid[r - r % row_block][c - c % col_block]
         if x != rep:
-            area = z.denominator * reduced.scale
             detail = (
                 f"reduced-game entry at profile pair ({r}, {c}) is "
                 f"{Fraction(x, area)}, expected {Fraction(rep, area)} from its "
@@ -207,7 +212,10 @@ def verify_kohlberg_identity(
     dependence_ok = not detail
 
     value = pencil.value_at(z)
-    reduced_value = reduced.value_at(z)
+    # constant blocks repeat their representatives, and duplicate rows and
+    # columns leave a game's value unchanged: then solve at |I| x |J|
+    solved = [row[::col_block] for row in grid[::row_block]] if dependence_ok else grid
+    reduced_value = matrix_game_value(solved) / area
     reduction_exact = value == reduced_value
     lhs = value / lam**n
     rhs = kohlberg_quotient(ab, lam, z)

@@ -8,7 +8,8 @@ whole objects from the run's integer pencils (`GamePencil`):
 - denominator bound: every denominator of the pencils at lam = 1/2, 1/4
   and 1/10 against lam**n times the scale, an int, so every profile pair;
 - multilinearity: one column of each grid, weighted by a mixed strategy
-  of player 1 (integer weights over the product of its rows' lcms),
+  of player 1 (drawn as integer weights, each row over its sum, so a
+  profile weighs a product of weights over the product of the sums),
   against the mixed chain's determinants (from the rational chain data,
   each row mixed over one integer scale), numerator and denominator
   separately, so no z is drawn;
@@ -16,6 +17,11 @@ whole objects from the run's integer pencils (`GamePencil`):
   z, and signs at the oracle value taken as the bisections take them;
 - Kronecker: the whole pencil against `pencil_matrix_kronecker`, grid for
   grid over one scale, which implies equality at every z.
+
+The absorbing identity reads the run's state-1 pencils too, and solves
+the value-reduced game at |I| x |J| once its grid is block-constant
+(`absorbing.verify_kohlberg_identity`).  No check builds a Fraction
+strategy: strategies are drawn as integer weight rows.
 
 The entry cap is checked first and passed to every pencil, and each
 (state, lam) pencil is built once per run, in a dict local to
@@ -33,7 +39,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
-from .gamecore import Game, StationaryStrategy
+from .gamecore import Game
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `checks.solve_matrix_game` by name
 from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
@@ -70,15 +76,15 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(0, _Z_NUM), rng.randint(1, _Z_DEN))
 
 
-def _random_strategy(rng: random.Random, n_states: int, n_actions: int) -> StationaryStrategy:
+def _random_strategy(rng: random.Random, n_states: int, n_actions: int) -> list[list[int]]:
+    """A stationary strategy as integer weights, one row per state: row l plays w / sum(w)."""
     rows = []
     for _ in range(n_states):
         weights = [rng.randint(0, 6) for _ in range(n_actions)]
         if sum(weights) == 0:
             weights[rng.randrange(n_actions)] = 1
-        total = sum(weights)
-        rows.append([Fraction(w, total) for w in weights])
-    return StationaryStrategy(rows)
+        rows.append(weights)
+    return rows
 
 
 def _check_denominator_bound(
@@ -101,30 +107,28 @@ def _check_denominator_bound(
     return CheckOutcome("denominator-lower-bound", True)
 
 
-def _mixed_determinants(game: Game, x: StationaryStrategy, j_vec, k: int, lam: Fraction):
+def _mixed_determinants(game: Game, x: list[list[int]], j_vec, k: int, lam: Fraction):
     """(Cramer numerator, system determinant) of the mixed chain (Id - (1-lam) Q, lam g).
 
     Row l of Q and g_l mix column j_vec[l] of state l + 1's rational
-    transitions and rewards by x's row l, read from the rational data
-    rather than the pencils' integer form, over one integer scale: for
-    lam = a/b, mx the lcm of the denominators of x's row l and mp that of
-    the column's transitions and rewards, row l times b*mx*mp is the
-    integer row b*mx*mp*[t == l] - (b-a) * sum_i (mx x_i)(mp q_i), and its
-    Cramer entry a * sum_i (mx x_i)(mp g_i).  `int_det` takes both
+    transitions and rewards by the weights x[l] over their sum, read from
+    the rational data rather than the pencils' integer form, over one
+    integer scale: for lam = a/b, s the sum of x[l] and mp the lcm of the
+    denominators of the column's transitions and rewards, row l times
+    b*s*mp is the integer row b*s*mp*[t == l] - (b-a) * sum_i x_i (mp q_i),
+    and its Cramer entry a * sum_i x_i (mp g_i).  `int_det` takes both
     determinants over those rows, and each is divided by the product of
     the row scales.
     """
     a, b = lam.numerator, lam.denominator
     system, cramer, area = [], [], 1
-    for l, (x_l, j) in enumerate(zip(x.rows, j_vec)):
+    for l, (x_l, j) in enumerate(zip(x, j_vec)):
         dists = [row[j] for row in game.transitions[l]]
         rewards = [row[j] for row in game.rewards[l]]
-        mx = math.lcm(*(w.denominator for w in x_l))
         mp = math.lcm(*(g.denominator for g in rewards), *(p.denominator for d in dists for p in d))
-        # the nonzero weights times mx, each with its action's scaled column
-        mixed = [(mx // w.denominator * w.numerator, d, g)
-                 for w, d, g in zip(x_l, dists, rewards) if w]
-        m = b * mx * mp
+        # the nonzero weights, each with its action's scaled column
+        mixed = [(w, d, g) for w, d, g in zip(x_l, dists, rewards) if w]
+        m = b * sum(x_l) * mp
         row = [(m if t == l else 0)
                - (b - a) * sum(w * (mp // d[t].denominator * d[t].numerator) for w, d, _ in mixed)
                for t in range(game.n_states)]
@@ -144,14 +148,13 @@ def _check_multilinearity(
         j_vec = tuple(rng.randrange(game.n_actions2) for _ in range(game.n_states))
         pencil = pencil_at(k, lam)
         col = profile_row_index(j_vec, game.n_actions2)
-        # each row of x as integers over its lcm; a profile weighs the product
-        lcms = [math.lcm(*(w.denominator for w in row)) for row in x.rows]
-        int_rows = [[m // w.denominator * w.numerator for w in row] for m, row in zip(lcms, x.rows)]
+        # a profile weighs the product of its actions' weights, over the
+        # product of the rows' sums
         weights = [
-            math.prod(int_rows[l][a] for l, a in enumerate(i_vec))
+            math.prod(x[l][a] for l, a in enumerate(i_vec))
             for i_vec in player1_profiles(game)
         ]
-        area = math.prod(lcms) * pencil.scale
+        area = math.prod(map(sum, x)) * pencil.scale
         mixed = [
             Fraction(sum(w * row[col] for w, row in zip(weights, grid)), area)
             for grid in (pencil.numerators, pencil.denominators)

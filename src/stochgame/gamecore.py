@@ -4,17 +4,16 @@ A game has states 1..n (state parameters in the public API are 1-based,
 matching the file format; tuples are indexed 0-based internally), global
 action sets for both players, a reward tensor and an exactly stochastic
 transition kernel, held once more as integers over the game's least
-common denominator.  A `StationaryStrategy` is one probability row per
-state; the Markov chain a pair of them induces, and its discounted
-payoffs, are computed in the test suite (`tests/chain_refs.py`), and
-`checks._mixed_determinants` mixes the chain rows it needs itself.
+common denominator.  Stationary strategies, the Markov chain a pair of
+them induces and its discounted payoffs live in the test suite
+(`tests/chain_refs.py`); `checks._mixed_determinants` mixes the chain
+rows it needs itself, from integer weights.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import GameValidationError
 from .ratlinalg import RationalLike, to_fraction
@@ -137,43 +136,6 @@ class Game:
                 f"state {k} out of range 1..{self.n_states}"
             )
         return k
-
-
-class StationaryStrategy:
-    """One player's stationary strategy: a probability row per state."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: Sequence[Sequence[RationalLike]]):
-        data = tuple(tuple(to_fraction(x) for x in row) for row in rows)
-        if not data:
-            raise GameValidationError("a strategy needs at least one state row")
-        for l, row in enumerate(data):
-            if not row:
-                raise GameValidationError(f"empty action row at state {l + 1}")
-            if any(p < 0 for p in row):
-                raise GameValidationError(f"negative probability at state {l + 1}")
-            if sum(row) != 1:
-                raise GameValidationError(
-                    f"strategy row at state {l + 1} sums to {sum(row)}, expected 1"
-                )
-        object.__setattr__(self, "rows", data)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StationaryStrategy is immutable")
-
-    @property
-    def n_states(self) -> int:
-        return len(self.rows)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StationaryStrategy) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"StationaryStrategy({[list(map(str, r)) for r in self.rows]})"
 
 
 def affine_normalize(game: Game) -> tuple[Game, Fraction, Fraction]:

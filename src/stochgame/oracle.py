@@ -17,16 +17,21 @@ iteration stays on integers too: each iterate is a vector of reduced
 (num, den) pairs, snapped to a dyadic grid fine enough that the rounding
 is absorbed by the stopping certificate (raw fixed-point iterates roughly
 double their bit size per step), and its distances and stopping bound
-are compared by cross-multiplication.  The exact one-player brute force
-that checks both bisections lives in the test suite
-(`tests/mdp_refs.py`), and the Fraction loop that value iteration
-replaced in `tests/oracle_refs.py`.
+are compared by cross-multiplication.  The polish that looks for an
+exact fixed point takes the simplest rational of each certified interval
+(`ratlinalg.simplest_between`, on integer pairs) and tests it with one
+more integer step.  Fractions are built only for the returned vector.
+The exact one-player brute force that checks both bisections lives in
+the test suite (`tests/mdp_refs.py`), and the Fraction loop that value
+iteration replaced, with its Fraction `simplest_between`, in
+`tests/oracle_refs.py`.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import GameValidationError
@@ -56,7 +61,7 @@ def _one_shot_grids(
     grids = [
         [
             [
-                ad * lg + c * sum(lq * v for lq, v in zip(dist, du))
+                ad * lg + c * sum(map(mul, dist, du))
                 for lg, dist in zip(g_row, q_row)
             ]
             for g_row, q_row in zip(game.int_rewards[l], game.int_transitions[l])
@@ -116,8 +121,10 @@ def value_iteration(
     when the check passes the returned vector is exact, not just within
     tol.  The loop runs on integers: iterates are reduced (num, den)
     pairs, each step is one `_shapley_step`, and the distances and the
-    bound are compared by cross-multiplication.  Fractions are built only
-    to polish and to return.
+    bound are compared by cross-multiplication.  The polish does too: its
+    candidates come from `ratlinalg.simplest_between` on integer pairs and
+    are compared with one more `_shapley_step` as reduced pairs.  Fractions
+    are built only for the returned vector.
     """
     lam = check_discount(lam)
     tol = to_fraction(tol)
@@ -126,12 +133,15 @@ def value_iteration(
     a, b = lam.numerator, lam.denominator
     grid = 2 ** _grid_bits(tol, lam)
 
-    def polish(u: list[tuple[int, int]], bound: Fraction) -> tuple[Fraction, ...] | None:
-        candidate = tuple(
-            simplest_between(x - bound, x + bound) for x in (Fraction(*v) for v in u)
-        )
-        if shapley_operator(game, lam, candidate) == candidate:
-            return candidate
+    def polish(u: list[tuple[int, int]], bn: int, bd: int) -> tuple[Fraction, ...] | None:
+        # the simplest rational within bn/bd of each entry, kept if it is
+        # the operator's exact fixed point
+        candidate = [
+            simplest_between(n * bd - bn * d, d * bd, n * bd + bn * d, d * bd) for n, d in u
+        ]
+        cd = math.lcm(*(den for _, den in candidate))
+        if _shapley_step(game, lam, [num * (cd // den) for num, den in candidate], cd) == candidate:
+            return tuple(Fraction(num, den) for num, den in candidate)
         return None
 
     u = [(0, 1)] * game.n_states
@@ -157,9 +167,9 @@ def value_iteration(
         bn = (b - a) * dn * ed + b * en * dd
         bd = a * dd * ed
         if bn * tol.denominator <= tol.numerator * bd:
-            exact = polish(u, Fraction(bn, bd))
+            exact = polish(u, bn, bd)
             return exact if exact is not None else tuple(Fraction(*v) for v in u)
         if step % 8 == 0 and 256 * bn <= bd:
-            exact = polish(u, Fraction(bn, bd))
+            exact = polish(u, bn, bd)
             if exact is not None:
                 return exact

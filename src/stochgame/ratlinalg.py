@@ -95,25 +95,33 @@ def sign(value: Fraction) -> int:
     return (n > 0) - (n < 0)
 
 
-def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Rational with the smallest denominator (then numerator) in [lo, hi].
+def simplest_between(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> tuple[int, int]:
+    """Reduced (num, den > 0) of the simplest rational in [lo_num/lo_den, hi_num/hi_den].
 
-    Standard Stern-Brocot descent; used to recover exact values from
-    certified enclosing intervals.
+    Simplest means the smallest denominator, then the smallest |numerator|.
+    Both denominators are positive; neither pair need be reduced.  This is
+    the standard Stern-Brocot descent (one continued-fraction digit per
+    step) on integer pairs; it recovers exact values from certified
+    enclosing intervals.
     """
-    if lo > hi:
+    if lo_num * hi_den > hi_num * lo_den:
         raise ValueError("empty interval")
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    if hi < 0:
-        return -simplest_between(-hi, -lo)
-    ceil_lo = -((-lo.numerator) // lo.denominator)
-    if ceil_lo <= hi:
+    if lo_num <= 0 <= hi_num:
+        return 0, 1
+    if hi_num < 0:
+        num, den = simplest_between(-hi_num, hi_den, -lo_num, lo_den)
+        return -num, den
+    ceil_lo = -(-lo_num // lo_den)
+    if ceil_lo * hi_den <= hi_num:
         # an integer lies in the interval; the smallest one is simplest
-        return Fraction(ceil_lo)
-    floor_lo = lo.numerator // lo.denominator
-    frac = simplest_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
-    return floor_lo + 1 / frac
+        return ceil_lo, 1
+    # lo is not an integer: recurse on [1/(hi - floor_lo), 1/(lo - floor_lo)],
+    # whose simplest rational num/den gives floor_lo + den/num
+    floor_lo = lo_num // lo_den
+    num, den = simplest_between(
+        hi_den, hi_num - floor_lo * hi_den, lo_den, lo_num - floor_lo * lo_den
+    )
+    return floor_lo * num + den, num
 
 
 class RatMatrix:

@@ -9,17 +9,23 @@ route it replaced stays here: each value from `solve_matrix_game` on a
 block constancy checked entry by entry on the reduced pencil's Fractions.
 The value-reduced game comes from `absorbing.value_reduced_game`, looked up
 at call time, so a test that patches it patches both routes.
+
+`full_grid_identity` is the integer route as it was before the library
+read the reduced grid's value from its |I| x |J| block representatives:
+it solves the whole reduced grid, and must report exactly what
+`absorbing.verify_kohlberg_identity` reports.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from stochgame import absorbing
 from stochgame.absorbing import AbsorbingGame, IdentityReport
 from stochgame.gamecore import check_discount
 from stochgame.matrixgame import solve_matrix_game
-from stochgame.pencil import DEFAULT_MAX_ENTRIES, pencil_matrix
+from stochgame.pencil import DEFAULT_MAX_ENTRIES, GamePencil, pencil_matrix
 from stochgame.ratlinalg import RatMatrix, to_fraction
 
 from test_oracle import fraction_auxiliary
@@ -74,6 +80,57 @@ def verify_kohlberg_identity(
     reduction_exact = value == reduced_value
     lhs = value / lam**n
     rhs = kohlberg_quotient(ab, lam, z)
+    values_equal = lhs == rhs
+    if not values_equal and not detail:
+        detail = f"scaled matrix value {lhs} != quotient {rhs} at lam={lam}, z={z}"
+    elif not reduction_exact and not detail:
+        detail = (
+            f"value-reduced pencil value {reduced_value} != raw pencil value "
+            f"{value} at lam={lam}, z={z}"
+        )
+    return IdentityReport(
+        values_equal=values_equal,
+        dependence_ok=dependence_ok,
+        reduction_exact=reduction_exact,
+        pencil_side=lhs,
+        quotient_side=rhs,
+        detail=detail,
+    )
+
+
+def full_grid_identity(
+    ab: AbsorbingGame,
+    lam,
+    z,
+    pencil: GamePencil,
+    max_entries: int = DEFAULT_MAX_ENTRIES,
+) -> IdentityReport:
+    lam = check_discount(lam)
+    z = to_fraction(z)
+    game = ab.game
+    n = game.n_states
+    reduced = ab.reduced_pencil(lam, max_entries)
+    grid = reduced.scaled_at(z)
+    row_block = game.n_actions1 ** (n - 1)
+    col_block = game.n_actions2 ** (n - 1)
+    detail = ""
+    for r, c in itertools.product(range(len(grid)), range(len(grid[0]))):
+        x, rep = grid[r][c], grid[r - r % row_block][c - c % col_block]
+        if x != rep:
+            area = z.denominator * reduced.scale
+            detail = (
+                f"reduced-game entry at profile pair ({r}, {c}) is "
+                f"{Fraction(x, area)}, expected {Fraction(rep, area)} from its "
+                f"live-state action block"
+            )
+            break
+    dependence_ok = not detail
+
+    value = pencil.value_at(z)
+    reduced_value = reduced.value_at(z)
+    reduction_exact = value == reduced_value
+    lhs = value / lam**n
+    rhs = absorbing.kohlberg_quotient(ab, lam, z)
     values_equal = lhs == rhs
     if not values_equal and not detail:
         detail = f"scaled matrix value {lhs} != quotient {rhs} at lam={lam}, z={z}"

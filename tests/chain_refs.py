@@ -2,10 +2,11 @@
 
 The library never forms a strategy pair's chain: the pencils hold the
 profile pairs' determinants as integer grids, and
-`checks._mixed_determinants` mixes only the chain rows it needs, over
-one integer scale per row.  The rational route stays here: the chain's
-transition matrix and expected rewards, its linear system, and the
-discounted payoff vector by an exact Gaussian solve (`solve_linear`, with
+`checks._mixed_determinants` mixes only the chain rows it needs, from
+integer weights over one integer scale per row.  The rational route
+stays here: `StationaryStrategy` (one probability row per state), the
+chain's transition matrix and expected rewards, its linear system, and
+the discounted payoff vector by an exact Gaussian solve (`solve_linear`, with
 `SingularMatrixError`, which nothing else raises).  The pencil grids and
 `_mixed_determinants` are checked against it.
 """
@@ -16,8 +17,45 @@ from fractions import Fraction
 from typing import Sequence
 
 from stochgame.errors import GameValidationError
-from stochgame.gamecore import Game, StationaryStrategy, check_discount
+from stochgame.gamecore import Game, check_discount
 from stochgame.ratlinalg import RatMatrix, RationalLike, to_fraction
+
+
+class StationaryStrategy:
+    """One player's stationary strategy: a probability row per state."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Sequence[Sequence[RationalLike]]):
+        data = tuple(tuple(to_fraction(x) for x in row) for row in rows)
+        if not data:
+            raise GameValidationError("a strategy needs at least one state row")
+        for l, row in enumerate(data):
+            if not row:
+                raise GameValidationError(f"empty action row at state {l + 1}")
+            if any(p < 0 for p in row):
+                raise GameValidationError(f"negative probability at state {l + 1}")
+            if sum(row) != 1:
+                raise GameValidationError(
+                    f"strategy row at state {l + 1} sums to {sum(row)}, expected 1"
+                )
+        object.__setattr__(self, "rows", data)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StationaryStrategy is immutable")
+
+    @property
+    def n_states(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, StationaryStrategy) and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"StationaryStrategy({[list(map(str, r)) for r in self.rows]})"
 
 
 class SingularMatrixError(ArithmeticError):

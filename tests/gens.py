@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from stochgame import Game, StationaryStrategy
+from stochgame import Game
 from stochgame.ratlinalg import RatMatrix
+
+from chain_refs import StationaryStrategy
 
 
 def rand_fraction(rng: random.Random, lo: int = -4, hi: int = 4, max_den: int = 6) -> Fraction:

@@ -13,11 +13,11 @@ from fractions import Fraction
 from typing import Sequence
 
 from stochgame.errors import GameValidationError
-from stochgame.gamecore import Game, StationaryStrategy, check_discount
+from stochgame.gamecore import Game, check_discount
 from stochgame.pencil import build_pencil, player1_profiles, profile_row_index
 from stochgame.ratlinalg import LAM, RationalLike
 
-from chain_refs import discounted_payoff
+from chain_refs import StationaryStrategy, discounted_payoff
 from pencil_refs import player2_profiles
 
 

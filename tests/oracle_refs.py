@@ -5,7 +5,10 @@ one integer Shapley step per iteration, and its distances and stopping
 bound compared by cross-multiplication.  The loop it replaced stays here,
 on `Fraction` iterates through `oracle.shapley_operator`, with the same
 dyadic snapping (`round`, ties to even), stopping rule and polish, so
-the two must return equal vectors.
+the two must return equal vectors.  Its polish takes the simplest
+rational of each certified interval from the Fraction Stern-Brocot
+descent `simplest_between`, which is also the reference for the integer
+`ratlinalg.simplest_between` that the library's polish runs.
 """
 
 from __future__ import annotations
@@ -16,7 +19,28 @@ from typing import Sequence
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game, check_discount
 from stochgame.oracle import _grid_bits, shapley_operator
-from stochgame.ratlinalg import RationalLike, simplest_between, to_fraction
+from stochgame.ratlinalg import RationalLike, to_fraction
+
+
+def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
+    """Rational with the smallest denominator (then numerator) in [lo, hi].
+
+    Standard Stern-Brocot descent; used to recover exact values from
+    certified enclosing intervals.
+    """
+    if lo > hi:
+        raise ValueError("empty interval")
+    if lo <= 0 <= hi:
+        return Fraction(0)
+    if hi < 0:
+        return -simplest_between(-hi, -lo)
+    ceil_lo = -((-lo.numerator) // lo.denominator)
+    if ceil_lo <= hi:
+        # an integer lies in the interval; the smallest one is simplest
+        return Fraction(ceil_lo)
+    floor_lo = lo.numerator // lo.denominator
+    frac = simplest_between(1 / (hi - floor_lo), 1 / (lo - floor_lo))
+    return floor_lo + 1 / frac
 
 
 def value_iteration(

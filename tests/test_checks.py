@@ -10,8 +10,8 @@ from stochgame.checks import run_invariant_checks
 from stochgame.pencil import DEFAULT_MAX_ENTRIES
 from stochgame.ratlinalg import det
 
-from chain_refs import chain_system
-from gens import rand_game, rand_profile, rand_strategy
+from chain_refs import StationaryStrategy, chain_system
+from gens import rand_game, rand_profile
 from mdp_refs import pure
 
 EXPECTED_NAMES = [
@@ -141,17 +141,19 @@ def test_denominator_below_the_bound_fails(fixture_docs, monkeypatch):
 
 
 def test_mixed_determinants_match_the_rational_route():
-    # the Fraction determinants of the chain system and its Cramer matrix
+    # the Fraction determinants of the chain system and its Cramer matrix,
+    # with player 1 mixing integer weights over each row's sum
     rng = random.Random(21)
     for trial in range(40):
         n = trial % 3 + 1
         game = rand_game(rng, n, rng.randint(1, 3), rng.randint(1, 3))
-        x = rand_strategy(rng, n, game.n_actions1)
+        weights = checks._random_strategy(rng, n, game.n_actions1)
+        x = StationaryStrategy([[Fraction(w, sum(row)) for w in row] for row in weights])
         j_vec = rand_profile(rng, n, game.n_actions2)
         k = rng.randint(1, n)
         lam = Fraction(rng.randint(1, 9), rng.randint(9, 12))
         system, rhs = chain_system(game, x, pure(j_vec, game.n_actions2), lam)
-        assert checks._mixed_determinants(game, x, j_vec, k, lam) == (
+        assert checks._mixed_determinants(game, weights, j_vec, k, lam) == (
             det(system.replace_column(k, rhs)), det(system)
         ), trial
 

@@ -4,11 +4,11 @@ from fractions import Fraction
 import pytest
 
 from stochgame.errors import GameValidationError
-from stochgame.gamecore import Game, StationaryStrategy, affine_normalize, check_discount
+from stochgame.gamecore import Game, affine_normalize, check_discount
 from stochgame.pencil import build_pencil, payoff_denominator, profile_row_index
 from stochgame.ratlinalg import RatMatrix
 
-from chain_refs import discounted_payoff, expected_reward, transition_matrix
+from chain_refs import StationaryStrategy, discounted_payoff, expected_reward, transition_matrix
 from gens import rand_game, rand_profile, rand_strategy
 from mdp_refs import pure
 

@@ -13,7 +13,11 @@ before the Shapley operator moved from Fraction matrices to integer grids.
 S = 3..9, `oracle FIX --lambda 1/7 --tol 1/65536` and
 `discounted FIX --lambda 1/1000 --precision 12` on every fixture were
 recorded before `Game` took over the integer scaling and the absorbing
-identity moved to integer grids.
+identity moved to integer grids.  `check FILE --seed S` (S = 0..3) and
+`oracle FILE --lambda 1/4` on three seeded games in tests/data (a 3-state
+2x2 absorbing game, a 3-state 2x2 general game and a 2-state 3x3 game)
+were recorded before the simplex kept only its nonbasic columns; a FILE
+that names a `.game` file is read from tests/data.
 Any change of value, radius, trace, oracle vector or check outcome fails.
 """
 
@@ -24,12 +28,14 @@ import pytest
 
 from stochgame.cli import main
 
-GOLDEN = json.loads((Path(__file__).parent / "data" / "golden.json").read_text())
+DATA = Path(__file__).parent / "data"
+GOLDEN = json.loads((DATA / "golden.json").read_text())
 
 
 @pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
 def test_cli_output_matches_golden(case, capsys):
-    code = main(case["argv"] + ["--json"])
+    argv = [str(DATA / a) if a.endswith(".game") else a for a in case["argv"]]
+    code = main(argv + ["--json"])
     payload = json.loads(capsys.readouterr().out)
     payload.pop("elapsed_s")
     assert code == case["exit"]

@@ -8,6 +8,7 @@ route kept in `absorbing_refs` reports.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -113,3 +114,49 @@ def test_forced_dependence_failure_matches_reference(monkeypatch):
     assert not report.dependence_ok
     assert report.detail == expected.detail
     assert report == expected
+
+
+def test_block_route_matches_the_full_grid(fixture_docs, monkeypatch):
+    # once the reduced grid is block-constant its value is read at |I| x |J|;
+    # the report must be the one the whole grid gives
+    solved = []
+    value = absorbing.matrix_game_value
+
+    def recorded(rows):
+        solved.append((len(rows), len(rows[0])))
+        return value(rows)
+
+    monkeypatch.setattr(absorbing, "matrix_game_value", recorded)
+    rng = random.Random(1974)
+    games = [rand_absorbing_game(rng, 2 + index % 2, rng.randint(1, 3), rng.randint(1, 3))
+             for index in range(208)]
+    games += [doc.game for doc in fixture_docs.values() if absorbing.is_absorbing(doc.game)]
+    assert len(games) > 208
+    for index, game in enumerate(games):
+        ab = AbsorbingGame.from_game(game)
+        lam = IDENTITY_LAMBDAS[index % len(IDENTITY_LAMBDAS)]
+        z = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        pencil = build_pencil(game, 1, lam)
+        ab.absorbed_values  # solved once and kept; not part of the identity's own solves
+        solved.clear()
+        report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil)
+        assert report.ok, (index, report.detail)
+        assert solved == [(game.n_actions1, game.n_actions2)], index
+        assert report == absorbing_refs.full_grid_identity(ab, lam, z, pencil), index
+
+
+def test_broken_block_constancy_reports_the_dependence(monkeypatch):
+    ab = AbsorbingGame.from_game(rand_absorbing_game(random.Random(5), 2, 2, 2))
+    lam, z = Fraction(1, 3), Fraction(1, 5)
+    pencil = build_pencil(ab.game, 1, lam)
+    reduced = ab.reduced_pencil(lam)
+    # one more at profile pair (1, 2), whose block representative is (0, 2)
+    numerators = [list(row) for row in reduced.numerators]
+    numerators[1][2] += 1
+    broken = dataclasses.replace(reduced, numerators=tuple(map(tuple, numerators)))
+    monkeypatch.setattr(AbsorbingGame, "reduced_pencil", lambda self, lam, max_entries=0: broken)
+    report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil)
+    assert not report.dependence_ok and not report.ok
+    assert report.detail.startswith("reduced-game entry at profile pair (1, 2) is ")
+    assert report.detail.endswith("from its live-state action block")
+    assert report == absorbing_refs.full_grid_identity(ab, lam, z, pencil)

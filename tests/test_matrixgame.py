@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +19,7 @@ from stochgame.ratlinalg import LAM, IntPoly, RatMatrix, sign
 
 from bland_ref import bland_value_ratio
 from gens import rand_fraction, rand_matrix
+from simplex_ref import full_simplex
 from snow_ref import shapley_snow_certificate
 
 payoff_matrices = st.integers(min_value=1, max_value=3).flatmap(
@@ -270,6 +272,92 @@ class TestPivotRule:
             ref_num, ref_total = bland_value_ratio(rows)
             assert matrix_game_sign(rows) == sign(ref_num)
             assert num * ref_total == ref_num * total
+
+
+def condensed_run(rows: list[list], scale) -> tuple:
+    """`matrixgame._simplex` with its pivots recorded as (entering variable, leaving row)."""
+    path = []
+    pivot = matrixgame._pivot
+
+    def recorded(tableau, cost, labels, basis, bland):
+        chosen = pivot(tableau, cost, labels, basis, bland)
+        if chosen is not None:
+            path.append((labels[chosen[0]], chosen[1]))
+        return chosen
+
+    with mock.patch.object(matrixgame, "_pivot", recorded):
+        return matrixgame._simplex(rows, scale), path
+
+
+def assert_same_pivots(rows: list[list], scale) -> list[tuple[int, int]]:
+    """The condensed loop takes the full tableau's pivots and stores its nonbasic entries.
+
+    The rows are shifted positive first, as `matrixgame._value_ratio` does;
+    returns the pivot path.
+    """
+    shift = matrixgame._shift(rows)
+    rows = [[x + shift for x in row] for row in rows]
+    (tableau, cost, basis, labels, det), path = condensed_run(rows, scale)
+    ref_path = []
+    ref_tableau, ref_cost, ref_basis, ref_det = full_simplex(rows, scale, ref_path)
+    p, q = len(rows), len(rows[0])
+    assert path == ref_path
+    assert (det, cost[-1], basis) == (ref_det, ref_cost[-1], ref_basis)
+    duals = [0] * p
+    for j, var in enumerate(labels):
+        if var >= q:
+            duals[var - q] = cost[j]
+    assert duals == ref_cost[q:-1]
+    assert sorted(labels + basis) == list(range(p + q))
+    for j, var in enumerate(labels):
+        assert cost[j] == ref_cost[var]
+        assert [row[j] for row in tableau] == [row[var] for row in ref_tableau]
+    assert [row[-1] for row in tableau] == [row[-1] for row in ref_tableau]
+    return path
+
+
+integer_grids = st.integers(min_value=1, max_value=4).flatmap(
+    lambda q: st.lists(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=q, max_size=q),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+class TestCondensedTableau:
+    """The condensed pivot loop against the full-tableau loop it replaced (`tests/simplex_ref.py`).
+
+    The property tests take their example count from the hypothesis profile,
+    so CI's profile (tests/conftest.py) runs them four times harder.
+    """
+
+    @settings(deadline=None)
+    @given(integer_grids, st.integers(min_value=1, max_value=12))
+    @example([[-2, -1], [2, -1]], 1)
+    @example([[2, 0, -1, 1], [2, 0, 0, 0]], 1)
+    @example([[1, 1], [1, 1]], 1)
+    @example([[3, 1, 1], [0, 1, 1], [2, 1, 1]], 1)
+    def test_integer_pivots_match_the_full_tableau(self, rows, scale):
+        assert_same_pivots(rows, scale)
+
+    @settings(deadline=None)
+    @given(germ_matrices)
+    def test_germ_pivots_match_the_full_tableau(self, rows):
+        assert_same_pivots(rows, 1)
+
+    def test_degenerate_and_tied_games_match_the_full_tableau(self):
+        for m in (BLAND_TIE, DEGENERATE, NONPOSITIVE, TIED_SADDLES, CONSTANT):
+            assert assert_same_pivots(integer_rows(m), 1), m
+
+    def test_anchor_rung_pivots_match_the_full_tableau(self, anchor_rung_matrices):
+        for m in anchor_rung_matrices:
+            scale = math.lcm(*(x.denominator for row in m.rows for x in row))
+            assert_same_pivots([[int(x * scale) for x in row] for row in m.rows], scale)
+
+    def test_pencil_germ_grid_pivots_match_the_full_tableau(self, pencil_germ_grids):
+        for rows in pencil_germ_grids:
+            assert_same_pivots(rows, 1)
 
 
 class TestShapleySnow:

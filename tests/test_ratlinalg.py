@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from stochgame import ratlinalg
 from stochgame.ratlinalg import (
     LAM,
     IntPoly,
@@ -15,13 +17,13 @@ from stochgame.ratlinalg import (
     int_det,
     parse_rational,
     sign,
-    simplest_between,
     to_fraction,
 )
 
 from bland_ref import plain_row
 from chain_refs import SingularMatrixError, solve_linear
 from gens import rand_fraction, rand_matrix
+from oracle_refs import simplest_between
 from pencil_refs import kron
 from snow_ref import int_adjugate
 
@@ -113,6 +115,38 @@ class TestSimplestBetween:
         for den in range(1, best.denominator):
             lo_num = -((-lo.numerator * den) // lo.denominator)  # ceil(lo * den)
             assert lo_num > hi * den, f"simpler denominator {den} exists"
+
+
+# (num, den) pairs, den > 0, not necessarily reduced: negative, zero and
+# positive values, integers among them
+unreduced_pairs = st.tuples(
+    st.integers(min_value=-300, max_value=300), st.integers(min_value=1, max_value=40)
+)
+
+
+class TestIntegerSimplestBetween:
+    """The library's integer Stern-Brocot descent against the Fraction reference."""
+
+    def test_examples(self):
+        assert ratlinalg.simplest_between(4999, 10000, 5001, 10000) == (1, 2)
+        assert ratlinalg.simplest_between(4, 2, 6, 2) == (2, 1)
+        assert ratlinalg.simplest_between(2, 6, 2, 6) == (1, 3)
+        assert ratlinalg.simplest_between(-1, 2, 1, 5) == (0, 1)
+        assert ratlinalg.simplest_between(-7, 10, -6, 10) == (-2, 3)
+        with pytest.raises(ValueError, match="empty interval"):
+            ratlinalg.simplest_between(1, 2, 1, 3)
+
+    @given(unreduced_pairs, unreduced_pairs)
+    @example((-3, 4), (-3, 4))
+    @example((6, 3), (6, 3))
+    @example((-6, 4), (5, 3))
+    @example((-8, 4), (-2, 2))
+    @example((1, 3), (3, 1))
+    def test_matches_the_fraction_reference(self, a, b):
+        (ln, ld), (hn, hd) = sorted((a, b), key=lambda v: Fraction(*v))
+        num, den = ratlinalg.simplest_between(ln, ld, hn, hd)
+        assert den > 0 and math.gcd(num, den) == 1
+        assert Fraction(num, den) == simplest_between(Fraction(ln, ld), Fraction(hn, hd))
 
 
 class TestDeterminant:
