@@ -197,7 +197,7 @@ def _check_root_at_oracle(
     u = value_iteration(game, lam, tol)
     z = u[k - 1]
     pencil = pencil_at(k, lam)
-    if shapley_operator(game, lam, u) == u:
+    if u.polished or shapley_operator(game, lam, u) == u:
         at = matrix_game_sign(pencil.scaled_at(z))
         if at != 0:
             return CheckOutcome(

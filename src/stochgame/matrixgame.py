@@ -12,9 +12,14 @@ stored, p + 1 rows of q + 1 entries for a p x q game, with the variable
 of each column (`labels`) and of each row (`basis`).  A pivot writes the
 leaving variable's column into the entering column's place, so every
 stored entry, comparison and pivot is the full tableau's.
-The entering column is Dantzig's (most negative reduced cost) until the
-first degenerate pivot and Bland's from then on, both ranked by variable,
-which keeps the paths short and the loop finite.
+The first pivot enters the pure minimax column (the column whose largest
+entry is smallest) at its first largest entry: every reduced cost starts
+at -1 and every right-hand side at the same scale, so that is the pivot
+that raises the objective most.  Later pivots enter Dantzig's column (most
+negative reduced cost) until the first degenerate pivot and Bland's from
+then on, both ranked by variable, which keeps the paths short and the loop
+finite.  The start rule has no switch: callers hand `_simplex` the column
+maxima, which `matrix_game_ratio`'s saddle test computes anyway.
 There are three entry points over that one pivot loop (`_simplex`).
 `solve_matrix_game` takes a `RatMatrix` and returns the value with both
 optimal strategies.  `matrix_game_value` takes an integer grid (a game
@@ -53,8 +58,25 @@ class GameSolution:
     y_opt: tuple[Fraction, ...]
 
 
+def _first_pivot(rows: list[list], col_max: list) -> tuple[int, int]:
+    """(entering column, leaving row) of the first pivot: the pure minimax column.
+
+    `col_max` holds the column maxima of `rows`.  At the slack basis every
+    reduced cost is -1 and every right-hand side is the same `scale`, so
+    entering column j raises the objective by scale / col_max[j]: the
+    column whose largest entry is smallest (ties to the lowest variable) is
+    the greatest-improvement pivot among the tied costs.  It leaves at the
+    column's first largest entry, the least ratio with ties to the
+    smallest slack, which is Bland's leaving row.  The pivot is
+    non-degenerate, since its right-hand side is `scale` > 0.
+    """
+    enter = col_max.index(min(col_max))
+    top = col_max[enter]
+    return enter, next(i for i, row in enumerate(rows) if row[enter] == top)
+
+
 def _pivot(tableau: list[list], cost: list, labels: list[int], basis: list[int], bland: bool):
-    """(entering column, leaving row) of the next pivot, or None at the optimum.
+    """(entering column, leaving row) of every pivot after the first, or None at the optimum.
 
     Columns are positions in the condensed tableau and are ranked by their
     variables (`labels`), so both rules pick the variable the full tableau
@@ -89,7 +111,7 @@ def _pivot(tableau: list[list], cost: list, labels: list[int], basis: list[int],
     return enter, leave
 
 
-def _simplex(rows: list[list], scale) -> tuple:
+def _simplex(rows: list[list], scale, col_max: list) -> tuple:
     """Fraction-free simplex on the condensed tableau [rows | scale].
 
     The entries of `rows` are strictly positive elements of an ordered
@@ -115,11 +137,14 @@ def _simplex(rows: list[list], scale) -> tuple:
     `ratlinalg.bareiss_row`, one `IntPoly` per entry, and an integer
     tableau by `ratlinalg.int_row`.
 
-    The entering column is Dantzig's until the first degenerate pivot (its
-    pivot row has right-hand side 0) and Bland's from then on; the leaving
-    row is always Bland's (`_pivot`).  So the loop terminates: every pivot
-    before the switch raises the objective, so no basis repeats, and
-    Bland's rule terminates from any basis (Bland, Math. OR 1977).
+    The first pivot enters the pure minimax column, read from `col_max`
+    (the column maxima of `rows`), at its first largest entry
+    (`_first_pivot`).  Every later entering column is Dantzig's until the
+    first degenerate pivot (its pivot row has right-hand side 0) and
+    Bland's from then on; the leaving row is always Bland's (`_pivot`).
+    So the loop terminates: the first pivot is non-degenerate and every
+    pivot before the switch raises the objective, so no basis repeats,
+    and Bland's rule terminates from any basis (Bland, Math. OR 1977).
     Returns (tableau, cost row, basis, labels, det); the optimum 1.w is
     cost[-1] / det > 0, and a nonbasic variable's reduced cost is its
     column's cost entry (a basic one's is 0).
@@ -133,10 +158,8 @@ def _simplex(rows: list[list], scale) -> tuple:
     bland = False
     step = bareiss_row if isinstance(rows[0][0], IntPoly) else int_row
 
-    while True:
-        chosen = _pivot(tableau, cost, labels, basis, bland)
-        if chosen is None:
-            return tableau, cost, basis, labels, det
+    chosen = _first_pivot(rows, col_max)
+    while chosen is not None:
         enter, leave = chosen
         pivot_row = tableau[leave]
         piv = pivot_row[enter]
@@ -152,6 +175,8 @@ def _simplex(rows: list[list], scale) -> tuple:
         pivot_row[enter] = det
         det = piv
         labels[enter], basis[leave] = basis[leave], labels[enter]
+        chosen = _pivot(tableau, cost, labels, basis, bland)
+    return tableau, cost, basis, labels, det
 
 
 def _shift(rows):
@@ -174,9 +199,8 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
     shift = _shift(payoff.rows)
     m = [[x + shift for x in row] for row in payoff.rows]
     scale = math.lcm(*(x.denominator for row in m for x in row))
-    tableau, cost, basis, labels, det = _simplex(
-        [[x.numerator * (scale // x.denominator) for x in row] for row in m], scale
-    )
+    rows = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    tableau, cost, basis, labels, det = _simplex(rows, scale, [max(col) for col in zip(*rows)])
     # optimal 1.w = total / det = 1 / val(shifted game) > 0; the slack
     # reduced costs are the duals over D (0 for a basic slack), and det
     # cancels from every ratio
@@ -195,14 +219,17 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
     return GameSolution(value=value, x_opt=x_opt, y_opt=y_opt)
 
 
-def _value_ratio(rows: list[list]) -> tuple:
+def _value_ratio(rows: list[list], col_max: list) -> tuple:
     """(det - shift * total, total): the game value's numerator and positive denominator.
 
-    Runs the same pivots as `solve_matrix_game` with scale 1: the value is
-    det / total - shift with det, total > 0.
+    `col_max` holds the column maxima of `rows`.  Runs the same pivots as
+    `solve_matrix_game` with scale 1: the value is det / total - shift
+    with det, total > 0.
     """
     shift = _shift(rows)
-    _, cost, _, _, det = _simplex([[x + shift for x in row] for row in rows], 1)
+    _, cost, _, _, det = _simplex(
+        [[x + shift for x in row] for row in rows], 1, [x + shift for x in col_max]
+    )
     total = cost[-1]
     return det - shift * total, total
 
@@ -210,12 +237,14 @@ def _value_ratio(rows: list[list]) -> tuple:
 def matrix_game_ratio(rows: list[list[int]]) -> tuple[int, int]:
     """(numerator, positive denominator) of an integer matrix game's exact value, not reduced.
 
-    A saddle entry (maximin = minimax) is the value over 1, with no pivot.
+    A saddle entry (maximin = minimax) is the value over 1, with no pivot;
+    otherwise the column maxima of the saddle test pick the first pivot.
     """
+    col_max = [max(col) for col in zip(*rows)]
     maximin = max(min(row) for row in rows)
-    if maximin == min(max(col) for col in zip(*rows)):
+    if maximin == min(col_max):
         return maximin, 1
-    return _value_ratio(rows)
+    return _value_ratio(rows, col_max)
 
 
 def matrix_game_value(rows: list[list[int]]) -> Fraction:
@@ -229,4 +258,4 @@ def matrix_game_sign(rows: list[list]) -> int:
     The entries are ints or `ratlinalg.IntPoly` germs; for germs the sign
     is that of the value for every small enough lam > 0.
     """
-    return sign(_value_ratio(rows)[0])
+    return sign(_value_ratio(rows, [max(col) for col in zip(*rows)])[0])

@@ -20,7 +20,9 @@ double their bit size per step), and its distances and stopping bound
 are compared by cross-multiplication.  The polish that looks for an
 exact fixed point takes the simplest rational of each certified interval
 (`ratlinalg.simplest_between`, on integer pairs) and tests it with one
-more integer step.  Fractions are built only for the returned vector.
+more integer step; the returned vector carries that verdict
+(`OracleValues.polished`), so a caller need not test it again.  Fractions
+are built only for the returned vector.
 The exact one-player brute force that checks both bisections lives in
 the test suite (`tests/mdp_refs.py`), and the Fraction loop that value
 iteration replaced, with its Fraction `simplest_between`, in
@@ -107,6 +109,18 @@ def _max_distance(pairs) -> tuple[int, int]:
     return best_num, best_den
 
 
+class OracleValues(tuple):
+    """The vector `value_iteration` returns: a tuple of Fractions with the polish's verdict.
+
+    `polished` is True when the polish has just found the vector to be the
+    Shapley operator's exact fixed point.  When it is False the vector is
+    the last iterate, and only applying the operator once more tells
+    whether that is exact.
+    """
+
+    polished = False
+
+
 def value_iteration(
     game: Game, lam: RationalLike, tol: RationalLike
 ) -> tuple[Fraction, ...]:
@@ -124,7 +138,8 @@ def value_iteration(
     bound are compared by cross-multiplication.  The polish does too: its
     candidates come from `ratlinalg.simplest_between` on integer pairs and
     are compared with one more `_shapley_step` as reduced pairs.  Fractions
-    are built only for the returned vector.
+    are built only for the returned vector, an `OracleValues` whose
+    `polished` flag carries that comparison's verdict to the caller.
     """
     lam = check_discount(lam)
     tol = to_fraction(tol)
@@ -133,7 +148,7 @@ def value_iteration(
     a, b = lam.numerator, lam.denominator
     grid = 2 ** _grid_bits(tol, lam)
 
-    def polish(u: list[tuple[int, int]], bn: int, bd: int) -> tuple[Fraction, ...] | None:
+    def polish(u: list[tuple[int, int]], bn: int, bd: int) -> OracleValues | None:
         # the simplest rational within bn/bd of each entry, kept if it is
         # the operator's exact fixed point
         candidate = [
@@ -141,7 +156,9 @@ def value_iteration(
         ]
         cd = math.lcm(*(den for _, den in candidate))
         if _shapley_step(game, lam, [num * (cd // den) for num, den in candidate], cd) == candidate:
-            return tuple(Fraction(num, den) for num, den in candidate)
+            exact = OracleValues(Fraction(num, den) for num, den in candidate)
+            exact.polished = True
+            return exact
         return None
 
     u = [(0, 1)] * game.n_states
@@ -168,7 +185,7 @@ def value_iteration(
         bd = a * dd * ed
         if bn * tol.denominator <= tol.numerator * bd:
             exact = polish(u, bn, bd)
-            return exact if exact is not None else tuple(Fraction(*v) for v in u)
+            return exact if exact is not None else OracleValues(Fraction(*v) for v in u)
         if step % 8 == 0 and 256 * bn <= bd:
             exact = polish(u, bn, bd)
             if exact is not None:

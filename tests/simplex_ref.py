@@ -4,9 +4,10 @@
 [rows | I | scale]: a basic column is det * e_r, so it carries nothing.
 The loop it replaced updated every column; it stays here verbatim, but
 for the `path` argument, which records each pivot as (entering variable,
-leaving row).  The condensed loop must take the same pivots and store
-the same entries, so both return the same det, objective, basis and
-slack duals.
+leaving row), and for its first entering column, the pure minimax
+column that `matrixgame._simplex` starts from.  The condensed loop must
+take the same pivots and store the same entries, so both return the
+same det, objective, basis and slack duals.
 """
 
 from __future__ import annotations
@@ -30,7 +31,10 @@ def full_simplex(rows: list[list], scale, path: list | None = None) -> tuple:
     rows by `ratlinalg.bareiss_row`, one `IntPoly` per entry, and an
     integer tableau by `ratlinalg.int_row`.
 
-    The entering column is Dantzig's: the most negative reduced cost, ties
+    The first entering column is the one whose largest entry is smallest,
+    ties to the lowest index; every right-hand side is `scale` then, so
+    the ratio test leaves at its first largest entry.  After it the
+    entering column is Dantzig's: the most negative reduced cost, ties
     to the lowest index.  From the first degenerate pivot (its pivot row
     has right-hand side 0) to the end of the solve it is Bland's: the
     lowest index with a negative cost.  The leaving row is always Bland's,
@@ -45,13 +49,18 @@ def full_simplex(rows: list[list], scale, path: list | None = None) -> tuple:
     basis = list(range(q, q + p))
     det = 1
     bland = False
+    first = True
     step = bareiss_row if isinstance(rows[0][0], IntPoly) else int_row
 
     while True:
         negative = [j for j in range(q + p) if cost[j] < 0]
         if not negative:
             return tableau, cost, basis, det
-        enter = negative[0] if bland else min(negative, key=cost.__getitem__)
+        if first:
+            enter = min(range(q), key=lambda j: max(row[j] for row in rows))
+            first = False
+        else:
+            enter = negative[0] if bland else min(negative, key=cost.__getitem__)
         # Bland's leaving rule: least ratio rhs/a over a > 0, ties to the
         # smallest basic variable; ratios compared by cross-multiplication
         leave = None

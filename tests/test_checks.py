@@ -46,6 +46,16 @@ def test_exact_oracle_branch_reported(fixture_docs):
     assert "exact" in by_name["root-at-oracle-value"].detail
 
 
+def test_polished_oracle_value_is_not_evaluated_again(fixture_docs, monkeypatch):
+    def operator(game, lam, u):
+        raise AssertionError("fixed point evaluated again")
+
+    monkeypatch.setattr(checks, "shapley_operator", operator)
+    outcomes = run_invariant_checks(fixture_docs["big_match"].game, seed=1)
+    by_name = {o.name: o for o in outcomes}
+    assert by_name["root-at-oracle-value"].detail == "oracle value exact, root exact"
+
+
 def test_every_pencil_gets_the_callers_cap(fixture_docs, monkeypatch):
     # every pencil construction checks its cap through pencil._check_cap
     seen = []

@@ -129,6 +129,18 @@ class TestOracle:
         assert payload["values"] == ["2/3", "1/3"]
         assert payload["exact_fixed_point"] is True
 
+    def test_polished_vector_is_not_evaluated_again(self, capsys, monkeypatch):
+        # the polish has just tested the fixed point, so its verdict stands;
+        # an unpolished iterate is still evaluated
+        def operator(game, lam, u):
+            raise AssertionError("fixed point evaluated again")
+
+        monkeypatch.setattr(cli, "shapley_operator", operator)
+        assert main(["oracle", "cycle_mdp", "--lambda", "1/2", "--tol", "1/1024"]) == 0
+        assert "exact fixed point: yes" in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="evaluated again"):
+            main(["oracle", "two_state_2x2", "--lambda", "1/4", "--tol", "1/64"])
+
 
 class TestCheck:
     def test_fixture_passes(self, capsys):

@@ -29,6 +29,8 @@ CALLS = [
     ["value", "cycle_mdp", "--precision", "6", "--json"],
     ["oracle", "single_2x2", "--lambda", "1/4", "--tol", "1/64"],
     ["oracle", "cycle_mdp", "--lambda", "1/2", "--json"],
+    # the polish finds no exact fixed point here, so the iterate is evaluated
+    ["oracle", "two_state_2x2", "--lambda", "1/4", "--tol", "1/64"],
     ["check", "absorbing_mix", "--seed", "1"],
     ["check", "single_2x2", "--json"],
 ]

@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stochgame import matrixgame
+from stochgame import matrixgame, solver
 from stochgame.absorbing import AbsorbingGame, is_absorbing, live_pencil
 from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import (
@@ -15,10 +15,11 @@ from stochgame.matrixgame import (
     solve_matrix_game,
 )
 from stochgame.pencil import build_pencil
-from stochgame.ratlinalg import LAM, IntPoly, RatMatrix, sign
+from stochgame.ratlinalg import LAM, IntPoly, RatMatrix, bareiss_row, int_row, sign
+from stochgame.solver import limit_value
 
 from bland_ref import bland_value_ratio
-from gens import rand_fraction, rand_matrix
+from gens import rand_fraction, rand_game, rand_matrix
 from simplex_ref import full_simplex
 from snow_ref import shapley_snow_certificate
 
@@ -52,15 +53,16 @@ wide_payoff_matrices = st.integers(min_value=1, max_value=4).flatmap(
     )
 ).map(RatMatrix)
 
-# the second pivot ties on the ratio test, and Bland's rule lets the
+# the third pivot ties on the ratio test, and Bland's rule lets the
 # smallest basic variable (w_1, not the slack of row 1) leave
-BLAND_TIE = RatMatrix([[-2, -1], [2, -1]])
-# the first pivot ties on the ratio test and leaves row 2's right-hand
-# side 0; Dantzig's second pivot leaves from that row, a degenerate pivot,
-# so the third enters Bland's column (w_2, the lowest negative cost), not
-# Dantzig's (w_4, the most negative).  That gives y = (0, 1, 0, 0), where
-# Dantzig's rule throughout stops at the also optimal y = (0, 0, 1/2, 1/2).
-DEGENERATE = RatMatrix([[2, 0, -1, 1], [2, 0, 0, 0]])
+BLAND_TIE = RatMatrix([[-1, -1, 0], [-1, 0, -1], [1, -1, 0]])
+# the first pivot (w_1, the pure minimax column) ties on the ratio test
+# and leaves row 2's right-hand side 0; Dantzig's second pivot leaves from
+# that row, a degenerate pivot, so the third enters Bland's column (w_3,
+# the lowest negative cost), not Dantzig's (w_4, the most negative).  That
+# gives y = (0, 0, 2/3, 1/3), where Dantzig's rule throughout stops at the
+# also optimal y = (0, 1/3, 0, 2/3).
+DEGENERATE = RatMatrix([[0, -2, -1, 0], [0, 2, 0, -2]])
 # every entry <= 0, so the solver must shift before its LP is bounded
 NONPOSITIVE = RatMatrix([[0, "-3/2", -1], [-2, "-1/3", "-5/7"]])
 # saddle points: maximin = minimax, so matrix_game_value returns the entry
@@ -119,10 +121,10 @@ class TestSolve:
 
     def test_bland_tie_break(self):
         sol = solve_matrix_game(BLAND_TIE)
-        assert sol.value == -1
-        # the other tie-break would pick the also optimal x = (3/4, 1/4)
-        assert sol.x_opt == (0, 1)
-        assert sol.y_opt == (0, 1)
+        assert sol.value == Fraction(-1, 2)
+        # the other tie-break would pick the also optimal x = (1/4, 1/2, 1/4)
+        assert sol.x_opt == (0, Fraction(1, 2), Fraction(1, 2))
+        assert sol.y_opt == (0, Fraction(1, 2), Fraction(1, 2))
 
     def test_random_solutions_certify(self, anchor_rung_matrices):
         rng = random.Random(10)
@@ -189,7 +191,7 @@ class TestMatrixGameSign:
         assert matrix_game_sign(rows) == sign(value) == sign(solve_matrix_game(m).value)
 
     def test_saddle_point_skips_the_pivot_loop(self, monkeypatch):
-        def pivot_loop(rows, scale):
+        def pivot_loop(rows, scale, col_max):
             raise AssertionError("pivot loop reached")
 
         monkeypatch.setattr(matrixgame, "_simplex", pivot_loop)
@@ -238,9 +240,9 @@ class TestPivotRule:
 
     def test_degenerate_pivot_falls_back_to_bland(self):
         sol = solve_matrix_game(DEGENERATE)
-        assert sol.value == 0
-        assert sol.x_opt == (0, 1)
-        assert sol.y_opt == (0, 1, 0, 0)
+        assert sol.value == Fraction(-2, 3)
+        assert sol.x_opt == (Fraction(2, 3), Fraction(1, 3))
+        assert sol.y_opt == (0, 0, Fraction(2, 3), Fraction(1, 3))
         assert_solution_certifies(DEGENERATE, sol)
 
     @settings(max_examples=80, deadline=None)
@@ -261,23 +263,36 @@ class TestPivotRule:
     @settings(max_examples=80, deadline=None)
     @given(germ_matrices)
     def test_germ_signs_and_values_match_the_bland_loop(self, rows):
-        num, total = matrixgame._value_ratio(rows)
+        num, total = matrixgame._value_ratio(rows, column_maxima(rows))
         ref_num, ref_total = bland_value_ratio(rows)
         assert matrix_game_sign(rows) == sign(ref_num)
         assert num * ref_total == ref_num * total
 
     def test_pencil_germ_grids_match_the_bland_loop(self, pencil_germ_grids):
         for rows in pencil_germ_grids:
-            num, total = matrixgame._value_ratio(rows)
+            num, total = matrixgame._value_ratio(rows, column_maxima(rows))
             ref_num, ref_total = bland_value_ratio(rows)
             assert matrix_game_sign(rows) == sign(ref_num)
             assert num * ref_total == ref_num * total
 
 
+def column_maxima(rows: list[list]) -> list:
+    return [max(col) for col in zip(*rows)]
+
+
 def condensed_run(rows: list[list], scale) -> tuple:
-    """`matrixgame._simplex` with its pivots recorded as (entering variable, leaving row)."""
+    """`matrixgame._simplex` with its pivots recorded as (entering variable, leaving row).
+
+    The first pivot comes from `_first_pivot`, at the slack basis, where
+    column j holds variable j; every later one from `_pivot`.
+    """
     path = []
-    pivot = matrixgame._pivot
+    first_pivot, pivot = matrixgame._first_pivot, matrixgame._pivot
+
+    def recorded_first(rows, col_max):
+        chosen = first_pivot(rows, col_max)
+        path.append(chosen)
+        return chosen
 
     def recorded(tableau, cost, labels, basis, bland):
         chosen = pivot(tableau, cost, labels, basis, bland)
@@ -285,8 +300,9 @@ def condensed_run(rows: list[list], scale) -> tuple:
             path.append((labels[chosen[0]], chosen[1]))
         return chosen
 
-    with mock.patch.object(matrixgame, "_pivot", recorded):
-        return matrixgame._simplex(rows, scale), path
+    with mock.patch.object(matrixgame, "_first_pivot", recorded_first), \
+            mock.patch.object(matrixgame, "_pivot", recorded):
+        return matrixgame._simplex(rows, scale, column_maxima(rows)), path
 
 
 def assert_same_pivots(rows: list[list], scale) -> list[tuple[int, int]]:
@@ -358,6 +374,63 @@ class TestCondensedTableau:
     def test_pencil_germ_grid_pivots_match_the_full_tableau(self, pencil_germ_grids):
         for rows in pencil_germ_grids:
             assert_same_pivots(rows, 1)
+
+
+def counting_sign(tally: list):
+    """`matrix_game_sign` that appends each call's pivot count to `tally`.
+
+    Every pivot updates the p - 1 other rows and the cost row by one row
+    step, so a solve on p rows takes p steps per pivot.
+    """
+    steps = [0]
+
+    def counted(step):
+        def wrapped(*args):
+            steps[0] += 1
+            return step(*args)
+        return wrapped
+
+    def sign_of(rows):
+        steps[0] = 0
+        with mock.patch.object(matrixgame, "int_row", counted(int_row)), \
+                mock.patch.object(matrixgame, "bareiss_row", counted(bareiss_row)):
+            out = matrix_game_sign(rows)
+        assert steps[0] % len(rows) == 0
+        tally.append(steps[0] // len(rows))
+        return out
+
+    return sign_of
+
+
+class TestPivotCount:
+    """Pivots the one loop takes on profile grids, pinned at the pure minimax start.
+
+    Entering column 0 first (every reduced cost starts at -1) took 172,
+    400 and 63 pivots on these three sets.
+    """
+
+    def test_profile_grid_pivots(self):
+        rng = random.Random(19)
+        tallies = {}
+        for shape in ((3, 2, 2), (2, 3, 3)):
+            tally = tallies[shape] = []
+            sign_of = counting_sign(tally)
+            for _ in range(4):
+                game, _, _ = affine_normalize(rand_game(rng, *shape))
+                for d in range(2, 7):
+                    pencil = build_pencil(game, 1, Fraction(1, d))
+                    for _ in range(3):
+                        sign_of(pencil.scaled_at(Fraction(rng.randint(1, 31), 32)))
+        assert [len(t) for t in tallies.values()] == [60, 60]
+        assert sum(tallies[3, 2, 2]) <= 113  # 8x8 grids
+        assert sum(tallies[2, 3, 3]) <= 242  # 9x9 grids
+
+    def test_four_state_pin_germ_grid_pivots(self):
+        tally = []
+        with mock.patch.object(solver, "matrix_game_sign", counting_sign(tally)):
+            result = limit_value(rand_game(random.Random(4), 4, 2, 2), 1, 10)
+        assert len(tally) == result.iterations == 13
+        assert sum(tally) <= 31  # 16x16 germ grids
 
 
 class TestShapleySnow:

@@ -190,6 +190,19 @@ class TestValueIteration:
         with pytest.raises(GameValidationError):
             value_iteration(cycle_game(), Fraction(1, 2), 0)
 
+    def test_polished_flag_is_the_polish_verdict(self, fixture_docs):
+        # polished marks an exact fixed point; an unpolished vector is the
+        # last iterate, exact or not
+        polished = []
+        for doc in fixture_docs.values():
+            for lam in (Fraction(1, 4), Fraction(2, 3), Fraction(1, 7)):
+                u = value_iteration(doc.game, lam, Fraction(1, 2**12))
+                assert isinstance(u, tuple) and u == tuple(u)
+                if u.polished:
+                    assert shapley_operator(doc.game, lam, u) == u
+                polished.append(u.polished)
+        assert True in polished and False in polished
+
     def test_matches_fraction_loop_reference(self):
         # 210 seeded games, a third absorbing and a third on >= 30-bit prime
         # denominators, each at one of the 15 (lam, tol) pairs in turn
