@@ -13,7 +13,9 @@ The solver signs the quotient's numerator, which is affine in z: one
 read from an integer grid, as the solvers and the oracle read theirs
 (`Game.int_rewards`, `GamePencil.value_at`); the value-reduced grid, once
 it is checked constant on each live-state action block, is solved at
-|I| x |J| from one representative row and column per block.
+|I| x |J| from one representative row and column per block.  The
+value-reduced game keeps the game's checked transitions and is built
+without validating them again.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import GameValidationError
-from .gamecore import Game, check_discount
+from .gamecore import Game, _checked_game, check_discount
 # `solve_matrix_game` and `pencil_matrix` stay bound here, unused: the
 # benchmark's trace layer wraps `absorbing.<name>` by name
 from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
@@ -36,7 +38,7 @@ from .pencil import (  # noqa: F401
     build_pencil,
     pencil_matrix,
 )
-from .ratlinalg import IntPoly, RationalLike, to_fraction
+from .ratlinalg import IntPoly, RationalLike, rational_text, to_fraction
 
 
 def _leak(game: Game) -> tuple[int, int, int] | None:
@@ -67,7 +69,7 @@ class AbsorbingGame:
             l, i, j = leak
             raise GameValidationError(
                 f"state {l + 1} is not absorbing: stay probability "
-                f"{game.transitions[l][i][j][l]} at actions ({i + 1}, {j + 1})"
+                f"{rational_text(game.transitions[l][i][j][l])} at actions ({i + 1}, {j + 1})"
             )
         return cls(game)
 
@@ -157,7 +159,8 @@ def value_reduced_game(ab: AbsorbingGame) -> Game:
     become constant at their own value, and the live-state pencil value
     is preserved exactly because each player can commit to an optimal
     mixture of the absorbed reward matrix independently of the live
-    action (the absorption weights are nonnegative).
+    action (the absorption weights are nonnegative).  The copy keeps the
+    game's checked transitions, so it is built without a second validation.
     """
     game = ab.game
     values = ab.absorbed_values
@@ -165,7 +168,7 @@ def value_reduced_game(ab: AbsorbingGame) -> Game:
         tuple(tuple(values[l - 1] for _ in row) for row in game.rewards[l])
         for l in range(1, game.n_states)
     )
-    return Game(rewards, game.transitions)
+    return _checked_game(rewards, game.transitions)
 
 
 def verify_kohlberg_identity(
@@ -205,7 +208,8 @@ def verify_kohlberg_identity(
         if x != rep:
             detail = (
                 f"reduced-game entry at profile pair ({r}, {c}) is "
-                f"{Fraction(x, area)}, expected {Fraction(rep, area)} from its "
+                f"{rational_text(Fraction(x, area))}, expected "
+                f"{rational_text(Fraction(rep, area))} from its "
                 f"live-state action block"
             )
             break
@@ -221,11 +225,14 @@ def verify_kohlberg_identity(
     rhs = kohlberg_quotient(ab, lam, z)
     values_equal = lhs == rhs
     if not values_equal and not detail:
-        detail = f"scaled matrix value {lhs} != quotient {rhs} at lam={lam}, z={z}"
+        detail = (
+            f"scaled matrix value {rational_text(lhs)} != quotient {rational_text(rhs)} "
+            f"at lam={lam}, z={rational_text(z)}"
+        )
     elif not reduction_exact and not detail:
         detail = (
-            f"value-reduced pencil value {reduced_value} != raw pencil value "
-            f"{value} at lam={lam}, z={z}"
+            f"value-reduced pencil value {rational_text(reduced_value)} != raw pencil "
+            f"value {rational_text(value)} at lam={lam}, z={rational_text(z)}"
         )
     return IdentityReport(
         values_equal=values_equal,

@@ -59,7 +59,7 @@ from .pencil import (  # noqa: F401
     profile_row_index,
 )
 # `det` stays bound here, unused: the benchmark's trace layer wraps `checks.det` by name
-from .ratlinalg import det, int_det  # noqa: F401
+from .ratlinalg import det, int_det, rational_text  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,8 @@ def _check_denominator_bound(
                     return CheckOutcome(
                         "denominator-lower-bound",
                         False,
-                        f"denominator {Fraction(den, pencil.scale)} < {lam**n} at lam={lam}, "
-                        f"profile pair ({r}, {c})",
+                        f"denominator {rational_text(Fraction(den, pencil.scale))} < "
+                        f"{lam**n} at lam={lam}, profile pair ({r}, {c})",
                     )
     return CheckOutcome("denominator-lower-bound", True)
 
@@ -184,7 +184,8 @@ def _check_strict_decrease(
             return CheckOutcome(
                 "value-strict-decrease",
                 False,
-                f"val({z1}) - val({z2}) = {v1 - v2} < {(z2 - z1) * lam ** n} at lam={lam}",
+                f"val({z1}) - val({z2}) = {rational_text(v1 - v2)} < {(z2 - z1) * lam ** n} "
+                f"at lam={lam}",
             )
     return CheckOutcome("value-strict-decrease", True)
 
@@ -203,7 +204,7 @@ def _check_root_at_oracle(
             return CheckOutcome(
                 "root-at-oracle-value",
                 False,
-                f"exact oracle value {z} but pencil value sign {at} != 0",
+                f"exact oracle value {rational_text(z)} but pencil value sign {at} != 0",
             )
         return CheckOutcome("root-at-oracle-value", True, "oracle value exact, root exact")
     below = matrix_game_sign(pencil.scaled_at(z - tol))
@@ -212,8 +213,9 @@ def _check_root_at_oracle(
         return CheckOutcome(
             "root-at-oracle-value",
             False,
-            f"no sign change around oracle value {z}: sign val({z - tol})={below}, "
-            f"sign val({z + tol})={above}",
+            f"no sign change around oracle value {rational_text(z)}: "
+            f"sign val({rational_text(z - tol)})={below}, "
+            f"sign val({rational_text(z + tol)})={above}",
         )
     return CheckOutcome("root-at-oracle-value", True)
 

@@ -27,7 +27,7 @@ from .errors import GameValidationError, ResourceCapError
 from .gamefile import GameFile, fixture_path, list_fixtures, parse_game
 from .oracle import shapley_operator, value_iteration
 from .pencil import DEFAULT_MAX_ENTRIES
-from .ratlinalg import format_decimal, parse_rational
+from .ratlinalg import format_decimal, int_of_digits, int_text, parse_rational, rational_text
 from .solver import BisectionResult, discounted_value, limit_value
 
 EXIT_OK = 0
@@ -55,13 +55,13 @@ def _resolve_state(doc: GameFile, requested: int | None) -> int:
 
 def _result_dict(result: BisectionResult, digits: int) -> dict:
     return {
-        "value": str(result.value_estimate),
+        "value": rational_text(result.value_estimate),
         "decimal": format_decimal(result.value_estimate, digits),
-        "radius": str(result.radius),
+        "radius": rational_text(result.radius),
         "iterations": result.iterations,
-        "trace": [[str(z), s] for z, s in result.trace],
-        "scale": str(result.scale),
-        "offset": str(result.offset),
+        "trace": [[rational_text(z), s] for z, s in result.trace],
+        "scale": rational_text(result.scale),
+        "offset": rational_text(result.offset),
     }
 
 
@@ -69,14 +69,15 @@ def _print_result(
     title: str, result: BisectionResult, digits: int, elapsed: float, show_trace: bool
 ) -> None:
     print(title)
-    print(f"  value     {result.value_estimate}  (~ {format_decimal(result.value_estimate, digits)})")
-    print(f"  radius    {result.radius}")
+    value = result.value_estimate
+    print(f"  value     {rational_text(value)}  (~ {format_decimal(value, digits)})")
+    print(f"  radius    {rational_text(result.radius)}")
     print(f"  iterations {result.iterations}")
     print(f"  elapsed   {elapsed:.3f}s")
     if show_trace:
         print("  trace (normalized z, sign):")
         for z, s in result.trace:
-            print(f"    {z}  {s:+d}")
+            print(f"    {rational_text(z)}  {s:+d}")
 
 
 def _cmd_bisection(args) -> int:
@@ -95,11 +96,11 @@ def _cmd_bisection(args) -> int:
         payload = _result_dict(result, args.digits)
         payload.update({"command": args.command, "state": k})
         if discounted:
-            payload["lambda"] = str(args.lam)
+            payload["lambda"] = rational_text(args.lam)
         payload.update({"precision": args.precision, "elapsed_s": elapsed})
         print(json.dumps(payload))
     else:
-        at = f"at lambda = {args.lam} " if discounted else ""
+        at = f"at lambda = {rational_text(args.lam)} " if discounted else ""
         _print_result(
             f"{'discounted' if discounted else 'limit'} value from state {k} {at}"
             f"(precision 2^-{args.precision})",
@@ -118,17 +119,18 @@ def _cmd_oracle(args) -> int:
     if args.json:
         print(json.dumps({
             "command": "oracle",
-            "lambda": str(lam),
-            "tol": str(tol),
-            "values": [str(v) for v in values],
+            "lambda": rational_text(lam),
+            "tol": rational_text(tol),
+            "values": [rational_text(v) for v in values],
             "decimals": [format_decimal(v, args.digits) for v in values],
             "exact_fixed_point": exact,
             "elapsed_s": elapsed,
         }))
     else:
-        print(f"value-iteration oracle at lambda = {lam} (tolerance {tol})")
+        print(f"value-iteration oracle at lambda = {rational_text(lam)} "
+              f"(tolerance {rational_text(tol)})")
         for l, v in enumerate(values, start=1):
-            print(f"  state {l}: {v}  (~ {format_decimal(v, args.digits)})")
+            print(f"  state {l}: {rational_text(v)}  (~ {format_decimal(v, args.digits)})")
         print(f"  exact fixed point: {'yes' if exact else 'no'}")
         print(f"  elapsed   {elapsed:.3f}s")
     return EXIT_OK
@@ -142,7 +144,7 @@ def _cmd_check(args) -> int:
     elapsed = time.perf_counter() - start
     all_passed = all(o.passed for o in outcomes)
     if args.json:
-        print(json.dumps({
+        print(_json_object({
             "command": "check",
             "state": k,
             "seed": args.seed,
@@ -177,18 +179,29 @@ def _cmd_info(args) -> int:
         "actions1": game.n_actions1,
         "actions2": game.n_actions2,
         "initial_state": doc.initial_state,
-        "reward_min": str(game.min_reward()),
-        "reward_max": str(game.max_reward()),
+        "reward_min": rational_text(game.min_reward()),
+        "reward_max": rational_text(game.max_reward()),
         "denominator_lcm": game.denominator_lcm(),
         "profile_matrix_entries": profile_entries,
         "absorbing": is_absorbing(game),
     }
     if args.json:
-        print(json.dumps(info))
+        print(_json_object(info))
     else:
         for key, value in info.items():
-            print(f"{key}: {value}")
+            print(f"{key}: {int_text(value) if type(value) is int else value}")
     return EXIT_OK
+
+
+def _json_object(fields: dict) -> str:
+    """json.dumps(fields), with top-level ints of any length as JSON numbers.
+
+    json.dumps and str() refuse ints above Python's int/str digit limit.
+    """
+    return "{" + ", ".join(
+        f"{json.dumps(key)}: {int_text(value) if type(value) is int else json.dumps(value)}"
+        for key, value in fields.items()
+    ) + "}"
 
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
@@ -198,14 +211,14 @@ def _integer(text: str) -> int:
     """An integer in ASCII digits 0-9 with an optional leading '-' (no '+', '_' or spaces)."""
     if not _INTEGER_RE.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected an integer in digits 0-9, got {text!r}")
-    return int(text)
+    return int_of_digits(text)
 
 
 def _int_at_least(low: int, what: str):
     def parse(text: str) -> int:
         value = _integer(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {what}, got {int_text(value)}")
         return value
 
     return parse

@@ -4,10 +4,14 @@ A game has states 1..n (state parameters in the public API are 1-based,
 matching the file format; tuples are indexed 0-based internally), global
 action sets for both players, a reward tensor and an exactly stochastic
 transition kernel, held once more as integers over the game's least
-common denominator.  Stationary strategies, the Markov chain a pair of
-them induces and its discounted payoffs live in the test suite
-(`tests/chain_refs.py`); `checks._mixed_determinants` mixes the chain
-rows it needs itself, from integer weights.
+common denominator.  `Game(rewards, transitions)` validates its data
+and ends in `_checked_game`, which stores it and computes the integer
+form.  Data that is already checked where it enters (a parsed document,
+a normalized or value-reduced copy of a game) goes straight to
+`_checked_game`, so each game is validated once.  Stationary strategies,
+the Markov chain a pair of them induces and its discounted payoffs live
+in the test suite (`tests/chain_refs.py`); `checks._mixed_determinants`
+mixes the chain rows it needs itself, from integer weights.
 """
 
 from __future__ import annotations
@@ -16,14 +20,14 @@ import math
 from fractions import Fraction
 
 from .errors import GameValidationError
-from .ratlinalg import RationalLike, to_fraction
+from .ratlinalg import RationalLike, int_text, rational_text, to_fraction
 
 
 def check_discount(lam: RationalLike) -> Fraction:
     """Validate a discount rate: a rational in (0, 1]."""
     lam = to_fraction(lam)
     if not 0 < lam <= 1:
-        raise GameValidationError(f"discount rate must be in (0, 1], got {lam}")
+        raise GameValidationError(f"discount rate must be in (0, 1], got {rational_text(lam)}")
     return lam
 
 
@@ -81,26 +85,9 @@ class Game:
                     if total != 1:
                         raise GameValidationError(
                             f"transition row at (state {l + 1}, i {i + 1}, j {j + 1}) "
-                            f"sums to {total}, expected 1"
+                            f"sums to {rational_text(total)}, expected 1"
                         )
-        object.__setattr__(self, "n_states", n)
-        object.__setattr__(self, "n_actions1", n_i)
-        object.__setattr__(self, "n_actions2", n_j)
-        object.__setattr__(self, "rewards", rew)
-        object.__setattr__(self, "transitions", tra)
-        denominators = [x.denominator for state in rew for row in state for x in row]
-        denominators += [p.denominator for state in tra for row in state for d in row for p in d]
-        big_l = math.lcm(*denominators)
-        object.__setattr__(self, "_lcm", big_l)
-        object.__setattr__(self, "int_rewards", tuple(
-            tuple(tuple(big_l // x.denominator * x.numerator for x in row) for row in state)
-            for state in rew
-        ))
-        object.__setattr__(self, "int_transitions", tuple(
-            tuple(tuple(tuple(big_l // p.denominator * p.numerator for p in d) for d in row)
-                  for row in state)
-            for state in tra
-        ))
+        _checked_game(rew, tra, self)
 
     def __setattr__(self, name, value):
         raise AttributeError("Game is immutable")
@@ -133,29 +120,65 @@ class Game:
     def check_state(self, k: int) -> int:
         if not 1 <= k <= self.n_states:
             raise GameValidationError(
-                f"state {k} out of range 1..{self.n_states}"
+                f"state {int_text(k)} out of range 1..{self.n_states}"
             )
         return k
+
+
+def _checked_game(rewards: tuple, transitions: tuple, game: Game | None = None) -> Game:
+    """Fill `game` (by default a new one) from data that is already checked.
+
+    `rewards` and `transitions` are nested tuples of Fractions that satisfy
+    every invariant `Game.__init__` checks; this stores them and computes
+    the integer form.  `Game.__init__` ends here, and so do the callers
+    whose data is checked where it enters: `gamefile.parse_game`,
+    `affine_normalize` and `absorbing.value_reduced_game`.
+    """
+    if game is None:
+        game = object.__new__(Game)
+    put = object.__setattr__
+    put(game, "n_states", len(rewards))
+    put(game, "n_actions1", len(rewards[0]))
+    put(game, "n_actions2", len(rewards[0][0]))
+    put(game, "rewards", rewards)
+    put(game, "transitions", transitions)
+    denominators = {x.denominator for state in rewards for row in state for x in row}
+    denominators.update(p.denominator for state in transitions for row in state
+                        for d in row for p in d)
+    big_l = math.lcm(*denominators)
+    put(game, "_lcm", big_l)
+    put(game, "int_rewards", tuple(
+        tuple(tuple(big_l // x.denominator * x.numerator for x in row) for row in state)
+        for state in rewards
+    ))
+    put(game, "int_transitions", tuple(
+        tuple(tuple(tuple(big_l // p.denominator * p.numerator for p in d) for d in row)
+              for row in state)
+        for state in transitions
+    ))
+    return game
 
 
 def affine_normalize(game: Game) -> tuple[Game, Fraction, Fraction]:
     """Rescale rewards into [0, 1]; returns (game', c, d) with v = c*v' + d.
 
-    Rewards map by r -> (r - m)/(M - m).  A constant-reward game maps to
-    all zeros with c = 1 and d the constant.  Transitions are untouched,
-    so discounted payoffs and values transform by the same (c, d).
+    Rewards map by r -> (r - m)/(M - m), read on the integer form: with lo
+    and hi the least and greatest of `int_rewards`, an entry x maps to
+    (x - lo)/(hi - lo), c = (hi - lo)/L and d = lo/L.  A constant-reward
+    game maps to all zeros with c = 1 and d the constant.  Transitions are
+    untouched, so discounted payoffs and values transform by the same
+    (c, d).
     """
-    m = game.min_reward()
-    big = game.max_reward()
-    if big == m:
-        zero = Fraction(0)
-        rewards = tuple(
-            tuple(tuple(zero for _ in row) for row in state) for state in game.rewards
-        )
-        return Game(rewards, game.transitions), Fraction(1), m
-    span = big - m
+    big_l = game.denominator_lcm()
+    lo = min(x for state in game.int_rewards for row in state for x in row)
+    hi = max(x for state in game.int_rewards for row in state for x in row)
+    if hi == lo:
+        zeros = (Fraction(0),) * game.n_actions2
+        rewards = tuple((zeros,) * game.n_actions1 for _ in range(game.n_states))
+        return _checked_game(rewards, game.transitions), Fraction(1), Fraction(lo, big_l)
+    span = hi - lo
     rewards = tuple(
-        tuple(tuple((x - m) / span for x in row) for row in state)
-        for state in game.rewards
+        tuple(tuple(Fraction(x - lo, span) for x in row) for row in state)
+        for state in game.int_rewards
     )
-    return Game(rewards, game.transitions), span, m
+    return _checked_game(rewards, game.transitions), Fraction(span, big_l), Fraction(lo, big_l)

@@ -16,10 +16,18 @@ indices and counts in ASCII digits and rationals written as "p/q" or "p"
 Full-line comments start with '#'.  Every (state, i, j) reward and every
 (state, i, j, target) transition entry must be present explicitly; there
 are no defaults.  Parse errors carry the offending line number.
+
+The parser is the one validation of a document: its checks cover every
+invariant of `gamecore.Game`, and it builds the game and its integer form
+once, without `Game.__init__` checking the data again.  Each distinct
+index and rational token of a document is parsed once.  Numbers may be
+longer than Python's int/str digit limit; transition rows are summed on
+integers over the row's least common denominator.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -27,8 +35,8 @@ from pathlib import Path
 from typing import IO, Union
 
 from .errors import GameFileError
-from .gamecore import Game
-from .ratlinalg import parse_rational
+from .gamecore import Game, _checked_game
+from .ratlinalg import int_of_digits, int_text, parse_rational, rational_text
 
 Source = Union[str, Path, IO[str]]
 
@@ -56,18 +64,43 @@ def _parse_count(token: str, what: str, line_no: int) -> int:
     """A count or index written in ASCII digits only (no sign, no underscore)."""
     if not (token.isascii() and token.isdigit()):
         raise GameFileError(f"{what} must be digits 0-9, got {token!r}", line_no)
-    return int(token)
+    return int_of_digits(token)
 
 
 def _parse_index(token: str, upper: int, what: str, line_no: int) -> int:
     value = _parse_count(token, what, line_no)
     if not 1 <= value <= upper:
-        raise GameFileError(f"{what} {value} out of range 1..{upper}", line_no)
+        raise GameFileError(
+            f"{what} {int_text(value)} out of range 1..{int_text(upper)}", line_no
+        )
+    return value
+
+
+def _index(memo: dict[str, int], token: str, upper: int, what: str, line_no: int) -> int:
+    """`_parse_index` once per distinct token; `memo` holds one bound's tokens."""
+    value = memo.get(token)
+    if value is None:
+        value = memo[token] = _parse_index(token, upper, what, line_no)
+    return value
+
+
+def _rational(memo: dict[str, Fraction], token: str, line_no: int) -> Fraction:
+    """`parse_rational` once per distinct token of a document."""
+    value = memo.get(token)
+    if value is None:
+        try:
+            value = memo[token] = parse_rational(token)
+        except ValueError as exc:
+            raise GameFileError(str(exc), line_no)
     return value
 
 
 def parse_game(source: Source) -> GameFile:
-    """Parse and fully validate a game document from a path or stream."""
+    """Parse and fully validate a game document from a path or stream.
+
+    The checks here cover every invariant of `Game`, so the game is built
+    without a second validation.
+    """
     text = _read_text(source)
     header: dict[str, int] = {}
     label: str | None = None
@@ -107,25 +140,27 @@ def parse_game(source: Source) -> GameFile:
             raise GameFileError(f"missing {field} declaration")
     n, n_i, n_j = header["states"], header["actions1"], header["actions2"]
 
+    # each distinct token is parsed once: indices per upper bound, rationals
+    states: dict[str, int] = {}
+    actions1: dict[str, int] = {}
+    actions2: dict[str, int] = {}
+    rationals: dict[str, Fraction] = {}
     for line_no, key, tokens in body:
         if key == "initial_state":
             if initial_state is not None:
                 raise GameFileError("duplicate initial_state", line_no)
             if len(tokens) != 1:
                 raise GameFileError("initial_state takes exactly one value", line_no)
-            initial_state = _parse_index(tokens[0], n, "initial_state", line_no)
+            initial_state = _index(states, tokens[0], n, "initial_state", line_no)
         elif key == "reward":
             if len(tokens) != 4:
                 raise GameFileError(
                     "reward takes: state i j value", line_no
                 )
-            s = _parse_index(tokens[0], n, "reward state", line_no)
-            i = _parse_index(tokens[1], n_i, "reward action i", line_no)
-            j = _parse_index(tokens[2], n_j, "reward action j", line_no)
-            try:
-                value = parse_rational(tokens[3])
-            except ValueError as exc:
-                raise GameFileError(str(exc), line_no)
+            s = _index(states, tokens[0], n, "reward state", line_no)
+            i = _index(actions1, tokens[1], n_i, "reward action i", line_no)
+            j = _index(actions2, tokens[2], n_j, "reward action j", line_no)
+            value = _rational(rationals, tokens[3], line_no)
             if (s, i, j) in reward_entries:
                 raise GameFileError(f"duplicate reward for (state {s}, i {i}, j {j})", line_no)
             reward_entries[(s, i, j)] = value
@@ -134,16 +169,15 @@ def parse_game(source: Source) -> GameFile:
                 raise GameFileError(
                     "transition takes: state i j target probability", line_no
                 )
-            s = _parse_index(tokens[0], n, "transition state", line_no)
-            i = _parse_index(tokens[1], n_i, "transition action i", line_no)
-            j = _parse_index(tokens[2], n_j, "transition action j", line_no)
-            t = _parse_index(tokens[3], n, "transition target", line_no)
-            try:
-                prob = parse_rational(tokens[4])
-            except ValueError as exc:
-                raise GameFileError(str(exc), line_no)
-            if prob < 0:
-                raise GameFileError(f"negative transition probability {prob}", line_no)
+            s = _index(states, tokens[0], n, "transition state", line_no)
+            i = _index(actions1, tokens[1], n_i, "transition action i", line_no)
+            j = _index(actions2, tokens[2], n_j, "transition action j", line_no)
+            t = _index(states, tokens[3], n, "transition target", line_no)
+            prob = _rational(rationals, tokens[4], line_no)
+            if prob.numerator < 0:
+                raise GameFileError(
+                    f"negative transition probability {rational_text(prob)}", line_no
+                )
             if (s, i, j, t) in transition_entries:
                 raise GameFileError(
                     f"duplicate transition for (state {s}, i {i}, j {j}, target {t})",
@@ -151,39 +185,41 @@ def parse_game(source: Source) -> GameFile:
                 )
             transition_entries[(s, i, j, t)] = prob
 
+    rewards = []
+    transitions = []
     for s in range(1, n + 1):
+        state_rewards = []
+        state_transitions = []
         for i in range(1, n_i + 1):
+            row_rewards = []
+            row_transitions = []
             for j in range(1, n_j + 1):
                 if (s, i, j) not in reward_entries:
                     raise GameFileError(f"missing reward for (state {s}, i {i}, j {j})")
+                row_rewards.append(reward_entries[(s, i, j)])
+                dist = []
                 for t in range(1, n + 1):
                     if (s, i, j, t) not in transition_entries:
                         raise GameFileError(
                             f"missing transition for (state {s}, i {i}, j {j}, target {t})"
                         )
-                row_sum = sum(transition_entries[(s, i, j, t)] for t in range(1, n + 1))
-                if row_sum != 1:
+                    dist.append(transition_entries[(s, i, j, t)])
+                # the sum on integers over the row's lcm; a Fraction only to report it
+                den = math.lcm(*[p.denominator for p in dist])
+                if sum(den // p.denominator * p.numerator for p in dist) != den:
                     raise GameFileError(
                         f"transition row at (state {s}, i {i}, j {j}) sums to "
-                        f"{row_sum}, expected exactly 1"
+                        f"{rational_text(sum(dist))}, expected exactly 1"
                     )
-
-    rewards = [
-        [[reward_entries[(s, i, j)] for j in range(1, n_j + 1)] for i in range(1, n_i + 1)]
-        for s in range(1, n + 1)
-    ]
-    transitions = [
-        [
-            [
-                [transition_entries[(s, i, j, t)] for t in range(1, n + 1)]
-                for j in range(1, n_j + 1)
-            ]
-            for i in range(1, n_i + 1)
-        ]
-        for s in range(1, n + 1)
-    ]
+                row_transitions.append(tuple(dist))
+            state_rewards.append(tuple(row_rewards))
+            state_transitions.append(tuple(row_transitions))
+        rewards.append(tuple(state_rewards))
+        transitions.append(tuple(state_transitions))
     return GameFile(
-        game=Game(rewards, transitions), initial_state=initial_state, label=label
+        game=_checked_game(tuple(rewards), tuple(transitions)),
+        initial_state=initial_state,
+        label=label,
     )
 
 

@@ -41,7 +41,14 @@ from .gamecore import Game, check_discount
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `oracle.solve_matrix_game` by name
 from .matrixgame import matrix_game_ratio, solve_matrix_game  # noqa: F401
-from .ratlinalg import IntPoly, RationalLike, ceil_log2, simplest_between, to_fraction
+from .ratlinalg import (
+    IntPoly,
+    RationalLike,
+    ceil_log2,
+    rational_text,
+    simplest_between,
+    to_fraction,
+)
 
 
 def _integer_vector(game: Game, u: Sequence[RationalLike]) -> tuple[list[int], int]:
@@ -144,7 +151,7 @@ def value_iteration(
     lam = check_discount(lam)
     tol = to_fraction(tol)
     if tol <= 0:
-        raise GameValidationError(f"tolerance must be positive, got {tol}")
+        raise GameValidationError(f"tolerance must be positive, got {rational_text(tol)}")
     a, b = lam.numerator, lam.denominator
     grid = 2 ** _grid_bits(tol, lam)
 

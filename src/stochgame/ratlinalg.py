@@ -3,7 +3,8 @@
 Every quantity in this package is a `fractions.Fraction`, which already
 guarantees the canonical form we rely on everywhere: positive denominator
 and gcd(|numerator|, denominator) = 1 after each operation.  This module
-adds strict text parsing, correctly rounded decimal rendering, and small
+adds strict text parsing and rendering at any length (`int_of_digits`,
+`int_text`, `rational_text`), correctly rounded decimals, and small
 dense matrices with exact determinants.  `IntPoly` is the one other
 number type: an integer polynomial in the discount rate, ordered by its
 sign as the rate tends to 0.  `bareiss_row` is the
@@ -28,16 +29,17 @@ _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the strict text form "p/q" or "p" (optional sign, ASCII digits only)."""
+    """Parse the strict text form "p/q" or "p" (optional sign, ASCII digits only), at any length."""
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"malformed rational {text!r}: expected 'p' or 'p/q'")
-    if "/" in s:
-        num, den = s.split("/")
-        if int(den) == 0:
+    num, _, den = s.partition("/")
+    if den:
+        q = int_of_digits(den)
+        if q == 0:
             raise ValueError(f"malformed rational {text!r}: zero denominator")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+        return Fraction(int_of_digits(num), q)
+    return Fraction(int_of_digits(num))
 
 
 def to_fraction(value: RationalLike) -> Fraction:
@@ -51,10 +53,21 @@ def to_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
 
-# digits per str() call: Python refuses int -> str conversions above a digit
-# limit (4300 by default, never set below 640), so longer numbers go in chunks
+# digits per int() or str() call: Python refuses int <-> str conversions above a
+# digit limit (4300 by default, never set below 640), so longer numbers go in chunks
 _CHUNK = 600
 _CHUNK_BASE = 10**_CHUNK
+
+
+def int_of_digits(text: str) -> int:
+    """int(text) for ASCII digits with an optional sign, at any length."""
+    if len(text) <= _CHUNK:
+        return int(text)
+    if text[0] in "+-":
+        value = int_of_digits(text[1:])
+        return -value if text[0] == "-" else value
+    low = len(text) // 2
+    return int_of_digits(text[:-low]) * 10**low + int_of_digits(text[-low:])
 
 
 def _digits(n: int, width: int) -> str:
@@ -66,6 +79,20 @@ def _digits(n: int, width: int) -> str:
         width -= _CHUNK
     chunks.append(f"{n:0{max(width, 1)}d}")
     return "".join(reversed(chunks))
+
+
+def int_text(n: int) -> str:
+    """str(n), at any length."""
+    if -_CHUNK_BASE < n < _CHUNK_BASE:
+        return str(n)
+    return ("-" if n < 0 else "") + _digits(abs(n), 1)
+
+
+def rational_text(x: Fraction) -> str:
+    """str(x) ("p" or "p/q"), at any length."""
+    if x.denominator == 1:
+        return int_text(x.numerator)
+    return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 def format_decimal(value: Fraction, digits: int) -> str:

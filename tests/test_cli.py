@@ -8,6 +8,7 @@ import pytest
 from stochgame import checks, cli
 from stochgame.cli import main
 from stochgame.gamefile import fixture_path
+from stochgame.ratlinalg import int_of_digits, parse_rational
 
 BAD_GAME = """states 1
 actions1 1
@@ -363,3 +364,105 @@ def test_one_parser_serves_every_call(monkeypatch, capsys):
     assert [code for code, _, _ in shared] == [0, 0, 2, 0]
     assert "argument --state:" in shared[2][2]
     assert shared == fresh
+
+
+# Numbers longer than Python's int/str digit limit (4300 digits by default,
+# 640 at the lowest): Decimal renders ints without that limit, and
+# int_of_digits and parse_rational read them back.
+def decimal_text(n: int) -> str:
+    return str(Decimal(n))
+
+
+def long_game(k: int) -> tuple[str, Fraction, Fraction]:
+    """A valid one-state 2x1 game with rewards 1/(10**k + 1) and 1/(10**(k-1) + 3)."""
+    a, b = 10**k + 1, 10 ** (k - 1) + 3
+    text = (
+        "states 1\nactions1 2\nactions2 1\n"
+        f"reward 1 1 1 1/{decimal_text(a)}\nreward 1 2 1 1/{decimal_text(b)}\n"
+        "transition 1 1 1 1 1\ntransition 1 2 1 1 1\n"
+    )
+    return text, Fraction(1, a), Fraction(1, b)
+
+
+def read_json(out: str) -> dict:
+    return json.loads(out, parse_int=int_of_digits)
+
+
+# 10**400 stays below the lowest limit, but the lcm of the two denominators does not
+@pytest.mark.parametrize("k", [400, 3000])
+class TestLongNumbers:
+    @pytest.fixture
+    def game(self, k, tmp_path):
+        text, low, high = long_game(k)
+        path = tmp_path / "long.game"
+        path.write_text(text, encoding="ascii")
+        return str(path), low, high
+
+    def test_info(self, game, capsys):
+        path, low, high = game
+        lcm = low.denominator * high.denominator  # coprime: 10**k + 1 = 10 (10**(k-1) + 3) - 29
+        assert main(["info", path]) == 0
+        out = capsys.readouterr().out
+        assert f"reward_min: 1/{decimal_text(low.denominator)}\n" in out
+        assert f"reward_max: 1/{decimal_text(high.denominator)}\n" in out
+        assert f"denominator_lcm: {decimal_text(lcm)}\n" in out
+        assert main(["info", path, "--json"]) == 0
+        payload = read_json(capsys.readouterr().out)
+        assert payload["denominator_lcm"] == lcm
+        assert parse_rational(payload["reward_min"]) == low
+        assert parse_rational(payload["reward_max"]) == high
+
+    @pytest.mark.parametrize("argv", [["value"], ["discounted", "--lambda", "1/3"]])
+    def test_bisection(self, game, argv, capsys):
+        path, _, high = game
+        full = [argv[0], path, *argv[1:], "--precision", "12", "--trace"]
+        assert main(full) == 0
+        text = capsys.readouterr().out
+        assert main(full + ["--json"]) == 0
+        payload = read_json(capsys.readouterr().out)
+        value, radius = parse_rational(payload["value"]), parse_rational(payload["radius"])
+        # the player-1 maximum is the value at every rate and in the limit
+        assert abs(value - high) <= radius <= Fraction(1, 2**12)
+        assert f"  value     {payload['value']}  (~ 0.000000000000)\n" in text
+        assert f"  radius    {payload['radius']}\n" in text
+
+    def test_oracle_and_check(self, game, capsys):
+        path, _, high = game
+        assert main(["oracle", path, "--lambda", "1/3", "--tol", "1/1024", "--json"]) == 0
+        payload = read_json(capsys.readouterr().out)
+        assert abs(parse_rational(payload["values"][0]) - high) <= Fraction(1, 1024)
+        assert main(["check", path, "--json"]) == 0
+        assert read_json(capsys.readouterr().out)["passed"] is True
+
+
+LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["discounted", "single_2x2", "--lambda", f"{LONG}/3"],
+         f"error: discount rate must be in (0, 1], got {LONG}/3\n"),
+        (["value", "single_2x2", "--state", LONG], f"error: state {LONG} out of range 1..1\n"),
+        (["oracle", "single_2x2", "--lambda", "1/4", f"--tol=-1/{LONG}"],
+         f"error: tolerance must be positive, got -1/{LONG}\n"),
+    ],
+    ids=["lambda", "state", "tol"],
+)
+def test_long_flag_values_name_the_number(argv, message, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+
+
+def test_long_flag_values_are_read(capsys):
+    assert main(["check", "single_2x2", "--seed", LONG, "--json"]) == 0
+    assert read_json(capsys.readouterr().out)["seed"] == 7 * (10**5000 - 1) // 9
+    argv = ["oracle", "single_2x2", "--lambda", "1/4", "--tol", f"1/{LONG}", "--json"]
+    assert main(argv) == 0
+    assert read_json(capsys.readouterr().out)["tol"] == f"1/{LONG}"
+    with pytest.raises(SystemExit) as exc:
+        main(["value", "single_2x2", f"--precision=-{LONG}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --precision: must be nonnegative, got -{LONG}" in err
+    assert "set_int_max_str_digits" not in err

@@ -20,7 +20,7 @@ from stochgame.absorbing import AbsorbingGame
 from stochgame.gamecore import Game, affine_normalize
 from stochgame.pencil import build_pencil
 
-from gens import rand_absorbing_game, rand_game
+from gens import rand_absorbing_game, rand_game, rand_stochastic_row
 from test_absorbing import absorbing_with_state2
 from test_pencil import BIG_PRIMES, coprime_games
 
@@ -52,6 +52,73 @@ def _assert_integer_form(game: Game) -> None:
 def test_integer_form_is_the_data_times_the_common_denominator(game):
     _assert_integer_form(game)
     _assert_integer_form(affine_normalize(game)[0])
+
+
+def fraction_normalize(game: Game) -> tuple[Game, Fraction, Fraction]:
+    """The reference: rewards r -> (r - m)/(M - m) in Fraction arithmetic, through `Game`."""
+    m, big = game.min_reward(), game.max_reward()
+    span = big - m
+    if span == 0:
+        rewards = [[[Fraction(0) for _ in row] for row in state] for state in game.rewards]
+        return Game(rewards, game.transitions), Fraction(1), m
+    rewards = [[[(x - m) / span for x in row] for row in state] for state in game.rewards]
+    return Game(rewards, game.transitions), span, m
+
+
+def assert_same_game(got: Game, want: Game) -> None:
+    assert got == want
+    assert got.int_rewards == want.int_rewards
+    assert got.int_transitions == want.int_transitions
+    assert got.denominator_lcm() == want.denominator_lcm()
+    assert (got.n_states, got.n_actions1, got.n_actions2) == (
+        want.n_states, want.n_actions1, want.n_actions2
+    )
+
+
+@st.composite
+def reward_games(draw) -> Game:
+    """Games whose rewards are constant, all nonpositive, or over >= 30-bit denominators."""
+    n, n1, n2 = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["constant", "negative", "wide"]))
+    if kind == "constant":
+        value = draw(st.fractions(min_value=-9, max_value=9, max_denominator=2**40))
+        rewards = [[[value] * n2 for _ in range(n1)] for _ in range(n)]
+    else:
+        if kind == "negative":
+            entry = st.fractions(max_value=0, max_denominator=50)
+        else:
+            entry = st.builds(Fraction, st.integers(-2**45, 2**45), st.integers(2**30, 2**62))
+        rewards = [[[draw(entry) for _ in range(n2)] for _ in range(n1)] for _ in range(n)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    transitions = [[[rand_stochastic_row(rng, n) for _ in range(n2)] for _ in range(n1)]
+                   for _ in range(n)]
+    return Game(rewards, transitions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(reward_games())
+def test_integer_normalization_matches_the_fraction_formula(game):
+    got, c, d = affine_normalize(game)
+    want, ref_c, ref_d = fraction_normalize(game)
+    assert_same_game(got, want)
+    assert (c, d) == (ref_c, ref_d)
+    assert type(c) is Fraction and type(d) is Fraction
+
+
+def test_value_reduced_game_is_the_validated_game():
+    rng = random.Random(31)
+    for index in range(60):
+        n, n1, n2 = rng.randint(2, 4), rng.randint(1, 3), rng.randint(1, 3)
+        if index % 2:
+            game = prime_absorbing_game(rng, n, n1, n2)
+        else:
+            game = rand_absorbing_game(rng, n, n1, n2)
+        ab = AbsorbingGame.from_game(game)
+        values = ab.absorbed_values
+        rewards = [game.rewards[0]] + [
+            [[values[l - 1]] * n2 for _ in range(n1)] for l in range(1, n)
+        ]
+        assert_same_game(absorbing.value_reduced_game(ab), Game(rewards, game.transitions))
 
 
 def prime_absorbing_game(rng: random.Random, n: int, n1: int, n2: int) -> Game:

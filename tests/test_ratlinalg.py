@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,10 @@ from stochgame.ratlinalg import (
     det,
     format_decimal,
     int_det,
+    int_of_digits,
+    int_text,
     parse_rational,
+    rational_text,
     sign,
     to_fraction,
 )
@@ -72,6 +76,44 @@ class TestParsing:
     @given(fractions_st)
     def test_roundtrip(self, x):
         assert parse_rational(str(x)) == x
+
+
+# Decimal converts ints to text and back without Python's int/str digit limit
+def decimal_text(n: int) -> str:
+    return str(Decimal(n))
+
+
+class TestLongNumbers:
+    """Numbers longer than the int/str digit limit (never below 640) parse and render."""
+
+    def test_int_text_and_back(self):
+        # pytest would name parametrized cases by str(n), so one loop runs them
+        for n in (10**3000 + 1, -(10**2999 + 3), 7**5000, 10**600, 10**600 - 1, 10**601,
+                  -(10**600), 0, -1, 5, 10**599):
+            text = int_text(n)
+            assert text == decimal_text(n)
+            assert int_of_digits(text) == n
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_int_of_digits_reads_signs_and_leading_zeros(self, sign):
+        digits = "000" + decimal_text(7**5000)
+        assert int_of_digits(sign + digits) == (-(7**5000) if sign == "-" else 7**5000)
+
+    def test_rational_text_and_parse(self):
+        x = Fraction(-(7**5000), 10**3000 + 1)
+        text = rational_text(x)
+        assert text == f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
+        assert parse_rational(text) == x
+        assert rational_text(Fraction(7**5000)) == decimal_text(7**5000)
+
+    def test_zero_denominator_of_any_length(self):
+        with pytest.raises(ValueError, match="zero denominator") as exc:
+            parse_rational("1/" + "0" * 5000)
+        assert "set_int_max_str_digits" not in str(exc.value)
+
+    @given(fractions_st)
+    def test_rational_text_is_str(self, x):
+        assert rational_text(x) == str(x)
 
 
 class TestDecimalRendering:
