@@ -1,0 +1,134 @@
+"""Hand mutants of the library, each with the test subset that must kill it.
+
+A mutant replaces one exact piece of text, which must occur once in its
+file, and names what the change breaks.  `mutants/run.py` applies each to
+a temporary copy of the repository and runs its test subset there; the
+subset must fail.  The control changes nothing, and the union of every
+subset must pass on it.
+
+Add the mutants a change was checked against here, with the smallest
+subset that kills each.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/stochgame
+    old: str
+    new: str
+    breaks: str
+    tests: tuple[str, ...]  # pytest arguments, relative to the repository root
+
+
+SIGN_ROUTE_TESTS = ("tests/test_sign_route.py",)
+
+MUTANTS = (
+    Mutant(
+        "shift-off-by-one",
+        "pencil.py",
+        "shift = max(0, 1 - low)",
+        "shift = max(0, -low)",
+        "the least entry of q*(N + S) - p*D is 0 at z = c, not at least q",
+        SIGN_ROUTE_TESTS,
+    ),
+    Mutant(
+        "bound-ignores-z-above-one",
+        "pencil.py",
+        "c = max(1, math.ceil(z))",
+        "c = 1",
+        "probes above 1 (check's oracle values) run the loop on nonpositive rows",
+        SIGN_ROUTE_TESTS,
+    ),
+    Mutant(
+        "offset-drops-q",
+        "pencil.py",
+        "sign(det - q * shift * total)",
+        "sign(det - shift * total)",
+        "the shift is undone at scale 1 instead of q: wrong signs at z = p/q, q > 1",
+        SIGN_ROUTE_TESTS,
+    ),
+    Mutant(
+        "offset-sign-flipped",
+        "pencil.py",
+        "sign(det - q * shift * total)",
+        "sign(det + q * shift * total)",
+        "the shift is added twice instead of undone",
+        SIGN_ROUTE_TESTS,
+    ),
+    Mutant(
+        "bisection-zero-not-a-root",
+        "solver.py",
+        "if s >= 0:",
+        "if s > 0:",
+        "an exact zero lowers only the upper bracket, so an exact root is not reported",
+        ("tests/test_solver.py",),
+    ),
+    Mutant(
+        "bland-leaving-tie-reversed",
+        "matrixgame.py",
+        "(lhs == rhs and basis[i] < basis[leave])",
+        "(lhs == rhs and basis[i] > basis[leave])",
+        "ratio ties leave at the largest basic variable, off the full tableau's path",
+        ("tests/test_matrixgame.py",),
+    ),
+    Mutant(
+        "lam-reduction-degree-off-by-one",
+        "solver.py",
+        "len(x.coeffs) > o + 1",
+        "len(x.coeffs) > o + 2",
+        "germ pencils with first-order terms left are cut to their constants",
+        ("tests/test_lam_reduction.py",),
+    ),
+    Mutant(
+        "oracle-rounds-half-up",
+        "oracle.py",
+        "if 2 * r > den or (2 * r == den and q % 2):",
+        "if 2 * r >= den:",
+        "value-iteration ties round up instead of to even",
+        ("tests/test_oracle.py",),
+    ),
+    Mutant(
+        "pencil-state-order-k-first",
+        "pencil.py",
+        "order = [s for s in range(n) if s != k - 1] + [k - 1]",
+        "order = [k - 1] + [s for s in range(n) if s != k - 1]",
+        "the last elimination row is not state k's, so the Cramer numerator is another state's",
+        ("tests/test_pencil.py",),
+    ),
+    Mutant(
+        "int-row-sign",
+        "ratlinalg.py",
+        "return [(x * piv - f * y) // det for x, y in zip(row, pivot_row)]",
+        "return [(x * piv + f * y) // det for x, y in zip(row, pivot_row)]",
+        "the integer Bareiss step adds the pivot row instead of eliminating with it",
+        ("tests/test_ratlinalg.py",),
+    ),
+    Mutant(
+        "live-pencil-slope-off-by-d",
+        "absorbing.py",
+        "cd = (lam.denominator - lam.numerator) * d",
+        "cd = (lam.denominator - lam.numerator + 1) * d",
+        "state 1's one-shot game falls in z at the wrong rate, so its root moves",
+        ("tests/test_absorbing_route.py",),
+    ),
+    Mutant(
+        "kronecker-numerator-sign",
+        "pencil.py",
+        "sign = (-1) ** k",
+        "sign = (-1) ** (k + 1)",
+        "the Kronecker numerator grid comes out negated",
+        ("tests/test_pencil.py",),
+    ),
+    Mutant(
+        "parser-row-sum-one-sided",
+        "gamefile.py",
+        "if sum(den // p.denominator * p.numerator for p in dist) != den:",
+        "if sum(den // p.denominator * p.numerator for p in dist) > den:",
+        "transition rows summing below 1 are accepted",
+        ("tests/test_gamefile.py",),
+    ),
+)

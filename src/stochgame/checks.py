@@ -14,7 +14,8 @@ whole objects from the run's integer pencils (`GamePencil`):
   each row mixed over one integer scale), numerator and denominator
   separately, so no z is drawn;
 - strict decrease and root: exact values (`GamePencil.value_at`) at seeded
-  z, and signs at the oracle value taken as the bisections take them;
+  z, and signs at the oracle value by the bisections' one sign route
+  (`GamePencil.sign_at`), at oracle values above 1 or below 0 too;
 - Kronecker: the whole pencil against `pencil_matrix_kronecker`, grid for
   grid over one scale, which implies equality at every z.
 
@@ -42,7 +43,7 @@ from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
 from .gamecore import Game
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `checks.solve_matrix_game` by name
-from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
+from .matrixgame import solve_matrix_game  # noqa: F401
 from .oracle import shapley_operator, value_iteration
 # `pencil_matrix` and `payoff_denominator` stay bound here, unused, and every
 # pencil is built through `checks.build_pencil`: the benchmark's trace layer
@@ -199,7 +200,7 @@ def _check_root_at_oracle(
     z = u[k - 1]
     pencil = pencil_at(k, lam)
     if u.polished or shapley_operator(game, lam, u) == u:
-        at = matrix_game_sign(pencil.scaled_at(z))
+        at = pencil.sign_at(z)
         if at != 0:
             return CheckOutcome(
                 "root-at-oracle-value",
@@ -207,8 +208,8 @@ def _check_root_at_oracle(
                 f"exact oracle value {rational_text(z)} but pencil value sign {at} != 0",
             )
         return CheckOutcome("root-at-oracle-value", True, "oracle value exact, root exact")
-    below = matrix_game_sign(pencil.scaled_at(z - tol))
-    above = matrix_game_sign(pencil.scaled_at(z + tol))
+    below = pencil.sign_at(z - tol)
+    above = pencil.sign_at(z + tol)
     if below < 0 or above > 0:
         return CheckOutcome(
             "root-at-oracle-value",

@@ -20,19 +20,24 @@ negative reduced cost) until the first degenerate pivot and Bland's from
 then on, both ranked by variable, which keeps the paths short and the loop
 finite.  The start rule has no switch: callers hand `_simplex` the column
 maxima, which `matrix_game_ratio`'s saddle test computes anyway.
-There are three entry points over that one pivot loop (`_simplex`).
+Every entry point runs that one pivot loop (`_simplex`).
 `solve_matrix_game` takes a `RatMatrix` and returns the value with both
 optimal strategies.  `matrix_game_value` takes an integer grid (a game
 scaled by a positive integer, as the oracle and the pencil build them)
 and returns only its exact value, pivoting only if it has no saddle point;
 `matrix_game_ratio` returns that value as an integer pair.
-`matrix_game_sign` runs the same loop over any ordered ring with exact
-division and returns only the sign of the value; over `ratlinalg.IntPoly`
-germs that is the sign for every small enough discount rate, and each row
-update is one fused `ratlinalg.bareiss_row` step.
-The Shapley-Snow kernel certificate that cross-checks the LP, and the
-full-tableau loop the condensed one replaced, live in the test suite
-(`tests/snow_ref.py`, `tests/simplex_ref.py`).
+`positive_ratio` is the loop's one entry for strictly positive rows over
+any ordered ring with exact division: it returns the value as (det,
+total).  `matrix_game_ratio` reaches it after a per-call shift
+(`_value_ratio`), and the one sign route, `pencil.GamePencil.sign_at`,
+hands it rows its pencil keeps positive with a shift computed once per
+pencil.  Over `ratlinalg.IntPoly` germs the sign read from that pair is
+the sign for every small enough discount rate, and each row update is one
+fused `ratlinalg.bareiss_row` step.
+The Shapley-Snow kernel certificate that cross-checks the LP, the
+full-tableau loop the condensed one replaced, and the per-probe sign test
+the pencil route replaced live in the test suite (`tests/snow_ref.py`,
+`tests/simplex_ref.py`, `tests/sign_ref.py`).
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratlinalg import IntPoly, RatMatrix, bareiss_row, int_row, sign
+from .ratlinalg import IntPoly, RatMatrix, bareiss_row, int_row
 
 
 @dataclass(frozen=True)
@@ -219,18 +224,27 @@ def solve_matrix_game(payoff: RatMatrix) -> GameSolution:
     return GameSolution(value=value, x_opt=x_opt, y_opt=y_opt)
 
 
+def positive_ratio(rows: list[list], col_max: list) -> tuple:
+    """(det, total), both positive: the value det / total of a strictly positive game.
+
+    `rows` are strictly positive ints or `ratlinalg.IntPoly` germs and
+    `col_max` their column maxima.  Runs the same pivots as
+    `solve_matrix_game` with scale 1.
+    """
+    _, cost, _, _, det = _simplex(rows, 1, col_max)
+    return det, cost[-1]
+
+
 def _value_ratio(rows: list[list], col_max: list) -> tuple:
     """(det - shift * total, total): the game value's numerator and positive denominator.
 
-    `col_max` holds the column maxima of `rows`.  Runs the same pivots as
-    `solve_matrix_game` with scale 1: the value is det / total - shift
-    with det, total > 0.
+    `col_max` holds the column maxima of `rows`, which are shifted
+    positive first: the value is det / total - shift.
     """
     shift = _shift(rows)
-    _, cost, _, _, det = _simplex(
-        [[x + shift for x in row] for row in rows], 1, [x + shift for x in col_max]
+    det, total = positive_ratio(
+        [[x + shift for x in row] for row in rows], [x + shift for x in col_max]
     )
-    total = cost[-1]
     return det - shift * total, total
 
 
@@ -250,12 +264,3 @@ def matrix_game_ratio(rows: list[list[int]]) -> tuple[int, int]:
 def matrix_game_value(rows: list[list[int]]) -> Fraction:
     """Exact value of an integer matrix game (`matrix_game_ratio` as a Fraction)."""
     return Fraction(*matrix_game_ratio(rows))
-
-
-def matrix_game_sign(rows: list[list]) -> int:
-    """Sign of the value of a matrix game over an ordered ring.
-
-    The entries are ints or `ratlinalg.IntPoly` germs; for germs the sign
-    is that of the value for every small enough lam > 0.
-    """
-    return sign(_value_ratio(rows, [max(col) for col in zip(*rows)])[0])

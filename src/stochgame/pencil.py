@@ -23,8 +23,10 @@ L*Id - (1-lam)*L*Q, the Cramer column is lam*L*g, and the grids hold
 integer polynomials in lam whose signs as lam -> 0+ decide the limit
 value.
 
-The bisections read signs straight from these integers
-(`GamePencil.scaled_at`) and exact values from the same grid
+Every exact sign of a pencil's game value, in both bisections and in
+`check`'s root test, takes one route: `GamePencil.sign_at`, which runs
+the one pivot loop on the integer grid at z shifted positive by a
+constant the pencil computes once.  Exact values come from the same grid
 (`GamePencil.value_at`); `matrix_at` and `pencil_matrix` give the
 rational matrix itself as a `RatMatrix`.  `pencil_matrix_kronecker`
 rebuilds the same `GamePencil` from integer block minors over its own
@@ -41,13 +43,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import ResourceCapError
 from .gamecore import Game, check_discount
-from .matrixgame import matrix_game_value
+from .matrixgame import matrix_game_value, positive_ratio
 # `det` stays bound here: the benchmark's trace layer wraps `pencil.det` by name
 from .ratlinalg import (  # noqa: F401
     IntPoly,
@@ -57,6 +59,7 @@ from .ratlinalg import (  # noqa: F401
     det,
     int_det,
     int_row,
+    sign,
     to_fraction,
 )
 
@@ -132,17 +135,21 @@ class GamePencil:
     (b*L)**n_states for lam = a/b and the game's least common denominator
     L.  The bisection over z reuses these: `scaled_at(p/q)` gives the
     integers q*N - p*D, the matrix at z times q*scale > 0, whose game
-    value has the sign the bisection needs; `value_at` divides that game's
-    exact value by q*scale, and `matrix_at` divides the entries into one
-    reduced fraction each.  For lam = `ratlinalg.LAM` the grids
-    hold `IntPoly` germs over scale L**n_states, and only `scaled_at`
-    applies.  `absorbing.live_pencil` builds the same kind of pencil for
-    state 1's |I| x |J| one-shot game, over its own scale.
+    value has the sign the bisection needs (`sign_at` reads it);
+    `value_at` divides that game's exact value by q*scale, and `matrix_at`
+    divides the entries into one reduced fraction each.  For lam =
+    `ratlinalg.LAM` the grids hold `IntPoly` germs over scale
+    L**n_states, and only `scaled_at` and `sign_at` apply.
+    `absorbing.live_pencil` builds the same kind of pencil for state 1's
+    |I| x |J| one-shot game, over its own scale.  Every denominator is
+    positive (an int, or a germ positive as lam -> 0+).
     """
 
     numerators: tuple[tuple[int | IntPoly, ...], ...]
     denominators: tuple[tuple[int | IntPoly, ...], ...]
     scale: int
+    # integer bound c -> (S, numerators + S), filled by `sign_at`
+    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -153,21 +160,69 @@ class GamePencil:
         return len(self.numerators[0])
 
     def scaled_at(self, z: RationalLike) -> list[list]:
-        """Entries q*N - p*D at z = p/q: the matrix at z times q*scale > 0.
+        """Entries q*N - p*D at z = p/q: the matrix at z times q*scale > 0."""
+        z = to_fraction(z)
+        return self._combined(self.numerators, z.numerator, z.denominator)
+
+    def _combined(self, numerators, p: int, q: int) -> list[list]:
+        """q*num - p*D entry by entry, for `numerators` shaped like the grids.
 
         On germ grids (read from the first numerator) this is the Bareiss
         row step with det = 1, so each row is one `ratlinalg.bareiss_row`
         call (one `IntPoly` per entry); integer grids take the plain
         integer expression.
         """
-        z = to_fraction(z)
-        p, q = z.numerator, z.denominator
-        rows = zip(self.numerators, self.denominators)
+        rows = zip(numerators, self.denominators)
         if isinstance(self.numerators[0][0], IntPoly):
             return [bareiss_row(num_row, den_row, q, p, 1) for num_row, den_row in rows]
         return [
             [q * num - p * den for num, den in zip(num_row, den_row)] for num_row, den_row in rows
         ]
+
+    def sign_at(self, z: RationalLike) -> int:
+        """Exact sign of the value of the matrix game at z: the one sign route.
+
+        At z = p/q the pivot loop (`matrixgame.positive_ratio`) runs on
+        q*(N + S) - p*D, the game at z times q*scale plus q*S, and the
+        sign is that of det - q*S*total.  S comes from `_lift` at the
+        integer bound c = max(1, ceil(z)), once per pencil and bound: it
+        makes every entry of N + S - c*D at least 1 (its constant term at
+        least 1, on germ grids).  D > 0, so every entry of
+
+            q*(N + S) - p*D = q*(N + S - c*D) + (q*c - p)*D
+
+        is at least q > 0 for every z <= c, negative z included, and no
+        probe shifts its rows.  The bisections probe z in (0, 1), so c =
+        1; `check` also probes oracle values outside [0, 1].  On germ
+        grids the sign holds for every small enough lam > 0.
+        """
+        z = to_fraction(z)
+        p, q = z.numerator, z.denominator
+        c = max(1, math.ceil(z))
+        lift = self._lifts.get(c)
+        if lift is None:
+            lift = self._lifts[c] = self._lift(c)
+        shift, numerators = lift
+        rows = self._combined(numerators, p, q)
+        det, total = positive_ratio(rows, [max(col) for col in zip(*rows)])
+        return sign(det - q * shift * total)
+
+    def _lift(self, c: int) -> tuple:
+        """(S, the numerator grid plus S) at integer bound c.
+
+        S = max(0, 1 - m), m the least entry of N - c*D; on germ grids m is
+        the least constant term, so S is an int and adding it compares no
+        germs (profile germs have constant term 0, so S = 1 there).
+        """
+        pairs = zip(itertools.chain(*self.numerators), itertools.chain(*self.denominators))
+        if isinstance(self.numerators[0][0], IntPoly):
+            low = min(num.coeff(0) - c * den.coeff(0) for num, den in pairs)
+        else:
+            low = min(num - c * den for num, den in pairs)
+        shift = max(0, 1 - low)
+        if not shift:
+            return 0, self.numerators
+        return shift, tuple(tuple(x + shift for x in row) for row in self.numerators)
 
     def value_at(self, z: RationalLike) -> Fraction:
         """Exact value of the matrix game at z, read from the integer grid."""

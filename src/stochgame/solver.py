@@ -2,11 +2,13 @@
 
 Both algorithms normalize rewards into [0, 1], bisect z over that interval
 and decide each step from the exact sign of the profile matrix-game value
-at z, read straight from the pencil's integer grid: `matrix_game_sign`
-runs the one fraction-free pivot loop (Dantzig's entering rule, Bland's
-after a degenerate pivot) on `GamePencil.scaled_at(z)`, the matrix at z
-times a positive integer, so no entry becomes a Fraction and no strategy
-is computed.  For the discounted value the pencil is built at
+at z, read straight from the pencil's integer grid by the one sign route,
+`GamePencil.sign_at(z)`: it runs the one fraction-free pivot loop (the
+pure minimax column first, Dantzig's entering rule, Bland's after a
+degenerate pivot) on the matrix at z times a positive integer, shifted
+positive by a constant the pencil computes once per solve, so no entry
+becomes a Fraction, no probe shifts its rows and no strategy is
+computed.  For the discounted value the pencil is built at
 the given discount rate.  For the limit value it is built at
 `ratlinalg.LAM`, and the sign is that of val W(lam, z) as lam -> 0+,
 decided exactly over Z[lam] (Jeroslow, "Asymptotic linear programming",
@@ -22,8 +24,8 @@ that integer pencil instead (`_lam_reduced`): no sign changes, and the
 integer tableau decides them.  An exact zero moves both brackets, which
 collapses the interval onto an exact root when one is hit.  A single sign
 or value needs no wrapper: the limit sign at z is
-`matrix_game_sign(build_pencil(game, k, LAM).scaled_at(z))`, and the
-exact value at a rate is `build_pencil(game, k, lam).value_at(z)`.
+`build_pencil(game, k, LAM).sign_at(z)`, and the exact value at a rate is
+`build_pencil(game, k, lam).value_at(z)`.
 
 From state 1 of an absorbing game the same sign is read from state 1's
 |I| x |J| one-shot game minus z (Kohlberg's quotient, strictly decreasing
@@ -42,7 +44,7 @@ from .errors import GameValidationError
 from .gamecore import Game, affine_normalize, check_discount
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `solver.solve_matrix_game` by name
-from .matrixgame import matrix_game_sign, solve_matrix_game  # noqa: F401
+from .matrixgame import solve_matrix_game  # noqa: F401
 from .pencil import DEFAULT_MAX_ENTRIES, GamePencil, _check_cap, build_pencil
 from .ratlinalg import LAM, IntPoly, RationalLike, ceil_log2
 
@@ -109,9 +111,9 @@ def _lam_reduced(pencil: GamePencil) -> GamePencil:
     """A germ pencil divided by lam**o as an integer pencil, when that leaves only constants.
 
     o is the lowest lam-order of the nonzero entries; lam**o > 0, so every
-    sign at z is unchanged, and `matrix_game_sign` decides it on the
+    sign at z is unchanged, and `GamePencil.sign_at` decides it on the
     integer tableau.  Any other pencil comes back as it is.  The scale is
-    kept: only `scaled_at` reads the result.
+    kept: only `sign_at` reads the result.
     """
     grids = (pencil.numerators, pencil.denominators)
     o = min(x.order() for grid in grids for row in grid for x in row if x)
@@ -139,7 +141,7 @@ def _solve(
         pencil = build_pencil(ngame, k, lam, max_entries)
     if isinstance(lam, IntPoly):
         pencil = _lam_reduced(pencil)
-    return _bisect(lambda z: matrix_game_sign(pencil.scaled_at(z)), r_eff, scale, offset)
+    return _bisect(pencil.sign_at, r_eff, scale, offset)
 
 
 def discounted_value(

@@ -12,7 +12,7 @@ from stochgame.absorbing import (
 )
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game
-from stochgame.matrixgame import matrix_game_sign, solve_matrix_game
+from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import build_pencil, pencil_matrix
 from stochgame.ratlinalg import LAM, RatMatrix
 
@@ -162,4 +162,4 @@ class TestIdentity:
             for t in range(8, 12):
                 q = kohlberg_quotient(ab, Fraction(1, 2**t), z)
                 quotient_signs.add((q > 0) - (q < 0))
-            assert quotient_signs == {matrix_game_sign(germs.scaled_at(z))}
+            assert quotient_signs == {germs.sign_at(z)}

@@ -13,12 +13,12 @@ import pytest
 
 from stochgame import solver
 from stochgame.cli import main
-from stochgame.matrixgame import matrix_game_sign
 from stochgame.pencil import build_pencil
 from stochgame.ratlinalg import LAM
 from stochgame.solver import discounted_value, limit_value
 
 from gens import rand_absorbing_game
+from sign_ref import matrix_game_sign
 from test_integer_form import prime_absorbing_game
 
 RATES = (Fraction(1, 4), Fraction(1, 1000), Fraction(1))

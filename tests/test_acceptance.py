@@ -15,7 +15,7 @@ import pytest
 
 from stochgame.absorbing import AbsorbingGame, verify_kohlberg_identity
 from stochgame.gamecore import affine_normalize
-from stochgame.matrixgame import matrix_game_sign, solve_matrix_game
+from stochgame.matrixgame import solve_matrix_game
 from stochgame.oracle import shapley_operator, value_iteration
 from stochgame.pencil import (
     build_pencil,
@@ -369,7 +369,7 @@ def test_criterion_11_sign_stability(fixture_docs):
         pencils = anchor_pencils(game, k, 4)
         germs = build_pencil(game, k, LAM)
         for z in grid:
-            exact = matrix_game_sign(germs.scaled_at(z))
+            exact = germs.sign_at(z)
             if exact != anchored_sign(pencils, z):
                 mismatches.append((name, z))
             shallow, _ = shallow_ladder_sign(game, k, z, depth_cap=64)

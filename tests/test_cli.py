@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -268,6 +269,28 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert "--digits: must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", INTEGER_FLAGS["--digits"])
+    @pytest.mark.parametrize("text", [str(cli.MAX_DIGITS + 1), "100000000", "9" * 5000])
+    def test_digits_above_the_cap_rejected_before_solving(self, command, text, no_solving, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(integer_flag_argv(command, "--digits", text))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --digits: must be at most MAX_DIGITS = {cli.MAX_DIGITS}, got {text}" in err
+
+    @pytest.mark.parametrize("command", INTEGER_FLAGS["--digits"])
+    def test_digits_at_the_cap_are_taken(self, command):
+        argv = integer_flag_argv(command, "--digits", str(cli.MAX_DIGITS))
+        assert cli.build_parser().parse_args(argv).digits == cli.MAX_DIGITS == 100_000
+
+    def test_huge_digits_repro_ends_within_a_second(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(["value", "single_2x2", "--precision", "4", "--digits", "100000000"])
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -7,8 +7,8 @@ lam**o, o the lowest lam-order of their nonzero entries, and returns the
 integer pencil when every reduced entry is a constant, so a one-state limit
 solve runs the integer simplex; any other pencil is bisected as built.
 lam**o > 0, so the signs are those of the raw germ pencil,
-`matrix_game_sign(build_pencil(game, k, LAM).scaled_at(z))`, which stays the
-reference here.
+`matrix_game_sign(build_pencil(game, k, LAM).scaled_at(z))`, the per-probe
+sign test of `tests/sign_ref.py`, which stays the reference here.
 """
 import random
 
@@ -17,13 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from stochgame import Game, matrixgame
 from stochgame.absorbing import AbsorbingGame, live_pencil
-from stochgame.matrixgame import matrix_game_sign
 from stochgame.pencil import build_pencil
 from stochgame.ratlinalg import LAM, IntPoly
 from stochgame.solver import _bisect, _lam_reduced, _normalized, limit_value
 
 from conftest import ALL_FIXTURES
 from gens import rand_absorbing_game, rand_game
+from sign_ref import matrix_game_sign
 
 
 def entries(pencil):

@@ -26,7 +26,7 @@ CALLS = [
     ["discounted", "two_state_2x2", "--lambda", "1/4", "--precision", "6", "--trace"],
     ["discounted", "absorbing_mix", "--lambda", "1/3", "--precision", "6", "--json"],
     ["value", "absorbing_mix", "--precision", "6", "--trace"],
-    ["value", "cycle_mdp", "--precision", "6", "--json"],
+    ["value", "cycle_mdp", "--precision", "6", "--json", "--digits", "8"],
     ["oracle", "single_2x2", "--lambda", "1/4", "--tol", "1/64"],
     ["oracle", "cycle_mdp", "--lambda", "1/2", "--json"],
     # the polish finds no exact fixed point here, so the iterate is evaluated

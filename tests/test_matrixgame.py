@@ -6,20 +6,17 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from stochgame import matrixgame, solver
+from stochgame import matrixgame
 from stochgame.absorbing import AbsorbingGame, is_absorbing, live_pencil
 from stochgame.gamecore import affine_normalize
-from stochgame.matrixgame import (
-    matrix_game_sign,
-    matrix_game_value,
-    solve_matrix_game,
-)
-from stochgame.pencil import build_pencil
+from stochgame.matrixgame import matrix_game_value, solve_matrix_game
+from stochgame.pencil import GamePencil, build_pencil
 from stochgame.ratlinalg import LAM, IntPoly, RatMatrix, bareiss_row, int_row, sign
 from stochgame.solver import limit_value
 
 from bland_ref import bland_value_ratio
 from gens import rand_fraction, rand_game, rand_matrix
+from sign_ref import matrix_game_sign
 from simplex_ref import full_simplex
 from snow_ref import shapley_snow_certificate
 
@@ -377,12 +374,13 @@ class TestCondensedTableau:
 
 
 def counting_sign(tally: list):
-    """`matrix_game_sign` that appends each call's pivot count to `tally`.
+    """`GamePencil.sign_at` that appends each call's pivot count to `tally`.
 
     Every pivot updates the p - 1 other rows and the cost row by one row
     step, so a solve on p rows takes p steps per pivot.
     """
     steps = [0]
+    sign_at = GamePencil.sign_at
 
     def counted(step):
         def wrapped(*args):
@@ -390,20 +388,20 @@ def counting_sign(tally: list):
             return step(*args)
         return wrapped
 
-    def sign_of(rows):
+    def sign_of(pencil, z):
         steps[0] = 0
         with mock.patch.object(matrixgame, "int_row", counted(int_row)), \
                 mock.patch.object(matrixgame, "bareiss_row", counted(bareiss_row)):
-            out = matrix_game_sign(rows)
-        assert steps[0] % len(rows) == 0
-        tally.append(steps[0] // len(rows))
+            out = sign_at(pencil, z)
+        assert steps[0] % pencil.n_rows == 0
+        tally.append(steps[0] // pencil.n_rows)
         return out
 
     return sign_of
 
 
 class TestPivotCount:
-    """Pivots the one loop takes on profile grids, pinned at the pure minimax start.
+    """Pivots the one sign route takes on profile grids, pinned at the pure minimax start.
 
     Entering column 0 first (every reduced cost starts at -1) took 172,
     400 and 63 pivots on these three sets.
@@ -420,14 +418,14 @@ class TestPivotCount:
                 for d in range(2, 7):
                     pencil = build_pencil(game, 1, Fraction(1, d))
                     for _ in range(3):
-                        sign_of(pencil.scaled_at(Fraction(rng.randint(1, 31), 32)))
+                        sign_of(pencil, Fraction(rng.randint(1, 31), 32))
         assert [len(t) for t in tallies.values()] == [60, 60]
         assert sum(tallies[3, 2, 2]) <= 113  # 8x8 grids
         assert sum(tallies[2, 3, 3]) <= 242  # 9x9 grids
 
     def test_four_state_pin_germ_grid_pivots(self):
         tally = []
-        with mock.patch.object(solver, "matrix_game_sign", counting_sign(tally)):
+        with mock.patch.object(GamePencil, "sign_at", counting_sign(tally)):
             result = limit_value(rand_game(random.Random(4), 4, 2, 2), 1, 10)
         assert len(tally) == result.iterations == 13
         assert sum(tally) <= 31  # 16x16 germ grids

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from stochgame.errors import GameValidationError
-from stochgame.matrixgame import matrix_game_sign, solve_matrix_game
+from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import build_pencil
 from stochgame.ratlinalg import LAM, sign
 from stochgame.solver import _bisect, _normalized, discounted_value, limit_value
@@ -127,9 +127,9 @@ class TestLimitSign:
     def test_single_state_signs(self):
         germs = build_pencil(one_state_game([[3, 1], [0, 2]]), 1, LAM)
         val_g = Fraction(3, 2)
-        assert matrix_game_sign(germs.scaled_at(val_g - 1)) == 1
-        assert matrix_game_sign(germs.scaled_at(val_g + 1)) == -1
-        assert matrix_game_sign(germs.scaled_at(val_g)) == 0
+        assert germs.sign_at(val_g - 1) == 1
+        assert germs.sign_at(val_g + 1) == -1
+        assert germs.sign_at(val_g) == 0
 
     def test_rewards_below_half_make_one_negative(self):
         rng = random.Random(42)
@@ -138,14 +138,14 @@ class TestLimitSign:
             tuple(tuple(tuple(x / 2 for x in row) for row in s) for s in game.rewards),
             game.transitions,
         )
-        assert matrix_game_sign(build_pencil(halved, 1, LAM).scaled_at(1)) == -1
+        assert build_pencil(halved, 1, LAM).sign_at(1) == -1
 
     def test_shallow_comparison_on_small_game(self):
         game = one_state_game([[1, 0], [0, 1]])
         z = Fraction(1, 4)
         shallow, _ = shallow_ladder_sign(game, 1, z)
         anchored = anchored_sign(anchor_pencils(game, 1, 4), z)
-        exact = matrix_game_sign(build_pencil(game, 1, LAM).scaled_at(z))
+        exact = build_pencil(game, 1, LAM).sign_at(z)
         assert shallow == anchored == exact == 1
         assert anchor_rungs(game, 4)[0] == 40
 
@@ -156,7 +156,7 @@ class TestLimitSign:
         z = Fraction(17, 32)
         shallow, depth = shallow_ladder_sign(game, 1, z)
         assert shallow == 1  # transient: 1/(2 - lam) > z only above lam = 2/17
-        assert matrix_game_sign(build_pencil(game, 1, LAM).scaled_at(z)) == -1
+        assert build_pencil(game, 1, LAM).sign_at(z) == -1
         assert anchored_sign(anchor_pencils(game, 1, 8), z) == -1
 
 
@@ -194,7 +194,7 @@ class TestLimitValue:
         rungs = [build_pencil(game, 1, Fraction(1, 2**extra))
                  for extra in range(deepest + 1, deepest + 6)]
         for z in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            exact = matrix_game_sign(germs.scaled_at(z))
+            exact = germs.sign_at(z)
             for pencil in rungs:
                 deeper = pencil.value_at(z)
                 s = (deeper > 0) - (deeper < 0)
