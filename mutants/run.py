@@ -9,8 +9,9 @@ bytecode writing off: a mutant restored within the same second at the same
 size would otherwise reuse a stale `.pyc`.  The control applies nothing
 and runs the union of the subsets, which must pass.  A mutant is killed
 when its subset fails (pytest exit code 1) or runs past the timeout; any
-other exit code is reported as an error.  Exits 0 when the control passes
-and every mutant is killed, 1 otherwise.
+other exit code is reported as an error.  A survivor or an error is
+printed with its old -> new text and what it breaks.  Exits 0 when the
+control passes and every mutant is killed, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -80,8 +81,10 @@ def main() -> int:
             verdict = "killed (timeout)"
         else:
             verdict = "SURVIVED" if code == 0 else f"ERROR (pytest exit {code})"
-            failed = True
         print(f"{m.name}  {verdict}  {seconds:.1f}s", flush=True)
+        if code not in (1, None):
+            print(f"  {m.file}: {m.old!r} -> {m.new!r}\n  breaks: {m.breaks}", flush=True)
+            failed = True
     return 1 if failed else 0
 
 

@@ -25,6 +25,7 @@ class Mutant(NamedTuple):
 
 
 SIGN_ROUTE_TESTS = ("tests/test_sign_route.py",)
+ABSORBING_START_TESTS = ("tests/test_absorbing_route.py::test_absorbing_starts_are_answered_exactly",)
 
 MUTANTS = (
     Mutant(
@@ -76,14 +77,6 @@ MUTANTS = (
         ("tests/test_matrixgame.py",),
     ),
     Mutant(
-        "lam-reduction-degree-off-by-one",
-        "solver.py",
-        "len(x.coeffs) > o + 1",
-        "len(x.coeffs) > o + 2",
-        "germ pencils with first-order terms left are cut to their constants",
-        ("tests/test_lam_reduction.py",),
-    ),
-    Mutant(
         "oracle-rounds-half-up",
         "oracle.py",
         "if 2 * r > den or (2 * r == den and q % 2):",
@@ -114,6 +107,38 @@ MUTANTS = (
         "cd = (lam.denominator - lam.numerator + 1) * d",
         "state 1's one-shot game falls in z at the wrong rate, so its root moves",
         ("tests/test_absorbing_route.py",),
+    ),
+    Mutant(
+        "stay-test-reads-state-one",
+        "absorbing.py",
+        "if _exit(game, l) is None:",
+        "if _exit(game, 0) is None:",
+        "a start state k is answered by state 1's stay test, so an absorbing k >= 2 is bisected",
+        ABSORBING_START_TESTS,
+    ),
+    Mutant(
+        "absorbed-value-reads-state-one",
+        "absorbing.py",
+        "matrix_game_value(game.int_rewards[l])",
+        "matrix_game_value(game.int_rewards[0])",
+        "an absorbing start k >= 2 is answered with state 1's reward-matrix value",
+        ABSORBING_START_TESTS,
+    ),
+    Mutant(
+        "bareiss-row-adds-pivot-row",
+        "ratlinalg.py",
+        "acc[i + j] -= a * c",
+        "acc[i + j] += a * c",
+        "the germ Bareiss step adds f times the pivot row instead of eliminating with it",
+        ("tests/test_ratlinalg.py",),
+    ),
+    Mutant(
+        "oracle-bound-without-lam",
+        "oracle.py",
+        "bd = a * dd * ed",
+        "bd = b * dd * ed",
+        "value iteration's stopping bound drops its division by lam, so it stops too early",
+        ("tests/test_oracle.py",),
     ),
     Mutant(
         "kronecker-numerator-sign",

@@ -41,14 +41,28 @@ from .pencil import (  # noqa: F401
 from .ratlinalg import IntPoly, RationalLike, rational_text, to_fraction
 
 
+def _exit(game: Game, l: int) -> tuple[int, int] | None:
+    """First 0-based action pair (i, j) at which 0-based state l can be left, or None."""
+    big_l = game.denominator_lcm()
+    return next(((i, j) for i, row in enumerate(game.int_transitions[l])
+                 for j, dist in enumerate(row) if dist[l] != big_l), None)
+
+
+def absorbed_value(game: Game, l: int) -> Fraction | None:
+    """Value of 0-based state l's reward matrix if l is never left, else None.
+
+    Then v_l = val(lam g_l + (1 - lam) v_l) = val(g_l) at every rate and in
+    the limit (Shapley 1953).
+    """
+    if _exit(game, l) is None:
+        return matrix_game_value(game.int_rewards[l]) / game.denominator_lcm()
+    return None
+
+
 def _leak(game: Game) -> tuple[int, int, int] | None:
     """First 0-based (state, i, j) at which a state 2..n can be left, or None."""
-    for l in range(1, game.n_states):
-        for i, row in enumerate(game.transitions[l]):
-            for j, dist in enumerate(row):
-                if dist[l] != 1:
-                    return l, i, j
-    return None
+    return next(((l, *pair) for l in range(1, game.n_states)
+                 if (pair := _exit(game, l)) is not None), None)
 
 
 def is_absorbing(game: Game) -> bool:
@@ -79,8 +93,7 @@ class AbsorbingGame:
 
         Computed on first use and kept: each identity check reads them twice.
         """
-        big_l = self.game.denominator_lcm()
-        return tuple(matrix_game_value(rows) / big_l for rows in self.game.int_rewards[1:])
+        return tuple(absorbed_value(self.game, l) for l in range(1, self.game.n_states))
 
     @cached_property
     def reduced_game(self) -> Game:

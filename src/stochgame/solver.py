@@ -15,17 +15,16 @@ decided exactly over Z[lam] (Jeroslow, "Asymptotic linear programming",
 1973): the grids are integer polynomials in lam, and the simplex runs over
 them ordered by the sign of the lowest-order nonzero coefficient, which is
 the sign of a polynomial for every small enough lam > 0.  No discount rate
-is ever chosen, so no depth, window or cap enters the decision.  Every
-entry of a profile germ pencil is divisible by lam (det(I - Q) = 0, and
-the Cramer column is lam*L*g).  When dividing both grids by lam**o, o the
-lowest lam-order of their nonzero entries, leaves only constants, as it
-does for a one-state game's lam*L*(g - z), the limit route bisects on
-that integer pencil instead (`_lam_reduced`): no sign changes, and the
-integer tableau decides them.  An exact zero moves both brackets, which
+is ever chosen, so no depth, window or cap enters the decision.  An
+exact zero moves both brackets, which
 collapses the interval onto an exact root when one is hit.  A single sign
 or value needs no wrapper: the limit sign at z is
 `build_pencil(game, k, LAM).sign_at(z)`, and the exact value at a rate is
 `build_pencil(game, k, lam).value_at(z)`.
+
+A start state k that is never left, every one-state game's among them,
+is worth val(g_k) at every rate and in the limit; after the same checks
+the solvers return that value (`absorbing.absorbed_value`) with no probe.
 
 From state 1 of an absorbing game the same sign is read from state 1's
 |I| x |J| one-shot game minus z (Kohlberg's quotient, strictly decreasing
@@ -39,13 +38,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .absorbing import AbsorbingGame, is_absorbing, live_pencil
+from .absorbing import AbsorbingGame, absorbed_value, is_absorbing, live_pencil
 from .errors import GameValidationError
 from .gamecore import Game, affine_normalize, check_discount
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `solver.solve_matrix_game` by name
 from .matrixgame import solve_matrix_game  # noqa: F401
-from .pencil import DEFAULT_MAX_ENTRIES, GamePencil, _check_cap, build_pencil
+from .pencil import DEFAULT_MAX_ENTRIES, _check_cap, build_pencil
 from .ratlinalg import LAM, IntPoly, RationalLike, ceil_log2
 
 
@@ -56,6 +55,8 @@ class BisectionResult:
     trace holds the probed (z, sign) pairs in the normalized [0, 1]
     coordinates; original-scale quantities are scale * z + offset.  The
     bracketing invariant guarantees |true value - value_estimate| <= radius.
+    A start state that is never left gets its exact value, radius 0,
+    iterations 0 and an empty trace, with a bisection's scale and offset.
     """
 
     value_estimate: Fraction
@@ -107,22 +108,6 @@ def _bisect(sign_at, r_eff: int, scale: Fraction, offset: Fraction) -> Bisection
     )
 
 
-def _lam_reduced(pencil: GamePencil) -> GamePencil:
-    """A germ pencil divided by lam**o as an integer pencil, when that leaves only constants.
-
-    o is the lowest lam-order of the nonzero entries; lam**o > 0, so every
-    sign at z is unchanged, and `GamePencil.sign_at` decides it on the
-    integer tableau.  Any other pencil comes back as it is.  The scale is
-    kept: only `sign_at` reads the result.
-    """
-    grids = (pencil.numerators, pencil.denominators)
-    o = min(x.order() for grid in grids for row in grid for x in row if x)
-    if any(len(x.coeffs) > o + 1 for grid in grids for row in grid for x in row):
-        return pencil
-    num, den = (tuple(tuple(x.coeff(o) for x in row) for row in grid) for grid in grids)
-    return GamePencil(num, den, pencil.scale)
-
-
 def _solve(
     game: Game, k: int, lam: Fraction | IntPoly, r: int, max_entries: int
 ) -> BisectionResult:
@@ -134,13 +119,14 @@ def _solve(
     game.check_state(k)
     _check_precision(r)
     ngame, scale, offset, r_eff = _normalized(game, r)
+    _check_cap(ngame, max_entries)
+    value = absorbed_value(game, k - 1)
+    if value is not None:
+        return BisectionResult(value, Fraction(0), 0, (), scale, offset)
     if k == 1 and is_absorbing(ngame):
-        _check_cap(ngame, max_entries)
         pencil = live_pencil(AbsorbingGame(ngame), lam)
     else:
         pencil = build_pencil(ngame, k, lam, max_entries)
-    if isinstance(lam, IntPoly):
-        pencil = _lam_reduced(pencil)
     return _bisect(pencil.sign_at, r_eff, scale, offset)
 
 

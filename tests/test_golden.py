@@ -17,7 +17,12 @@ identity moved to integer grids.  `check FILE --seed S` (S = 0..3) and
 `oracle FILE --lambda 1/4` on three seeded games in tests/data (a 3-state
 2x2 absorbing game, a 3-state 2x2 general game and a 2-state 3x3 game)
 were recorded before the simplex kept only its nonbasic columns; a FILE
-that names a `.game` file is read from tests/data.
+that names a `.game` file is read from tests/data.  The 16 `value` and
+`discounted` entries of the one-state fixtures (single_1x1, single_2x2,
+single_const, single_mp) were re-recorded when a start state that is
+never left came to be answered exactly, with no bisection: each now
+reports its reward matrix's value with radius 0, iterations 0 and an
+empty trace, and each new value lay in the enclosure it replaced.
 Any change of value, radius, trace, oracle vector or check outcome fails.
 """
 

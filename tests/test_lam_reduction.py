@@ -1,26 +1,28 @@
-"""The limit route bisects on an integer pencil when lam-content division leaves constants.
+"""The limit route against the raw germ reference, and the lam-content of profile germs.
 
 Every entry of a profile germ pencil is divisible by lam: the system
 determinant vanishes at lam = 0 (det(I - Q) = 0 for a stochastic Q) and the
-Cramer column is lam*L*g.  `solver._lam_reduced` divides both grids by
-lam**o, o the lowest lam-order of their nonzero entries, and returns the
-integer pencil when every reduced entry is a constant, so a one-state limit
-solve runs the integer simplex; any other pencil is bisected as built.
-lam**o > 0, so the signs are those of the raw germ pencil,
+Cramer column is lam*L*g.  The solver bisects a start state that can be
+left on its germ pencil (or, from the live state 1 of an absorbing game,
+on the live pencil), and answers one that is never left, every one-state
+game among them, with its reward matrix's value and no probe.  The
+reference is the bisection on the raw profile germ pencil,
 `matrix_game_sign(build_pencil(game, k, LAM).scaled_at(z))`, the per-probe
-sign test of `tests/sign_ref.py`, which stays the reference here.
+sign test of `tests/sign_ref.py`: a start that can be left must give its
+trace exactly, and an absorbing one an exact answer inside its enclosure
+(`tests/absorbed_ref.py`).
 """
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stochgame import Game, matrixgame
-from stochgame.absorbing import AbsorbingGame, live_pencil
+from stochgame import matrixgame
 from stochgame.pencil import build_pencil
-from stochgame.ratlinalg import LAM, IntPoly
-from stochgame.solver import _bisect, _lam_reduced, _normalized, limit_value
+from stochgame.ratlinalg import LAM
+from stochgame.solver import _bisect, _normalized, limit_value
 
+from absorbed_ref import assert_same_answer
 from conftest import ALL_FIXTURES
 from gens import rand_absorbing_game, rand_game
 from sign_ref import matrix_game_sign
@@ -35,10 +37,6 @@ def raw_germ_route(game, k: int, r: int):
     ngame, scale, offset, r_eff = _normalized(game, r)
     pencil = build_pencil(ngame, k, LAM)
     return _bisect(lambda z: matrix_game_sign(pencil.scaled_at(z)), r_eff, scale, offset)
-
-
-def outcome(result) -> tuple:
-    return result.value_estimate, result.radius, result.iterations, result.trace
 
 
 @st.composite
@@ -60,40 +58,6 @@ def test_every_profile_germ_is_divisible_by_lam(game):
     for k in range(1, game.n_states + 1):
         pencil = build_pencil(game, k, LAM)
         assert all(x.order() >= 1 for x in entries(pencil) if x)
-
-
-def test_one_state_pencils_reduce_to_integers():
-    rng = random.Random(3)
-    for a1 in (1, 2, 3):
-        for a2 in (1, 2, 3):
-            game = rand_game(rng, 1, a1, a2)
-            pencil = build_pencil(game, 1, LAM)
-            reduced = _lam_reduced(pencil)
-            assert all(type(x) is int for x in entries(reduced))
-            # a one-state pencil is exactly lam*L*(g - z): its germs are c*lam
-            assert [IntPoly((0, x)) for x in entries(reduced)] == entries(pencil)
-            assert reduced.scale == pencil.scale
-
-
-def test_pencils_with_germs_left_are_kept(fixture_docs):
-    rng = random.Random(4)
-    pencils = [build_pencil(rand_game(rng, 2, 2, 2), 1, LAM) for _ in range(20)]
-    pencils.append(live_pencil(AbsorbingGame(fixture_docs["absorbing_mix"].game), LAM))
-    for pencil in pencils:
-        assert _lam_reduced(pencil) is pencil
-
-
-def test_two_state_pencil_of_lam_times_constants_reduces():
-    # with the identity kernel det = (lam*L)**2 and every Cramer numerator
-    # is lam**2 times a constant, so o = 2 and the pencil becomes integer
-    rng = random.Random(5)
-    rewards = [[[rng.randint(-3, 3) for _ in range(2)] for _ in range(2)] for _ in range(2)]
-    stay = [[[[int(t == l) for t in range(2)] for _ in range(2)] for _ in range(2)]
-            for l in range(2)]
-    pencil = build_pencil(Game(rewards, stay), 1, LAM)
-    reduced = _lam_reduced(pencil)
-    assert all(type(x) is int for x in entries(reduced))
-    assert [IntPoly((0, 0, x)) for x in entries(reduced)] == entries(pencil)
 
 
 def test_one_state_limit_solves_never_pivot_on_germs(fixture_docs, monkeypatch):
@@ -126,7 +90,7 @@ def test_traces_match_the_raw_germ_route_on_seeded_games(r):
     count = 0
     for game in seeded_games():
         for k in range(1, game.n_states + 1):
-            assert outcome(limit_value(game, k, r)) == outcome(raw_germ_route(game, k, r))
+            assert_same_answer(limit_value(game, k, r), raw_germ_route(game, k, r), game, k)
         count += 1
     assert count >= 200
 
@@ -136,4 +100,4 @@ def test_traces_match_the_raw_germ_route_on_seeded_games(r):
 def test_traces_match_the_raw_germ_route_on_fixtures(name, r, fixture_docs):
     game = fixture_docs[name].game
     for k in range(1, game.n_states + 1):
-        assert outcome(limit_value(game, k, r)) == outcome(raw_germ_route(game, k, r))
+        assert_same_answer(limit_value(game, k, r), raw_germ_route(game, k, r), game, k)

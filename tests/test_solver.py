@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from stochgame import Game
 from stochgame.errors import GameValidationError
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import build_pencil
 from stochgame.ratlinalg import LAM, sign
 from stochgame.solver import _bisect, _normalized, discounted_value, limit_value
 
+from absorbed_ref import assert_same_answer
 from gens import rand_absorbing_game, rand_game
 from ladder import (
     anchor_pencils,
@@ -93,8 +95,13 @@ class TestDiscountedValue:
         assert result.value_estimate == result.scale * lo + result.offset
 
     def test_reward_span_above_one_keeps_radius(self):
-        # span is 4 here, so two extra iterations are needed for 2^-r
-        game = one_state_game([[4, 1], [0, 2]])
+        # span is 4 here, so two extra iterations are needed for 2^-r.  State
+        # 1 moves to state 2 (absorbing, same rewards) with probability 1/2,
+        # so it is bisected, and both states are worth val(g) = 8/5
+        g = [[4, 1], [0, 2]]
+        half = [Fraction(1, 2), Fraction(1, 2)]
+        stay = [0, 1]
+        game = Game([g, g], [[[half] * 2] * 2, [[stay] * 2] * 2])
         result = discounted_value(game, 1, Fraction(1, 2), 6)
         assert result.radius <= Fraction(1, 2**6)
         assert result.iterations == 8
@@ -105,7 +112,8 @@ class TestDiscountedValue:
             discounted_value(cycle_game(), 1, Fraction(1, 2), -1)
 
     def test_matches_fraction_value_route_on_random_games(self):
-        # signs read from the integer grid == signs of the rational game values
+        # signs read from the integer grid == signs of the rational game values;
+        # an absorbing start (every one-state game) is answered exactly
         rng = random.Random(45)
         for trial in range(15):
             n_states = trial % 3 + 1
@@ -120,7 +128,7 @@ class TestDiscountedValue:
                     lambda z: sign(solve_matrix_game(pencil.matrix_at(z)).value),
                     r_eff, scale, offset,
                 )
-                assert discounted_value(game, k, lam, r) == reference, (trial, lam)
+                assert_same_answer(discounted_value(game, k, lam, r), reference, game, k)
 
 
 class TestLimitSign:
@@ -201,7 +209,8 @@ class TestLimitValue:
                 assert s == exact
 
     def test_matches_anchored_ladder_on_random_games(self):
-        # the exact sign and the anchored ladder give bit-identical runs
+        # the exact sign and the anchored ladder give bit-identical runs; an
+        # absorbing start is answered exactly inside the ladder's enclosure
         rng = random.Random(44)
         for trial in range(48):
             kind = trial % 4
@@ -214,9 +223,7 @@ class TestLimitValue:
             else:
                 game = rand_game(rng, 2, 2, 2)
             k = rng.randint(1, game.n_states)
-            exact = limit_value(game, k, 8)
-            anchored = anchored_limit_value(game, k, 8)
-            assert exact == anchored, (trial, exact, anchored)
+            assert_same_answer(limit_value(game, k, 8), anchored_limit_value(game, k, 8), game, k)
 
     def test_four_state_pin(self):
         # recorded under the pure Bland pivot loop, which took about 90 s on a
