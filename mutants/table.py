@@ -149,6 +149,41 @@ MUTANTS = (
         ("tests/test_pencil.py",),
     ),
     Mutant(
+        "kohlberg-representative-row-only",
+        "absorbing.py",
+        "grid[r - r % row_block][c - c % col_block]",
+        "grid[r - r % row_block][c]",
+        "each reduced entry is compared with its row block's first row only, so an "
+        "entry that differs across its column block passes as block-constant",
+        ("tests/test_integer_form.py::test_broken_column_block_reports_the_dependence",),
+    ),
+    Mutant(
+        "kohlberg-reduced-value-one-sided",
+        "absorbing.py",
+        "reduction_exact = value == reduced_value",
+        "reduction_exact = value <= reduced_value",
+        "a value-reduced pencil whose value exceeds the raw pencil's passes as exact",
+        ("tests/test_integer_form.py::test_broken_reduced_value_is_reported",),
+    ),
+    Mutant(
+        "walk-hands-down-stale-pivot",
+        "pencil.py",
+        "walk(r + dr, c + dc, later, piv)",
+        "walk(r + dr, c + dc, later, prev)",
+        "the Bareiss step below depth 1 divides by the pivot before last: wrong "
+        "determinants from three states on",
+        ("tests/test_pencil.py",),
+    ),
+    Mutant(
+        "walk-row-offset-state-one-last",
+        "pencil.py",
+        "(i * n1 ** (n - 1 - s),",
+        "(i * n1 ** s,",
+        "player 1's profile ranks take state 1 as least significant, so rows land "
+        "at the wrong profiles",
+        ("tests/test_pencil.py",),
+    ),
+    Mutant(
         "parser-row-sum-one-sided",
         "gamefile.py",
         "if sum(den // p.denominator * p.numerator for p in dist) != den:",

@@ -7,7 +7,8 @@ live state's vanishing-discount value is characterized by the sign of the
 Kohlberg quotient (Phi(lam, u(z)) - z) / lam built from the Shapley
 operator, and at every finite discount rate that quotient coincides
 exactly with the profile matrix-game value divided by lam**n;
-`verify_kohlberg_identity` checks the chain of equalities entry by entry.
+`verify_kohlberg_identity` checks the chain of equalities entry by entry,
+on pencils its caller builds (this module builds no profile pencil).
 The solver signs the quotient's numerator, which is affine in z: one
 `live_pencil` per solve serves every probe.  Every exact value here is
 read from an integer grid, as the solvers and the oracle read theirs
@@ -31,13 +32,7 @@ from .gamecore import Game, _checked_game, check_discount
 # benchmark's trace layer wraps `absorbing.<name>` by name
 from .matrixgame import matrix_game_value, solve_matrix_game  # noqa: F401
 from .oracle import _integer_vector, _one_shot_grids
-from .pencil import (  # noqa: F401
-    DEFAULT_MAX_ENTRIES,
-    GamePencil,
-    _check_cap,
-    build_pencil,
-    pencil_matrix,
-)
+from .pencil import GamePencil, pencil_matrix  # noqa: F401
 from .ratlinalg import IntPoly, RationalLike, rational_text, to_fraction
 
 
@@ -91,34 +86,9 @@ class AbsorbingGame:
     def absorbed_values(self) -> tuple[Fraction, ...]:
         """Values of the absorbed states 2..n (their reward-matrix values).
 
-        Computed on first use and kept: each identity check reads them twice.
+        Computed on first use and kept: each Kohlberg quotient and the value-reduced game read them.
         """
         return tuple(absorbed_value(self.game, l) for l in range(1, self.game.n_states))
-
-    @cached_property
-    def reduced_game(self) -> Game:
-        """`value_reduced_game(self)`, built on first use and kept.
-
-        Every identity check reads a pencil of it (`reduced_pencil`).
-        """
-        return value_reduced_game(self)
-
-    @cached_property
-    def _reduced_pencils(self) -> dict[Fraction, GamePencil]:
-        return {}
-
-    def reduced_pencil(self, lam: Fraction, max_entries: int = DEFAULT_MAX_ENTRIES) -> GamePencil:
-        """The (state 1, lam) pencil of `reduced_game`, built once per rate and kept.
-
-        The entry cap is checked on every call, as building would check it.
-        """
-        _check_cap(self.game, max_entries)
-        pencil = self._reduced_pencils.get(lam)
-        if pencil is None:
-            pencil = self._reduced_pencils[lam] = build_pencil(
-                self.reduced_game, 1, lam, max_entries
-            )
-        return pencil
 
 
 def live_pencil(ab: AbsorbingGame, lam: Fraction | IntPoly) -> GamePencil:
@@ -189,12 +159,13 @@ def verify_kohlberg_identity(
     lam: RationalLike,
     z: RationalLike,
     pencil: GamePencil,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
+    reduced: GamePencil,
 ) -> IdentityReport:
     """Check val(profile matrix)/lam**n == Kohlberg quotient, exactly.
 
-    `pencil` is the game's own (state 1, lam) pencil, which the caller holds.
-    Also verifies the structure behind the identity.  Raw profile-matrix
+    `pencil` and `reduced` are the (state 1, lam) pencils of the game and
+    of `value_reduced_game(ab)`, which the caller builds and holds.  Also
+    verifies the structure behind the identity.  Raw profile-matrix
     entries depend on absorbed-state actions whenever absorbed rewards
     vary with actions (the Cramer numerator carries the absorbed stage
     reward, not the absorbed value), so the block-constancy of rows and
@@ -210,7 +181,6 @@ def verify_kohlberg_identity(
     z = to_fraction(z)
     game = ab.game
     n = game.n_states
-    reduced = ab.reduced_pencil(lam, max_entries)
     grid = reduced.scaled_at(z)
     row_block = game.n_actions1 ** (n - 1)
     col_block = game.n_actions2 ** (n - 1)

@@ -19,18 +19,19 @@ whole objects from the run's integer pencils (`GamePencil`):
 - Kronecker: the whole pencil against `pencil_matrix_kronecker`, grid for
   grid over one scale, which implies equality at every z.
 
-The absorbing identity reads the run's state-1 pencils too, and solves
-the value-reduced game at |I| x |J| once its grid is block-constant
-(`absorbing.verify_kohlberg_identity`).  No check builds a Fraction
-strategy: strategies are drawn as integer weight rows.
+The absorbing identity reads the run's state-1 pencils and those of the
+value-reduced game, and solves the reduced grid at |I| x |J| once it is
+block-constant (`absorbing.verify_kohlberg_identity`, which builds none).
+No check builds a Fraction strategy: strategies are drawn as integer rows.
 
-The entry cap is checked first and passed to every pencil, and each
-(state, lam) pencil is built once per run, in a dict local to
-`run_invariant_checks` that the absorbing identity reads from too.
+The entry cap is checked first and passed to every pencil.  Each pencil
+is built through `build_pencil` once per run and (game, state, lam), in a
+`_pencil_table`: one for the game, one for its value-reduced copy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from fractions import Fraction
 # in typing's cache and keep every re-imported copy of the package alive
 from typing import Callable
 
-from .absorbing import AbsorbingGame, is_absorbing, verify_kohlberg_identity
+from .absorbing import AbsorbingGame, is_absorbing, value_reduced_game, verify_kohlberg_identity
 from .gamecore import Game
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `checks.solve_matrix_game` by name
@@ -247,13 +248,19 @@ def _check_absorbing(
     if not is_absorbing(game):
         return CheckOutcome("absorbing-identity", True, "not absorbing; skipped")
     ab = AbsorbingGame.from_game(game)
+    reduced_at = _pencil_table(value_reduced_game(ab), max_entries)
     for _ in range(4):
         lam = Fraction(1, rng.randint(2, 10))
         z = _random_fraction(rng)
-        report = verify_kohlberg_identity(ab, lam, z, pencil_at(1, lam), max_entries)
+        report = verify_kohlberg_identity(ab, lam, z, pencil_at(1, lam), reduced_at(1, lam))
         if not report.ok:
             return CheckOutcome("absorbing-identity", False, report.detail)
     return CheckOutcome("absorbing-identity", True)
+
+
+def _pencil_table(game: Game, max_entries: int) -> Callable[[int, Fraction], GamePencil]:
+    """pencil_at(state, lam): `build_pencil` of `game`, built once per (state, lam) and kept."""
+    return functools.cache(lambda state, lam: build_pencil(game, state, lam, max_entries))
 
 
 def run_invariant_checks(
@@ -265,20 +272,13 @@ def run_invariant_checks(
     """Run the full per-game invariant suite; exact, deterministic per seed.
 
     The entry cap is checked before any check runs (ResourceCapError).
-    Each (state, lam) pencil is built once per call and shared by the
-    checks that read it; pencils are immutable.
+    Each pencil is built once per call and shared by the checks that read
+    it; pencils are immutable.
     """
     game.check_state(k)
     _check_cap(game, max_entries)
     rng = random.Random(seed)
-    pencils: dict[tuple[int, Fraction], GamePencil] = {}
-
-    def pencil_at(state: int, lam: Fraction) -> GamePencil:
-        pencil = pencils.get((state, lam))
-        if pencil is None:
-            pencil = pencils[state, lam] = build_pencil(game, state, lam, max_entries)
-        return pencil
-
+    pencil_at = _pencil_table(game, max_entries)
     outcomes = [
         _check_denominator_bound(game, k, pencil_at),
         _check_multilinearity(game, k, rng, pencil_at),

@@ -102,12 +102,12 @@ def _cmd_bisection(args) -> int:
         if discounted:
             payload["lambda"] = rational_text(args.lam)
         payload.update({"precision": args.precision, "elapsed_s": elapsed})
-        print(json.dumps(payload))
+        print(_json_object(payload))
     else:
         at = f"at lambda = {rational_text(args.lam)} " if discounted else ""
         _print_result(
             f"{'discounted' if discounted else 'limit'} value from state {k} {at}"
-            f"(precision 2^-{args.precision})",
+            f"(precision 2^-{int_text(args.precision)})",
             result, args.digits, elapsed, args.trace,
         )
     return EXIT_OK
@@ -121,7 +121,7 @@ def _cmd_oracle(args) -> int:
     elapsed = time.perf_counter() - start
     exact = values.polished or shapley_operator(doc.game, lam, values) == values
     if args.json:
-        print(json.dumps({
+        print(_json_object({
             "command": "oracle",
             "lambda": rational_text(lam),
             "tol": rational_text(tol),

@@ -224,7 +224,7 @@ def parse_game(source: Source) -> GameFile:
 
 
 def serialize_game(doc: GameFile) -> str:
-    """Render a document that parses back to an identical game."""
+    """Render a document that parses back to an identical game, numbers of any length."""
     game = doc.game
     lines: list[str] = []
     if doc.label is not None:
@@ -237,14 +237,14 @@ def serialize_game(doc: GameFile) -> str:
     for s in range(game.n_states):
         for i in range(game.n_actions1):
             for j in range(game.n_actions2):
-                lines.append(f"reward {s + 1} {i + 1} {j + 1} {game.rewards[s][i][j]}")
+                lines.append(f"reward {s + 1} {i + 1} {j + 1} {rational_text(game.rewards[s][i][j])}")
     for s in range(game.n_states):
         for i in range(game.n_actions1):
             for j in range(game.n_actions2):
                 for t in range(game.n_states):
                     lines.append(
                         f"transition {s + 1} {i + 1} {j + 1} {t + 1} "
-                        f"{game.transitions[s][i][j][t]}"
+                        f"{rational_text(game.transitions[s][i][j][t])}"
                     )
     return "\n".join(lines) + "\n"
 

@@ -290,12 +290,6 @@ class IntPoly:
     def denominator(self) -> int:
         return 1
 
-    def order(self) -> int:
-        """Index of the lowest-order nonzero coefficient; ValueError for zero."""
-        if not self.coeffs:
-            raise ValueError("the zero polynomial IntPoly(()) has no order")
-        return _order(self.coeffs)
-
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if i < len(self.coeffs) else 0
 

@@ -13,7 +13,8 @@ at call time, so a test that patches it patches both routes.
 `full_grid_identity` is the integer route as it was before the library
 read the reduced grid's value from its |I| x |J| block representatives:
 it solves the whole reduced grid, and must report exactly what
-`absorbing.verify_kohlberg_identity` reports.
+`absorbing.verify_kohlberg_identity` reports on the same two pencils.
+`built_identity` runs the library's check on freshly built pencils.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from stochgame import absorbing
 from stochgame.absorbing import AbsorbingGame, IdentityReport
 from stochgame.gamecore import check_discount
 from stochgame.matrixgame import solve_matrix_game
-from stochgame.pencil import DEFAULT_MAX_ENTRIES, GamePencil, pencil_matrix
+from stochgame.pencil import DEFAULT_MAX_ENTRIES, GamePencil, build_pencil, pencil_matrix
 from stochgame.ratlinalg import RatMatrix, to_fraction
 
 from test_oracle import fraction_auxiliary
@@ -98,18 +99,21 @@ def verify_kohlberg_identity(
     )
 
 
+def built_identity(ab: AbsorbingGame, lam, z) -> IdentityReport:
+    """The library's identity on the (state 1, lam) pencils of the game and its value-reduced copy."""
+    reduced_game = absorbing.value_reduced_game(ab)
+    return absorbing.verify_kohlberg_identity(
+        ab, lam, z, build_pencil(ab.game, 1, lam), build_pencil(reduced_game, 1, lam)
+    )
+
+
 def full_grid_identity(
-    ab: AbsorbingGame,
-    lam,
-    z,
-    pencil: GamePencil,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
+    ab: AbsorbingGame, lam, z, pencil: GamePencil, reduced: GamePencil
 ) -> IdentityReport:
     lam = check_discount(lam)
     z = to_fraction(z)
     game = ab.game
     n = game.n_states
-    reduced = ab.reduced_pencil(lam, max_entries)
     grid = reduced.scaled_at(z)
     row_block = game.n_actions1 ** (n - 1)
     col_block = game.n_actions2 ** (n - 1)

@@ -4,7 +4,8 @@ A one-player game (some side with a single action) admits pure optimal
 stationary strategies, so its discounted and vanishing-discount values
 are the free player's best over its pure stationary profiles.  Both
 bisections are checked against these on one-player games.  `pure` builds
-the point-mass strategy of a profile.
+the point-mass strategy of a profile, and `germ_order` reads a germ's
+lowest order.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game, check_discount
 from stochgame.pencil import build_pencil, player1_profiles, profile_row_index
-from stochgame.ratlinalg import LAM, RationalLike
+from stochgame.ratlinalg import LAM, IntPoly, RationalLike, _order
 
 from chain_refs import StationaryStrategy, discounted_payoff
 from pencil_refs import player2_profiles
@@ -63,6 +64,13 @@ def mdp_brute_force(game: Game, k: int, lam: RationalLike) -> Fraction:
     return _best_pure(game, payoff)
 
 
+def germ_order(p: IntPoly) -> int:
+    """Index of the lowest-order nonzero coefficient; ValueError for zero."""
+    if not p:
+        raise ValueError("the zero polynomial IntPoly(()) has no order")
+    return _order(p.coeffs)
+
+
 def mdp_limit_brute_force(game: Game, k: int) -> Fraction:
     """Exact vanishing-discount value of a one-player game from state k.
 
@@ -79,7 +87,7 @@ def mdp_limit_brute_force(game: Game, k: int) -> Fraction:
         r = profile_row_index(i_vec, game.n_actions1)
         c = profile_row_index(j_vec, game.n_actions2)
         num, den = pencil.numerators[r][c], pencil.denominators[r][c]
-        s = den.order()
+        s = germ_order(den)
         return Fraction(num.coeff(s), den.coeff(s))
 
     return _best_pure(game, limit)

@@ -8,7 +8,6 @@ from stochgame.absorbing import (
     is_absorbing,
     kohlberg_quotient,
     value_reduced_game,
-    verify_kohlberg_identity,
 )
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game
@@ -16,6 +15,7 @@ from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import build_pencil, pencil_matrix
 from stochgame.ratlinalg import LAM, RatMatrix
 
+from absorbing_refs import built_identity
 from gens import rand_absorbing_game
 
 from test_gamecore import one_state_game
@@ -109,7 +109,7 @@ class TestIdentity:
     def test_big_match_exact(self, fixture_docs):
         ab = AbsorbingGame.from_game(fixture_docs["big_match"].game)
         lam = z = Fraction(1, 2)
-        report = verify_kohlberg_identity(ab, lam, z, build_pencil(ab.game, 1, lam))
+        report = built_identity(ab, lam, z)
         assert report.ok
         assert report.pencil_side == report.quotient_side == 0
 
@@ -117,7 +117,7 @@ class TestIdentity:
         game = one_state_game([[3, 1], [0, 2]])
         ab = AbsorbingGame.from_game(game)
         lam, z = Fraction(1, 3), Fraction(1, 4)
-        report = verify_kohlberg_identity(ab, lam, z, build_pencil(game, 1, lam))
+        report = built_identity(ab, lam, z)
         assert report.ok
         assert report.pencil_side == Fraction(3, 2) - z
 
@@ -128,7 +128,7 @@ class TestIdentity:
             ab = AbsorbingGame.from_game(game)
             lam = Fraction(1, rng.randint(2, 9))
             z = Fraction(rng.randint(-3, 6), rng.randint(1, 5))
-            report = verify_kohlberg_identity(ab, lam, z, build_pencil(game, 1, lam))
+            report = built_identity(ab, lam, z)
             assert report.ok, report.detail
 
     def test_dedup_affine_identity(self, fixture_docs):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochgame.absorbing import AbsorbingGame, verify_kohlberg_identity
+from stochgame.absorbing import AbsorbingGame
 from stochgame.gamecore import affine_normalize
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.oracle import shapley_operator, value_iteration
@@ -26,6 +26,7 @@ from stochgame.pencil import (
 from stochgame.ratlinalg import LAM, RatMatrix, det, sign
 from stochgame.solver import _normalized, discounted_value, limit_value
 
+from absorbing_refs import built_identity
 from chain_refs import expected_reward, transition_matrix
 from conftest import ALL_FIXTURES
 from gens import (
@@ -259,7 +260,7 @@ def test_criterion_8_absorbing_identity():
         ab = AbsorbingGame.from_game(game)
         lam = Fraction(1, rng.randint(2, 12))
         z = rand_fraction(rng)
-        rep = verify_kohlberg_identity(ab, lam, z, build_pencil(game, 1, lam))
+        rep = built_identity(ab, lam, z)
         if not (rep.values_equal and rep.ok):
             failures += 1
     report(

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from stochgame import absorbing, checks, pencil
+from stochgame import checks, pencil
 from stochgame.checks import run_invariant_checks
 from stochgame.pencil import DEFAULT_MAX_ENTRIES
 from stochgame.ratlinalg import det
@@ -96,17 +96,18 @@ def test_one_pencil_per_state_and_rate(name, seed, fixture_docs, monkeypatch):
 
 @pytest.mark.parametrize("name", ["absorbing_mix", "big_match"])
 def test_identity_check_shares_the_runs_pencils(name, fixture_docs, monkeypatch):
-    # the identity check reads the game's (1, lam) pencil from the run and
-    # builds only the value-reduced game's; no raw pencil is built twice
+    # the identity check reads the game's (1, lam) pencil from the run's
+    # table; no raw pencil is built twice
     game = fixture_docs[name].game
     built = []
-    for module in (checks, absorbing):
-        def recording(g, k, lam, max_entries, build=module.build_pencil):
-            if g is game:
-                built.append((k, lam))
-            return build(g, k, lam, max_entries)
+    build_pencil = checks.build_pencil
 
-        monkeypatch.setattr(module, "build_pencil", recording)
+    def recording(g, k, lam, max_entries):
+        if g is game:
+            built.append((k, lam))
+        return build_pencil(g, k, lam, max_entries)
+
+    monkeypatch.setattr(checks, "build_pencil", recording)
     for seed in range(10):
         built.clear()
         outcomes = run_invariant_checks(game, seed=seed)
@@ -181,3 +182,40 @@ def test_multilinearity_mismatch_fails(fixture_docs, monkeypatch):
     assert found.passed is False
     assert re.fullmatch(r"numerator mismatch at lam=1/\d, column profile \(\d, \d\)",
                         found.detail)
+
+
+@pytest.mark.parametrize("name, seed", [("absorbing_mix", 0), ("big_match", 1)])
+def test_every_profile_pencil_is_built_through_checks(name, seed, fixture_docs, monkeypatch):
+    # every `build_pencil` starts from `pencil._integer_rows`, whoever calls it;
+    # in a check run each comes through `checks.build_pencil`, once per
+    # (game, state, lam): the game's, or its value-reduced copy's at state 1,
+    # that copy made once per run
+    game = fixture_docs[name].game
+    built, eliminated, reduced = [], [], []
+    build_pencil, integer_rows = checks.build_pencil, pencil._integer_rows
+    value_reduced_game = checks.value_reduced_game
+
+    def recording(g, k, lam, max_entries):
+        built.append((g, k, lam))
+        return build_pencil(g, k, lam, max_entries)
+
+    def counting(g, lam):
+        eliminated.append(g)
+        return integer_rows(g, lam)
+
+    def reducing(ab):
+        reduced.append(value_reduced_game(ab))
+        return reduced[-1]
+
+    monkeypatch.setattr(checks, "build_pencil", recording)
+    monkeypatch.setattr(pencil, "_integer_rows", counting)
+    monkeypatch.setattr(checks, "value_reduced_game", reducing)
+    outcomes = run_invariant_checks(game, seed=seed)
+    assert all(o.passed for o in outcomes)
+    assert "skipped" not in outcome(outcomes, "absorbing-identity").detail
+    assert [id(g) for g in eliminated] == [id(g) for g, _, _ in built]
+    keys = [(id(g), k, lam) for g, k, lam in built]
+    assert len(keys) == len(set(keys))
+    (copy,) = reduced
+    assert {id(g) for g, _, _ in built} == {id(game), id(copy)}
+    assert {k for g, k, _ in built if g is copy} == {1}

@@ -489,3 +489,31 @@ def test_long_flag_values_are_read(capsys):
     err = capsys.readouterr().err
     assert f"argument --precision: must be nonnegative, got -{LONG}" in err
     assert "set_int_max_str_digits" not in err
+
+
+# starts that are never left are answered before any bisection, at any precision
+@pytest.mark.parametrize("argv, state", [
+    (["value", "single_2x2"], 1),
+    (["value", "big_match", "--state", "2"], 2),
+    (["discounted", "single_2x2", "--lambda", "1/3"], 1),
+])
+def test_long_precision_is_printed(argv, state, capsys):
+    precision = "1" + "0" * 5000
+    assert main([*argv, "--precision", precision]) == 0
+    assert f"(precision 2^-{precision})\n" in capsys.readouterr().out
+    assert main([*argv, "--precision", precision, "--json"]) == 0
+    payload = read_json(capsys.readouterr().out)
+    assert payload["precision"] == 10**5000
+    assert (payload["state"], payload["radius"], payload["iterations"]) == (state, "0", 0)
+
+
+@pytest.mark.parametrize("fields", [
+    {"command": "oracle", "values": ["1/3", "-2"], "exact_fixed_point": False,
+     "elapsed_s": 0.25},
+    {"value": "3/2", "iterations": 7, "trace": [["1/2", 1], ["3/4", -1]], "state": 2,
+     "lambda": None, "passed": True},
+])
+def test_json_object_is_json_dumps(fields):
+    assert cli._json_object(fields) == json.dumps(fields)
+    long = dict(fields, precision=10**5000)
+    assert read_json(cli._json_object(long)) == long

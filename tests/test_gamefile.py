@@ -118,6 +118,12 @@ class TestRoundTrip:
         assert again.initial_state == doc.initial_state
         assert again.label == doc.label
 
+    def test_long_numbers_round_trip(self):
+        # past Python's int/str digit limit, where str(Fraction) raises
+        game = Game([[[Fraction(1, 10**5000 + 1)]]], [[[[1]]]])
+        again = parse_text(serialize_game(GameFile(game, label="long")))
+        assert again.game == game and again.label == "long"
+
     def test_fixture_listing(self):
         names = list_fixtures()
         assert set(ALL_FIXTURES) <= set(names)

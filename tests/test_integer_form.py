@@ -12,6 +12,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import absorbing_refs
@@ -166,17 +167,19 @@ def test_identity_matches_fraction_reference():
         quotient = absorbing.kohlberg_quotient(ab, lam, z)
         assert quotient == absorbing_refs.kohlberg_quotient(ab, lam, z)
         # IdentityReport's == compares all six fields
-        report = absorbing.verify_kohlberg_identity(ab, lam, z, build_pencil(ab.game, 1, lam))
+        report = absorbing_refs.built_identity(ab, lam, z)
         assert report == absorbing_refs.verify_kohlberg_identity(ab, lam, z)
     assert {(True, False), (False, True)} <= seen_z
 
 
 def test_forced_dependence_failure_matches_reference(monkeypatch):
     # absorbed rewards vary with actions, so the raw pencil is not block-constant
+    # (the raw pencil handed in as the reduced one, and patched in for the reference)
     ab = AbsorbingGame.from_game(absorbing_with_state2([[3, 1], [0, 2]]))
     monkeypatch.setattr(absorbing, "value_reduced_game", lambda ab: ab.game)
     lam, z = Fraction(1, 3), Fraction(1, 5)
-    report = absorbing.verify_kohlberg_identity(ab, lam, z, build_pencil(ab.game, 1, lam))
+    pencil = build_pencil(ab.game, 1, lam)
+    report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil, pencil)
     expected = absorbing_refs.verify_kohlberg_identity(ab, lam, z)
     assert not report.dependence_ok
     assert report.detail == expected.detail
@@ -204,26 +207,55 @@ def test_block_route_matches_the_full_grid(fixture_docs, monkeypatch):
         lam = IDENTITY_LAMBDAS[index % len(IDENTITY_LAMBDAS)]
         z = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         pencil = build_pencil(game, 1, lam)
-        ab.absorbed_values  # solved once and kept; not part of the identity's own solves
+        # the absorbed values are solved here, once, and kept: not the identity's own solves
+        reduced = build_pencil(absorbing.value_reduced_game(ab), 1, lam)
         solved.clear()
-        report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil)
+        report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil, reduced)
         assert report.ok, (index, report.detail)
         assert solved == [(game.n_actions1, game.n_actions2)], index
-        assert report == absorbing_refs.full_grid_identity(ab, lam, z, pencil), index
+        assert report == absorbing_refs.full_grid_identity(ab, lam, z, pencil, reduced), index
 
 
-def test_broken_block_constancy_reports_the_dependence(monkeypatch):
+def _broken_reduced_case(shift):
+    """(ab, lam, z, raw pencil, the reduced pencil with `shift` applied to its numerator rows)."""
     ab = AbsorbingGame.from_game(rand_absorbing_game(random.Random(5), 2, 2, 2))
     lam, z = Fraction(1, 3), Fraction(1, 5)
-    pencil = build_pencil(ab.game, 1, lam)
-    reduced = ab.reduced_pencil(lam)
+    reduced = build_pencil(absorbing.value_reduced_game(ab), 1, lam)
+    numerators = tuple(tuple(shift(r, c, x, reduced.scale) for c, x in enumerate(row))
+                       for r, row in enumerate(reduced.numerators))
+    broken = dataclasses.replace(reduced, numerators=numerators)
+    return ab, lam, z, build_pencil(ab.game, 1, lam), broken
+
+
+def test_broken_block_constancy_reports_the_dependence():
     # one more at profile pair (1, 2), whose block representative is (0, 2)
-    numerators = [list(row) for row in reduced.numerators]
-    numerators[1][2] += 1
-    broken = dataclasses.replace(reduced, numerators=tuple(map(tuple, numerators)))
-    monkeypatch.setattr(AbsorbingGame, "reduced_pencil", lambda self, lam, max_entries=0: broken)
-    report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil)
+    ab, lam, z, pencil, broken = _broken_reduced_case(
+        lambda r, c, x, scale: x + ((r, c) == (1, 2)))
+    report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil, broken)
     assert not report.dependence_ok and not report.ok
     assert report.detail.startswith("reduced-game entry at profile pair (1, 2) is ")
     assert report.detail.endswith("from its live-state action block")
-    assert report == absorbing_refs.full_grid_identity(ab, lam, z, pencil)
+    assert report == absorbing_refs.full_grid_identity(ab, lam, z, pencil, broken)
+
+
+def test_broken_column_block_reports_the_dependence():
+    # one more down all of column 3, whose block representative is column 2: every
+    # row block stays constant down its columns, so only the column test sees it
+    ab, lam, z, pencil, broken = _broken_reduced_case(lambda r, c, x, scale: x + (c == 3))
+    report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil, broken)
+    assert not report.dependence_ok and not report.ok
+    assert report.detail.startswith("reduced-game entry at profile pair (0, 3) is ")
+    assert report == absorbing_refs.full_grid_identity(ab, lam, z, pencil, broken)
+
+
+@pytest.mark.parametrize("step", [1, -1])
+def test_broken_reduced_value_is_reported(step):
+    # every reduced entry moved by `step` at every z: still block-constant, but
+    # its value is the raw pencil's plus `step`
+    ab, lam, z, pencil, broken = _broken_reduced_case(
+        lambda r, c, x, scale: x + step * scale)
+    report = absorbing.verify_kohlberg_identity(ab, lam, z, pencil, broken)
+    assert report.dependence_ok and report.values_equal
+    assert not report.reduction_exact and not report.ok
+    assert report.detail.startswith("value-reduced pencil value ")
+    assert report == absorbing_refs.full_grid_identity(ab, lam, z, pencil, broken)
