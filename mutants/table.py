@@ -191,4 +191,28 @@ MUTANTS = (
         "transition rows summing below 1 are accepted",
         ("tests/test_gamefile.py",),
     ),
+    Mutant(
+        "pencil-equality-ignores-scale",
+        "pencil.py",
+        "isinstance(other, GamePencil) and self.scale == other.scale",
+        "isinstance(other, GamePencil)",
+        "pencils over different scales, so with different values, compare equal",
+        ("tests/test_records.py::TestGamePencil",),
+    ),
+    Mutant(
+        "pencil-equality-ignores-denominators",
+        "pencil.py",
+        "(self.numerators, self.denominators) == (other.numerators, other.denominators)",
+        "self.numerators == other.numerators",
+        "pencils whose values fall at different rates in z compare equal",
+        ("tests/test_records.py::TestGamePencil",),
+    ),
+    Mutant(
+        "fixtures-one-level-too-high",
+        "gamefile.py",
+        'Path(__file__).with_name("fixtures")',
+        'Path(__file__).parent.with_name("fixtures")',
+        "the bundled games are looked for beside the package instead of inside it",
+        ("tests/test_gamefile.py::test_fixtures_are_found_beside_a_relocated_package",),
+    ),
 )

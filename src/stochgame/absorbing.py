@@ -22,9 +22,8 @@ without validating them again.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import GameValidationError
 from .gamecore import Game, _checked_game, check_discount
@@ -65,11 +64,27 @@ def is_absorbing(game: Game) -> bool:
     return _leak(game) is None
 
 
-@dataclass(frozen=True)
 class AbsorbingGame:
-    """A game whose states 2..n are absorbing; state 1 is the live state."""
+    """A game whose states 2..n are absorbing; state 1 is the live state.
 
-    game: Game
+    Immutable; equal when the games are.  `absorbed_values` (states 2..n) are solved once, here.
+    """
+
+    __slots__ = ("game", "absorbed_values")
+
+    def __init__(self, game: Game):
+        object.__setattr__(self, "game", game)
+        object.__setattr__(self, "absorbed_values", tuple(
+            absorbed_value(game, l) for l in range(1, game.n_states)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("AbsorbingGame is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AbsorbingGame) and self.game == other.game
+
+    def __hash__(self) -> int:
+        return hash(self.game)
 
     @classmethod
     def from_game(cls, game: Game) -> "AbsorbingGame":
@@ -81,14 +96,6 @@ class AbsorbingGame:
                 f"{rational_text(game.transitions[l][i][j][l])} at actions ({i + 1}, {j + 1})"
             )
         return cls(game)
-
-    @cached_property
-    def absorbed_values(self) -> tuple[Fraction, ...]:
-        """Values of the absorbed states 2..n (their reward-matrix values).
-
-        Computed on first use and kept: each Kohlberg quotient and the value-reduced game read them.
-        """
-        return tuple(absorbed_value(self.game, l) for l in range(1, self.game.n_states))
 
 
 def live_pencil(ab: AbsorbingGame, lam: Fraction | IntPoly) -> GamePencil:
@@ -119,9 +126,8 @@ def kohlberg_quotient(ab: AbsorbingGame, lam: RationalLike, z: RationalLike) -> 
     return live_pencil(ab, lam).value_at(z) / lam
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Outcome of the finite-discount identity check at one (lam, z)."""
+class IdentityReport(NamedTuple):
+    """Outcome of the finite-discount identity check at one (lam, z), as a named tuple."""
 
     values_equal: bool
     dependence_ok: bool

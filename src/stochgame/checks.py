@@ -34,11 +34,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-# in annotations only: a module-level `Callable[..., GamePencil]` alias would sit
-# in typing's cache and keep every re-imported copy of the package alive
-from typing import Callable
+# `Callable` in annotations only: a module-level `Callable[..., GamePencil]` alias would
+# sit in typing's cache and keep every re-imported copy of the package alive
+from typing import Callable, NamedTuple
 
 from .absorbing import AbsorbingGame, is_absorbing, value_reduced_game, verify_kohlberg_identity
 from .gamecore import Game
@@ -64,8 +63,9 @@ from .pencil import (  # noqa: F401
 from .ratlinalg import det, int_det, rational_text  # noqa: F401
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
+class CheckOutcome(NamedTuple):
+    """One invariant's verdict: its name, whether it held, and why not (or a note)."""
+
     name: str
     passed: bool
     detail: str = ""

@@ -159,26 +159,27 @@ def _checked_game(rewards: tuple, transitions: tuple, game: Game | None = None) 
     return game
 
 
+def reward_scale(game: Game) -> tuple[Fraction, Fraction]:
+    """(c, d) of `affine_normalize` from `int_rewards`' least and greatest, building no game."""
+    rewards = [x for state in game.int_rewards for row in state for x in row]
+    lo, big_l = min(rewards), game.denominator_lcm()
+    return Fraction(max(rewards) - lo or big_l, big_l), Fraction(lo, big_l)
+
+
 def affine_normalize(game: Game) -> tuple[Game, Fraction, Fraction]:
     """Rescale rewards into [0, 1]; returns (game', c, d) with v = c*v' + d.
 
-    Rewards map by r -> (r - m)/(M - m), read on the integer form: with lo
-    and hi the least and greatest of `int_rewards`, an entry x maps to
-    (x - lo)/(hi - lo), c = (hi - lo)/L and d = lo/L.  A constant-reward
-    game maps to all zeros with c = 1 and d the constant.  Transitions are
-    untouched, so discounted payoffs and values transform by the same
-    (c, d).
+    Rewards map by r -> (r - m)/(M - m), read on the integer form: with
+    (c, d) from `reward_scale`, an entry x of `int_rewards` maps to
+    (x - d*L)/(c*L).  A constant-reward game (c = 1) maps to all zeros.
+    Transitions are untouched, so discounted payoffs and values transform
+    by the same (c, d).
     """
+    scale, offset = reward_scale(game)
     big_l = game.denominator_lcm()
-    lo = min(x for state in game.int_rewards for row in state for x in row)
-    hi = max(x for state in game.int_rewards for row in state for x in row)
-    if hi == lo:
-        zeros = (Fraction(0),) * game.n_actions2
-        rewards = tuple((zeros,) * game.n_actions1 for _ in range(game.n_states))
-        return _checked_game(rewards, game.transitions), Fraction(1), Fraction(lo, big_l)
-    span = hi - lo
+    lo, span = int(offset * big_l), int(scale * big_l)
     rewards = tuple(
         tuple(tuple(Fraction(x - lo, span) for x in row) for row in state)
         for state in game.int_rewards
     )
-    return _checked_game(rewards, game.transitions), Fraction(span, big_l), Fraction(lo, big_l)
+    return _checked_game(rewards, game.transitions), scale, offset

@@ -22,28 +22,27 @@ invariant of `gamecore.Game`, and it builds the game and its integer form
 once, without `Game.__init__` checking the data again.  Each distinct
 index and rational token of a document is parsed once.  Numbers may be
 longer than Python's int/str digit limit; transition rows are summed on
-integers over the row's least common denominator.
+integers over the row's least common denominator.  The bundled example
+games sit in `FIXTURES`, the `fixtures` directory beside these modules.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, NamedTuple, Union
 
 from .errors import GameFileError
 from .gamecore import Game, _checked_game
 from .ratlinalg import int_of_digits, int_text, parse_rational, rational_text
 
 Source = Union[str, Path, IO[str]]
+FIXTURES = Path(__file__).with_name("fixtures")
 
 
-@dataclass(frozen=True)
-class GameFile:
-    """A parsed game document: the game plus optional metadata."""
+class GameFile(NamedTuple):
+    """A parsed game document: the game plus optional metadata, as a named tuple."""
 
     game: Game
     initial_state: int | None = None
@@ -253,13 +252,11 @@ def fixture_path(name: str) -> Path:
     """Path of a bundled example game (with or without the .game suffix)."""
     if not name.endswith(".game"):
         name += ".game"
-    path = resources.files("stochgame").joinpath("fixtures", name)
-    return Path(str(path))
+    return FIXTURES / name
 
 
 def list_fixtures() -> list[str]:
-    base = resources.files("stochgame").joinpath("fixtures")
-    return sorted(p.name[: -len(".game")] for p in Path(str(base)).glob("*.game"))
+    return sorted(p.stem for p in FIXTURES.glob("*.game"))
 
 
 def load_fixture(name: str) -> GameFile:

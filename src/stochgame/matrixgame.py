@@ -43,19 +43,19 @@ the pencil route replaced live in the test suite (`tests/snow_ref.py`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ratlinalg import IntPoly, RatMatrix, bareiss_row, int_row
 
 
-@dataclass(frozen=True)
-class GameSolution:
+class GameSolution(NamedTuple):
     """Exact value plus optimal mixed strategies for both players.
 
     The strategies satisfy the optimality inequalities exactly:
     x_opt guarantees at least `value` against every column, and y_opt
-    concedes at most `value` against every row.
+    concedes at most `value` against every row.  A named tuple, so it
+    also unpacks as (value, x_opt, y_opt).
     """
 
     value: Fraction

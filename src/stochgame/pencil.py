@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -123,7 +122,6 @@ def _check_cap(game: Game, max_entries: int) -> tuple[int, int]:
     return n_rows, n_cols
 
 
-@dataclass(frozen=True)
 class GamePencil:
     """Integer numerator/denominator grids over one scale, for one (state, lam).
 
@@ -142,14 +140,26 @@ class GamePencil:
     L**n_states, and only `scaled_at` and `sign_at` apply.
     `absorbing.live_pencil` builds the same kind of pencil for state 1's
     |I| x |J| one-shot game, over its own scale.  Every denominator is
-    positive (an int, or a germ positive as lam -> 0+).
+    positive (an int, or a germ positive as lam -> 0+).  Immutable, and
+    equal when grids and scale are, whatever `sign_at` has cached.
     """
 
-    numerators: tuple[tuple[int | IntPoly, ...], ...]
-    denominators: tuple[tuple[int | IntPoly, ...], ...]
-    scale: int
-    # integer bound c -> (S, numerators + S), filled by `sign_at`
-    _lifts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("numerators", "denominators", "scale", "_lifts")
+
+    def __init__(self, numerators: tuple, denominators: tuple, scale: int):
+        # `_lifts`: integer bound c -> (S, numerators + S), filled by `sign_at`
+        for name, value in zip(self.__slots__, (numerators, denominators, scale, {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GamePencil is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GamePencil) and self.scale == other.scale
+                and (self.numerators, self.denominators) == (other.numerators, other.denominators))
+
+    def __hash__(self) -> int:
+        return hash((self.numerators, self.denominators, self.scale))
 
     @property
     def n_rows(self) -> int:

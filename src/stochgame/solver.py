@@ -35,12 +35,12 @@ holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .absorbing import AbsorbingGame, absorbed_value, is_absorbing, live_pencil
 from .errors import GameValidationError
-from .gamecore import Game, affine_normalize, check_discount
+from .gamecore import Game, affine_normalize, check_discount, reward_scale
 # `solve_matrix_game` stays bound here: the benchmark's trace layer wraps
 # `solver.solve_matrix_game` by name
 from .matrixgame import solve_matrix_game  # noqa: F401
@@ -48,8 +48,7 @@ from .pencil import DEFAULT_MAX_ENTRIES, _check_cap, build_pencil
 from .ratlinalg import LAM, IntPoly, RationalLike, ceil_log2
 
 
-@dataclass(frozen=True)
-class BisectionResult:
+class BisectionResult(NamedTuple):
     """Outcome of a bisection run, reported in the original reward scale.
 
     trace holds the probed (z, sign) pairs in the normalized [0, 1]
@@ -57,6 +56,7 @@ class BisectionResult:
     bracketing invariant guarantees |true value - value_estimate| <= radius.
     A start state that is never left gets its exact value, radius 0,
     iterations 0 and an empty trace, with a bisection's scale and offset.
+    A named tuple, so it also unpacks in field order.
     """
 
     value_estimate: Fraction
@@ -118,11 +118,12 @@ def _solve(
     """
     game.check_state(k)
     _check_precision(r)
-    ngame, scale, offset, r_eff = _normalized(game, r)
-    _check_cap(ngame, max_entries)
+    scale, offset = reward_scale(game)
+    _check_cap(game, max_entries)
     value = absorbed_value(game, k - 1)
     if value is not None:
         return BisectionResult(value, Fraction(0), 0, (), scale, offset)
+    ngame, _, _, r_eff = _normalized(game, r)
     if k == 1 and is_absorbing(ngame):
         pencil = live_pencil(AbsorbingGame(ngame), lam)
     else:

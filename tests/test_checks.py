@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 from fractions import Fraction
@@ -7,7 +6,7 @@ import pytest
 
 from stochgame import checks, pencil
 from stochgame.checks import run_invariant_checks
-from stochgame.pencil import DEFAULT_MAX_ENTRIES
+from stochgame.pencil import DEFAULT_MAX_ENTRIES, GamePencil
 from stochgame.ratlinalg import det
 
 from chain_refs import StationaryStrategy, chain_system
@@ -127,7 +126,7 @@ def test_kronecker_mismatch_fails(fixture_docs, monkeypatch):
     def off_by_one(game, k, lam, max_entries):
         built = kronecker(game, k, lam, max_entries)
         first = (built.numerators[0][0] + 1,) + built.numerators[0][1:]
-        return dataclasses.replace(built, numerators=(first,) + built.numerators[1:])
+        return GamePencil((first,) + built.numerators[1:], built.denominators, built.scale)
 
     monkeypatch.setattr(checks, "pencil_matrix_kronecker", off_by_one)
     outcomes = run_invariant_checks(fixture_docs["two_state_2x2"].game)
@@ -142,7 +141,7 @@ def test_denominator_below_the_bound_fails(fixture_docs, monkeypatch):
     def zeroed(game, k, lam, max_entries):
         built = build_pencil(game, k, lam, max_entries)
         first = (0,) + built.denominators[0][1:]
-        return dataclasses.replace(built, denominators=(first,) + built.denominators[1:])
+        return GamePencil(built.numerators, (first,) + built.denominators[1:], built.scale)
 
     monkeypatch.setattr(checks, "build_pencil", zeroed)
     outcomes = run_invariant_checks(fixture_docs["two_state_2x2"].game)

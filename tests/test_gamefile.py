@@ -1,5 +1,9 @@
 import io
+import os
 import random
+import shutil
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -128,6 +132,28 @@ class TestRoundTrip:
         names = list_fixtures()
         assert set(ALL_FIXTURES) <= set(names)
         assert fixture_path("big_match").exists()
+
+
+RELOCATED_PROBE = """
+import stochgame
+print(stochgame.__file__)
+print(",".join(stochgame.list_fixtures()))
+print(stochgame.load_fixture("big_match").game)
+"""
+
+
+def test_fixtures_are_found_beside_a_relocated_package(tmp_path):
+    # the package copied anywhere, as an installed one is, finds its fixtures beside itself
+    src = Path(__file__).resolve().parent.parent / "src" / "stochgame"
+    shutil.copytree(src, tmp_path / "stochgame", ignore=shutil.ignore_patterns("__pycache__"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-S", "-c", RELOCATED_PROBE], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    origin, names, game = done.stdout.splitlines()
+    assert Path(origin).resolve().parent == (tmp_path / "stochgame").resolve()
+    assert names.split(",") == ALL_FIXTURES
+    assert game == "Game(states=3, actions=2x2)"
 
 
 def test_duplicate_initial_state_reports_second_line():

@@ -8,7 +8,6 @@ route kept in `absorbing_refs` reports.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ import absorbing_refs
 from stochgame import absorbing
 from stochgame.absorbing import AbsorbingGame
 from stochgame.gamecore import Game, affine_normalize
-from stochgame.pencil import build_pencil
+from stochgame.pencil import GamePencil, build_pencil
 
 from gens import rand_absorbing_game, rand_game, rand_stochastic_row
 from test_absorbing import absorbing_with_state2
@@ -223,7 +222,7 @@ def _broken_reduced_case(shift):
     reduced = build_pencil(absorbing.value_reduced_game(ab), 1, lam)
     numerators = tuple(tuple(shift(r, c, x, reduced.scale) for c, x in enumerate(row))
                        for r, row in enumerate(reduced.numerators))
-    broken = dataclasses.replace(reduced, numerators=numerators)
+    broken = GamePencil(numerators, reduced.denominators, reduced.scale)
     return ab, lam, z, build_pencil(ab.game, 1, lam), broken
 
 

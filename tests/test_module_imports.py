@@ -12,7 +12,10 @@ layer wraps that module attribute by name (`traced_names`).
 """
 
 import ast
+import os
+import subprocess
 import symtable
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "stochgame"
@@ -130,3 +133,22 @@ def test_the_scan_sees_a_hidden_import():
         "    return det\n"
     )
     assert unused_imports(source) == {"det"}
+
+
+# What a cold CLI call must not pay for: the class generator of `dataclasses`
+# (which pulls in `inspect`, `ast`, `dis` and `tokenize`) and the resource-loader
+# stack that finding the fixtures beside the package does not need.
+STARTUP_EXCLUDED = ("dataclasses", "inspect", "importlib.resources", "tempfile")
+STARTUP_PROBE = f"""
+import sys
+import stochgame, stochgame.cli
+print(",".join(m for m in {STARTUP_EXCLUDED!r} if m in sys.modules))
+"""
+
+
+def test_importing_the_cli_stays_within_the_import_budget():
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", STARTUP_PROBE],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "", "loaded at import"
