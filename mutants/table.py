@@ -215,4 +215,31 @@ MUTANTS = (
         "the bundled games are looked for beside the package instead of inside it",
         ("tests/test_gamefile.py::test_fixtures_are_found_beside_a_relocated_package",),
     ),
+    Mutant(
+        "last-step-denominator-reads-cramer-entry",
+        "pencil.py",
+        "(y0 * piv - f * t0) // prev",
+        "(y0 * piv - f * t1) // prev",
+        "the integer last elimination step takes the pivot row's Cramer entry for its "
+        "system column, so numerator and denominator cross",
+        ("tests/test_pencil.py::TestCrossRing",),
+    ),
+    Mutant(
+        "last-step-divides-by-own-pivot",
+        "pencil.py",
+        "(y1 * piv - f * t1) // prev",
+        "(y1 * piv - f * t1) // piv",
+        "the integer last elimination step divides by its own pivot instead of the one "
+        "handed down, so every numerator from two states on is wrong",
+        ("tests/test_pencil.py::TestCrossRing",),
+    ),
+    Mutant(
+        "integer-rows-ignore-order",
+        "pencil.py",
+        "for t in order]",
+        "for t in range(len(order))]",
+        "the bordered rows keep their columns in natural state order while the rows follow "
+        "the walk's order, so state k's column is not eliminated last",
+        ("tests/test_pencil.py::TestNumerator",),
+    ),
 )

@@ -17,7 +17,10 @@ times the one scale (b*L)**n_states shared by the whole grid, so the grids
 are stored as integers over that scale and an entry at z = p/q is the
 single fraction (q*N - p*D) / (q*scale).  `build_pencil` runs that
 elimination once per prefix of action pairs, state by state, without
-pivot search: every pivot is a positive leading principal minor.  The
+pivot search: every pivot is a positive leading principal minor.  Each
+state's bordered rows are built once, rows and columns already in the
+elimination's state order (`_integer_rows`), and the last elimination
+step writes each pair's two determinants straight into the grids.  The
 same code runs over Z[lam]: for lam = `ratlinalg.LAM` the rows are
 L*Id - (1-lam)*L*Q, the Cramer column is lam*L*g, and the grids hold
 integer polynomials in lam whose signs as lam -> 0+ decide the limit
@@ -78,14 +81,15 @@ def profile_row_index(i_vec: Sequence[int], n_actions: int) -> int:
     return idx
 
 
-def _integer_rows(game: Game, lam) -> tuple[int, list]:
-    """b*L and the game's integer system rows at lam = a/b.
+def _integer_rows(game: Game, lam, order: Sequence[int]) -> tuple[int, list]:
+    """b*L and the game's integer system rows at lam = a/b, in state order `order`.
 
-    rows[l][i][j] is row l of b*L*Id - c*L*Q at actions (i, j) in state
-    l + 1, followed by its Cramer entry a*L*g (c = b - a, L the game's
-    least common denominator, L*Q and L*g `Game.int_transitions` and
-    `Game.int_rewards`).  At `ratlinalg.LAM` (a = lam, b = 1) the entries
-    are germs: L*Id - (1-lam)*L*Q and lam*L*g.
+    rows[d][i][j] is the row of b*L*Id - c*L*Q at actions (i, j) in state
+    order[d] + 1, its columns taken in `order` too, followed by its Cramer
+    entry a*L*g (c = b - a, L the game's least common denominator, L*Q and
+    L*g `Game.int_transitions` and `Game.int_rewards`).  At
+    `ratlinalg.LAM` (a = lam, b = 1) the entries are germs:
+    L*Id - (1-lam)*L*Q and lam*L*g.
     """
     a, b = lam.numerator, lam.denominator
     c = b - a
@@ -93,19 +97,19 @@ def _integer_rows(game: Game, lam) -> tuple[int, list]:
     rows = [
         [
             [
-                [(diag if t == l else 0) - c * lq for t, lq in enumerate(dist)] + [a * lg]
+                [(diag if t == s else 0) - c * dist[t] for t in order] + [a * lg]
                 for lg, dist in zip(g_row, q_row)
             ]
-            for g_row, q_row in zip(game.int_rewards[l], game.int_transitions[l])
+            for g_row, q_row in zip(game.int_rewards[s], game.int_transitions[s])
         ]
-        for l in range(game.n_states)
+        for s in order
     ]
     return diag, rows
 
 
 def payoff_denominator(game: Game, i_vec, j_vec, lam: RationalLike) -> Fraction:
     """det(Id - (1-lam) Q) for a pure profile; at least lam**n_states."""
-    diag, rows = _integer_rows(game, check_discount(lam))
+    diag, rows = _integer_rows(game, check_discount(lam), range(game.n_states))
     system = [rows[l][i][j][:-1] for l, (i, j) in enumerate(zip(i_vec, j_vec))]
     return Fraction(int_det(system), diag**game.n_states)
 
@@ -253,12 +257,13 @@ def build_pencil(
     polynomials in lam: the germs of the pencil as lam -> 0+.
 
     Each pair's two determinants come from fraction-free (Bareiss)
-    elimination of its bordered n x (n+1) system [A | a*L*g]
-    (`_integer_rows`), with rows and columns in one state order that puts
-    k last, and the Cramer column after them.  Reordering rows and
-    columns alike keeps every determinant, so once the first n-1 columns
-    are eliminated the last row holds det(A) and, in the Cramer column,
-    det(A_k): A with column k replaced by a*L*g.
+    elimination of its bordered n x (n+1) system [A | a*L*g], with rows
+    and columns in one state order that puts k last, and the Cramer
+    column after them: `_integer_rows` builds every state's rows once,
+    already in that order.  Reordering rows and columns alike keeps every
+    determinant, so once the first n-1 columns are eliminated the last
+    row holds det(A) and, in the Cramer column, det(A_k): A with column k
+    replaced by a*L*g.
 
     No pivot search, row swap or sign fix is needed.  A = b*L*Id - c*L*Q
     is strictly diagonally dominant with a positive diagonal: each row's
@@ -274,43 +279,60 @@ def build_pencil(
     reduced row the next pivot, which reduces the rows of every pair of
     every later state once (one `bareiss_row` per row on germs, one
     `int_row` otherwise), and every profile below that prefix shares
-    them.  At the last state each pair's reduced row is its
-    (det(A), det(A_k)), written at its profile ranks.
+    them.  The last pivot, at the next-to-last state, reduces each pair
+    of the last state to its (det(A), det(A_k)), which the step writes
+    straight at the pair's profile ranks: on integers as the plain
+    expression (y*piv - f*t) // prev per entry, on germs as one
+    `bareiss_row` per pair.  A one-state game has no pivot: its rows are
+    its determinants.
     """
     if not isinstance(lam, IntPoly):
         lam = check_discount(lam)
     game.check_state(k)
     n_rows, n_cols = _check_cap(game, max_entries)
     n, n1, n2 = game.n_states, game.n_actions1, game.n_actions2
-    diag, rows = _integer_rows(game, lam)
     order = [s for s in range(n) if s != k - 1] + [k - 1]
-    cols = order + [n]
-    # per depth: (row offset, column offset, reordered bordered row) of each action pair
+    diag, rows = _integer_rows(game, lam, order)
+    # per depth: (row offset, column offset, bordered row) of each action pair
     levels = [
         [
-            (i * n1 ** (n - 1 - s), j * n2 ** (n - 1 - s), [row[t] for t in cols])
-            for i, pair_rows in enumerate(rows[s])
+            (i * n1 ** (n - 1 - s), j * n2 ** (n - 1 - s), row)
+            for i, pair_rows in enumerate(state_rows)
             for j, row in enumerate(pair_rows)
         ]
-        for s in order
+        for s, state_rows in zip(order, rows)
     ]
-    step = bareiss_row if isinstance(lam, IntPoly) else int_row
+    germs = isinstance(lam, IntPoly)
+    step = bareiss_row if germs else int_row
     numerators = [[0] * n_cols for _ in range(n_rows)]
     denominators = [[0] * n_cols for _ in range(n_rows)]
 
     def walk(r: int, c: int, levels: list, prev) -> None:
         # levels[0] holds this depth's action pairs, levels[1:] the later depths',
         # each row reduced by the prefix's pivots, from the next pivot's column on
-        if len(levels) == 1:
-            for dr, dc, (den, num) in levels[0]:
-                denominators[r + dr][c + dc], numerators[r + dr][c + dc] = den, num
+        if len(levels) > 2:
+            for dr, dc, (piv, *tail) in levels[0]:
+                later = [[(er, ec, step(row[1:], tail, piv, row[0], prev)) for er, ec, row in level]
+                         for level in levels[1:]]
+                walk(r + dr, c + dc, later, piv)
             return
-        for dr, dc, (piv, *tail) in levels[0]:
-            later = [[(er, ec, step(row[1:], tail, piv, row[0], prev)) for er, ec, row in level]
-                     for level in levels[1:]]
-            walk(r + dr, c + dc, later, piv)
+        # the last pivot: each pair of the last state gets its (det(A), det(A_k))
+        for dr, dc, (piv, t0, t1) in levels[0]:
+            r0, c0 = r + dr, c + dc
+            if germs:
+                for er, ec, (f, *y) in levels[1]:
+                    denominators[r0 + er][c0 + ec], numerators[r0 + er][c0 + ec] = bareiss_row(
+                        y, (t0, t1), piv, f, prev)
+            else:
+                for er, ec, (f, y0, y1) in levels[1]:
+                    denominators[r0 + er][c0 + ec] = (y0 * piv - f * t0) // prev
+                    numerators[r0 + er][c0 + ec] = (y1 * piv - f * t1) // prev
 
-    walk(0, 0, levels, 1)
+    if n == 1:
+        for dr, dc, (den, num) in levels[0]:
+            denominators[dr][dc], numerators[dr][dc] = den, num
+    else:
+        walk(0, 0, levels, 1)
     return GamePencil(
         numerators=tuple(map(tuple, numerators)),
         denominators=tuple(map(tuple, denominators)),

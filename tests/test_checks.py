@@ -198,9 +198,9 @@ def test_every_profile_pencil_is_built_through_checks(name, seed, fixture_docs, 
         built.append((g, k, lam))
         return build_pencil(g, k, lam, max_entries)
 
-    def counting(g, lam):
+    def counting(g, lam, order):
         eliminated.append(g)
-        return integer_rows(g, lam)
+        return integer_rows(g, lam, order)
 
     def reducing(ab):
         reduced.append(value_reduced_game(ab))

@@ -17,7 +17,7 @@ from stochgame.pencil import (
     player1_profiles,
     profile_row_index,
 )
-from stochgame.ratlinalg import LAM, RatMatrix, det
+from stochgame.ratlinalg import LAM, IntPoly, RatMatrix, det
 
 from bland_ref import plain_row
 from chain_refs import discounted_payoff, expected_reward, transition_matrix
@@ -423,6 +423,39 @@ class TestAgainstKeptReferences:
         for game in games:
             for lam in (Fraction(1), Fraction(1, 1000), LAM):
                 assert_walk_matches_two_eliminations(game, lam)
+
+
+def homogenized(germ: IntPoly, a: int, b: int, n: int) -> int:
+    """b**n * germ(a/b), an integer for a germ of degree at most n."""
+    assert len(germ.coeffs) <= n + 1
+    return sum(x * a**i * b ** (n - i) for i, x in enumerate(germ.coeffs))
+
+
+class TestCrossRing:
+    """The integer walk at a rate against the germ walk at `LAM`, evaluated there."""
+
+    RATES = (Fraction(1, 4), Fraction(2, 7), Fraction(1, 1000), Fraction(1))
+
+    def test_germ_pencil_at_a_rate_is_the_rate_pencil(self, fixture_docs):
+        # b**n * P(a/b) for the germ pencil P over L**n is the pencil at a/b over
+        # (b*L)**n: the integer last step and the germ walk's `bareiss_row` agree
+        rng = random.Random(77)
+        games = [doc.game for doc in fixture_docs.values()]
+        for n, shapes in ((1, ((2, 3), (3, 1))), (2, ((2, 3), (3, 2))), (3, ((2, 2), (1, 2))),
+                          (4, ((2, 2), (2, 1)))):
+            games += [rand_game(rng, n, n1, n2) for n1, n2 in shapes]
+        for game in games:
+            n = game.n_states
+            for k in range(1, n + 1):
+                germs = build_pencil(game, k, LAM)
+                for lam in self.RATES:
+                    a, b = lam.numerator, lam.denominator
+                    at_rate = build_pencil(game, k, lam)
+                    assert at_rate.scale == b**n * germs.scale
+                    for grid, rate_grid in ((germs.numerators, at_rate.numerators),
+                                            (germs.denominators, at_rate.denominators)):
+                        assert [[homogenized(x, a, b, n) for x in row] for row in grid] == [
+                            list(row) for row in rate_grid]
 
 
 class TestGermScaledAt:
