@@ -242,4 +242,37 @@ MUTANTS = (
         "the walk's order, so state k's column is not eliminated last",
         ("tests/test_pencil.py::TestNumerator",),
     ),
+    Mutant(
+        "two-row-denominator-unflipped",
+        "matrixgame.py",
+        "num, den = b * c - a * d, b + c - a - d",
+        "num, den = b * c - a * d, a + d - b - c",
+        "a two-column subgame whose off-diagonal lies above its diagonal gets a negative "
+        "denominator, so its value's sign flips",
+        ("tests/test_matrixgame.py::TestTwoActionGames::test_value_matches_the_pivot_loop_and_the_kernel",),
+    ),
+    Mutant(
+        "two-row-greatest-pair",
+        "matrixgame.py",
+        "if best_num is None or num * best_den < best_num * den:",
+        "if best_num is None or num * best_den > best_num * den:",
+        "a two-row game takes its greatest two-column value, not its least",
+        ("tests/test_matrixgame.py::TestTwoActionGames::test_value_is_the_least_two_column_value",),
+    ),
+    Mutant(
+        "two-column-transpose-not-negated",
+        "matrixgame.py",
+        "return -num, den",
+        "return num, den",
+        "a two-column game is answered with val(-A^T), not -val(-A^T)",
+        ("tests/test_matrixgame.py::TestTwoActionGames::test_value_is_the_least_two_column_value",),
+    ),
+    Mutant(
+        "fixed-row-drops-continuation-weight",
+        "oracle.py",
+        "num = ad * num + c * sum(map(mul, dist, du)) * den",
+        "num = ad * num + sum(map(mul, dist, du)) * den",
+        "a state no action moves weighs its continuation by 1, not by 1 - lam",
+        ("tests/test_oracle.py::TestFixedRows::test_operator_matches_the_lp_reference",),
+    ),
 )

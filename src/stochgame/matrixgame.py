@@ -20,12 +20,16 @@ negative reduced cost) until the first degenerate pivot and Bland's from
 then on, both ranked by variable, which keeps the paths short and the loop
 finite.  The start rule has no switch: callers hand `_simplex` the column
 maxima, which `matrix_game_ratio`'s saddle test computes anyway.
-Every entry point runs that one pivot loop (`_simplex`).
+Every entry point that pivots runs that one pivot loop (`_simplex`).
 `solve_matrix_game` takes a `RatMatrix` and returns the value with both
 optimal strategies.  `matrix_game_value` takes an integer grid (a game
 scaled by a positive integer, as the oracle and the pencil build them)
-and returns only its exact value, pivoting only if it has no saddle point;
-`matrix_game_ratio` returns that value as an integer pair.
+and returns only its exact value; `matrix_game_ratio` returns that value
+as an integer pair.  It reads a saddle entry without pivoting, and a game
+with two rows or two columns in closed form: the least value among its
+two-column subgames, each a saddle entry or (ad - bc) / (a + d - b - c)
+(`_two_row_ratio`; a two-column game A as -val(-A^T)).  Only games with
+at least three actions per player and no saddle point reach the loop.
 `positive_ratio` is the loop's one entry for strictly positive rows over
 any ordered ring with exact division: it returns the value as (det,
 total).  `matrix_game_ratio` reaches it after a per-call shift
@@ -248,16 +252,48 @@ def _value_ratio(rows: list[list], col_max: list) -> tuple:
     return det - shift * total, total
 
 
+def _two_row_ratio(top, bottom) -> tuple[int, int]:
+    """(numerator, positive denominator) of the value of the integer game with rows `top`, `bottom`.
+
+    The minimizer's LP has a basic optimal solution, with at most two
+    nonzero weights (one per row), and dropping columns never lowers the
+    value, so the value is the least value of a two-column subgame.  A
+    subgame [[a, b], [c, d]] has no saddle point exactly when one diagonal
+    lies strictly above the other, and then its value is (ad - bc) /
+    (a + d - b - c) (Shapley and Snow 1950); otherwise its maximin entry
+    is its value.  Needs at least two columns.
+    """
+    best_num, best_den = None, 1
+    for j, (a, c) in enumerate(zip(top, bottom)):
+        for b, d in zip(top[j + 1:], bottom[j + 1:]):
+            if min(a, d) > max(b, c):
+                num, den = a * d - b * c, a + d - b - c
+            elif max(a, d) < min(b, c):
+                num, den = b * c - a * d, b + c - a - d
+            else:
+                num, den = max(min(a, b), min(c, d)), 1
+            if best_num is None or num * best_den < best_num * den:
+                best_num, best_den = num, den
+    return best_num, best_den
+
+
 def matrix_game_ratio(rows: list[list[int]]) -> tuple[int, int]:
     """(numerator, positive denominator) of an integer matrix game's exact value, not reduced.
 
-    A saddle entry (maximin = minimax) is the value over 1, with no pivot;
-    otherwise the column maxima of the saddle test pick the first pivot.
+    A saddle entry (maximin = minimax) is the value over 1, with no pivot.
+    A game with two rows is read in closed form (`_two_row_ratio`), and one
+    with two columns through the same helper as -val(-A^T).  Otherwise the
+    column maxima of the saddle test pick the first pivot.
     """
     col_max = [max(col) for col in zip(*rows)]
     maximin = max(min(row) for row in rows)
     if maximin == min(col_max):
         return maximin, 1
+    if len(rows) == 2:
+        return _two_row_ratio(*rows)
+    if len(col_max) == 2:
+        num, den = _two_row_ratio(*([-x for x in col] for col in zip(*rows)))
+        return -num, den
     return _value_ratio(rows, col_max)
 
 

@@ -29,7 +29,7 @@ from stochgame.matrixgame import solve_matrix_game
 from stochgame.pencil import DEFAULT_MAX_ENTRIES, GamePencil, build_pencil, pencil_matrix
 from stochgame.ratlinalg import RatMatrix, to_fraction
 
-from test_oracle import fraction_auxiliary
+from oracle_refs import fraction_auxiliary
 
 
 def absorbed_values(ab: AbsorbingGame) -> tuple[Fraction, ...]:

@@ -1,11 +1,16 @@
-"""The Fraction value-iteration loop, kept as a test-side reference.
+"""The Fraction value-iteration loop and a Fraction Shapley operator, kept as test-side references.
 
 `oracle.value_iteration` runs on integers: reduced (num, den) iterates,
 one integer Shapley step per iteration, and its distances and stopping
 bound compared by cross-multiplication.  The loop it replaced stays here,
-on `Fraction` iterates through `oracle.shapley_operator`, with the same
-dyadic snapping (`round`, ties to even), stopping rule and polish, so
-the two must return equal vectors.  Its polish takes the simplest
+on `Fraction` iterates, with the same dyadic snapping (`round`, ties to
+even), stopping rule and polish, so the two must return equal vectors
+and the same polish verdict.  It steps with `oracle.shapley_operator`
+unless it is handed another operator, such as `lp_shapley_operator`:
+each state's one-shot game built entry by entry in Fractions
+(`fraction_auxiliary`) and solved by `solve_matrix_game`'s pivot loop,
+with no integer grid, no closed form for two-action games and no
+shortcut for states that no action moves.  Its polish takes the simplest
 rational of each certified interval from the Fraction Stern-Brocot
 descent `simplest_between`, which is also the reference for the integer
 `ratlinalg.simplest_between` that the library's polish runs.
@@ -14,12 +19,31 @@ descent `simplest_between`, which is also the reference for the integer
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game, check_discount
+from stochgame.matrixgame import solve_matrix_game
 from stochgame.oracle import _grid_bits, shapley_operator
-from stochgame.ratlinalg import RationalLike, to_fraction
+from stochgame.ratlinalg import RatMatrix, RationalLike, to_fraction
+
+
+def fraction_auxiliary(game: Game, lam, u, l: int) -> RatMatrix:
+    """State l+1's one-shot game lam*g + (1-lam) * q . u, entry by entry in Fractions."""
+    return RatMatrix(
+        [
+            [lam * g + (1 - lam) * sum(p * v for p, v in zip(dist, u)) for g, dist in zip(g_row, q_row)]
+            for g_row, q_row in zip(game.rewards[l], game.transitions[l])
+        ]
+    )
+
+
+def lp_shapley_operator(game: Game, lam, u) -> tuple[Fraction, ...]:
+    """The Shapley operator from the LP on each Fraction one-shot matrix."""
+    lam, u = Fraction(lam), [Fraction(x) for x in u]
+    return tuple(
+        solve_matrix_game(fraction_auxiliary(game, lam, u, l)).value for l in range(game.n_states)
+    )
 
 
 def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -44,8 +68,9 @@ def simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def value_iteration(
-    game: Game, lam: RationalLike, tol: RationalLike
-) -> tuple[Fraction, ...]:
+    game: Game, lam: RationalLike, tol: RationalLike, operator: Callable = shapley_operator
+) -> tuple[tuple[Fraction, ...], bool]:
+    """(vector, polished): the returned vector and whether the polish found it exact."""
     lam = check_discount(lam)
     tol = to_fraction(tol)
     if tol <= 0:
@@ -56,7 +81,7 @@ def value_iteration(
 
     def polish(u: Sequence[Fraction], bound: Fraction) -> tuple[Fraction, ...] | None:
         candidate = tuple(simplest_between(x - bound, x + bound) for x in u)
-        if shapley_operator(game, lam, candidate) == candidate:
+        if operator(game, lam, candidate) == candidate:
             return candidate
         return None
 
@@ -64,7 +89,7 @@ def value_iteration(
     step = 0
     while True:
         step += 1
-        image = shapley_operator(game, lam, u)
+        image = operator(game, lam, u)
         snapped = tuple(
             x if x.denominator <= grid else Fraction(round(x * grid), grid)
             for x in image
@@ -75,8 +100,8 @@ def value_iteration(
         u = snapped
         if bound <= tol:
             exact = polish(u, bound)
-            return exact if exact is not None else u
+            return (exact, True) if exact is not None else (u, False)
         if step % 8 == 0 and bound <= Fraction(1, 256):
             exact = polish(u, bound)
             if exact is not None:
-                return exact
+                return exact, True

@@ -19,7 +19,7 @@ from absorbing_refs import built_identity
 from gens import rand_absorbing_game
 
 from test_gamecore import one_state_game
-from test_oracle import fraction_auxiliary
+from oracle_refs import fraction_auxiliary
 
 
 def absorbing_with_state2(rewards2) -> Game:

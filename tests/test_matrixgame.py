@@ -188,14 +188,19 @@ class TestMatrixGameSign:
         assert matrix_game_sign(rows) == sign(value) == sign(solve_matrix_game(m).value)
 
     def test_saddle_point_skips_the_pivot_loop(self, monkeypatch):
+        # saddle points and games with two rows or two columns are read
+        # without pivoting; a 3x3 game with no saddle point still pivots
         def pivot_loop(rows, scale, col_max):
             raise AssertionError("pivot loop reached")
 
         monkeypatch.setattr(matrixgame, "_simplex", pivot_loop)
         assert matrix_game_value(integer_rows(STRICT_SADDLE)) == 2
         assert matrix_game_value(integer_rows(ZERO_SADDLE)) == 0
+        assert matrix_game_value([[1, -1], [-1, 1]]) == 0
+        assert matrix_game_value([[3, 0, 2], [0, 2, 2]]) == Fraction(6, 5)
+        assert matrix_game_value([[3, 0], [0, 2], [1, 1]]) == Fraction(6, 5)
         with pytest.raises(AssertionError, match="pivot loop reached"):
-            matrix_game_value([[1, -1], [-1, 1]])
+            matrix_game_value([[0, -1, 1], [1, 0, -1], [-1, 1, 0]])
 
     def test_germ_sign_is_led_by_the_constant_term(self):
         # val(A + lam*B) -> val(A) as lam -> 0+, so a nonzero val(A) decides;
@@ -210,6 +215,55 @@ class TestMatrixGameSign:
             if led:
                 assert matrix_game_sign(germ) == led
             assert matrix_game_sign([[LAM * y for y in row] for row in b]) == matrix_game_sign(b)
+
+
+def transposed(rows: list[list]) -> list[list]:
+    return [list(col) for col in zip(*rows)]
+
+
+# games with two rows, 1-6 columns, entries from one of three kinds: small
+# (ties and saddles), up to 64 bits, and 61-bit entries that differ by little
+two_row_grids = st.sampled_from((
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=-(2**64), max_value=2**64),
+    st.integers(min_value=-6, max_value=6).map(lambda x: 2**61 + x),
+)).flatmap(
+    lambda entries: st.integers(min_value=1, max_value=6).flatmap(
+        lambda q: st.lists(st.lists(entries, min_size=q, max_size=q), min_size=2, max_size=2)
+    )
+)
+
+
+class TestTwoActionGames:
+    """Games with two rows or two columns, read in closed form (`matrixgame._two_row_ratio`)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_row_grids, st.booleans())
+    @example([[3, 1, 3], [0, 2, 0]], False)  # tied columns
+    @example([[3, 1, 4], [0, 2, 5]], False)  # a dominated column
+    @example([[2, 2, 2], [4, -1, 0]], False)  # a constant row
+    @example([[2, 2, 2], [4, -1, 0]], True)  # a constant column
+    @example([[3], [-1]], False)  # 2x1
+    @example([[3], [-1]], True)  # 1x2
+    @example([[2**61, -(2**62)], [-(2**63), 2**60]], True)
+    def test_value_matches_the_pivot_loop_and_the_kernel(self, rows, transpose):
+        if transpose:
+            rows = transposed(rows)
+        num, den = matrixgame.matrix_game_ratio(rows)
+        assert den > 0
+        ref_num, ref_den = matrixgame._value_ratio(rows, column_maxima(rows))
+        assert num * ref_den == ref_num * den
+        assert Fraction(num, den) == shapley_snow_certificate(RatMatrix(rows)).value
+
+    def test_value_is_the_least_two_column_value(self):
+        # columns 1-2 alone are worth 3/2, columns 2-3 alone 1 (a saddle)
+        # and columns 1-3 alone 3/4, the game's value; the 3x2 game -A^T
+        # is worth -val(A)
+        rows = [[3, 1, 0], [0, 2, 1]]
+        assert matrix_game_value([row[:2] for row in rows]) == Fraction(3, 2)
+        assert matrix_game_value([row[1:] for row in rows]) == 1
+        assert matrix_game_value(rows) == Fraction(3, 4)
+        assert matrix_game_value([[-x for x in col] for col in zip(*rows)]) == Fraction(-3, 4)
 
 
 germs = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(IntPoly)

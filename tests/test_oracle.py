@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game
+from stochgame import matrixgame
 from stochgame.matrixgame import solve_matrix_game
 from stochgame.oracle import (
+    _fixed_rows,
     _grid_bits,
     _integer_vector,
     _one_shot_grids,
@@ -16,8 +18,15 @@ from stochgame.oracle import (
 )
 from stochgame.ratlinalg import RatMatrix
 import oracle_refs
+from oracle_refs import fraction_auxiliary, lp_shapley_operator
 from chain_refs import discounted_payoff
-from gens import rand_absorbing_game, rand_fraction, rand_game, rand_one_player_game
+from gens import (
+    rand_absorbing_game,
+    rand_fraction,
+    rand_game,
+    rand_one_player_game,
+    rand_stochastic_row,
+)
 from mdp_refs import mdp_brute_force, mdp_limit_brute_force, pure
 
 from test_gamecore import cycle_game, one_state_game
@@ -28,29 +37,11 @@ def sup_dist(u, v) -> Fraction:
     return max(abs(a - b) for a, b in zip(u, v))
 
 
-def fraction_auxiliary(game, lam, u, l: int) -> RatMatrix:
-    """State l+1's one-shot game lam*g + (1-lam) * q . u, entry by entry in Fractions."""
-    return RatMatrix(
-        [
-            [lam * g + (1 - lam) * sum(p * v for p, v in zip(dist, u)) for g, dist in zip(g_row, q_row)]
-            for g_row, q_row in zip(game.rewards[l], game.transitions[l])
-        ]
-    )
-
-
 def grid_auxiliaries(game, lam, u) -> list[RatMatrix]:
     """Every state's one-shot game as the oracle builds it: its integer grid over the scale."""
     du, d = _integer_vector(game, u)
     grids, scale = _one_shot_grids(game, lam, du, d, range(game.n_states))
     return [RatMatrix([[Fraction(x, scale) for x in row] for row in grid]) for grid in grids]
-
-
-def fraction_shapley_operator(game, lam, u) -> tuple[Fraction, ...]:
-    """Reference Shapley operator: the LP on each Fraction one-shot matrix."""
-    lam, u = Fraction(lam), [Fraction(x) for x in u]
-    return tuple(
-        solve_matrix_game(fraction_auxiliary(game, lam, u, l)).value for l in range(game.n_states)
-    )
 
 
 # primes of 31 and 32 bits: every reward and transition denominator of a
@@ -146,7 +137,7 @@ class TestShapleyOperator:
     )
     def test_integer_grid_matches_fraction_reference(self, game, lam, data):
         u = tuple(data.draw(continuation_entries) for _ in range(game.n_states))
-        assert shapley_operator(game, lam, u) == fraction_shapley_operator(game, lam, u)
+        assert shapley_operator(game, lam, u) == lp_shapley_operator(game, lam, u)
         for l, aux in enumerate(grid_auxiliaries(game, lam, u)):
             assert aux == fraction_auxiliary(game, lam, u, l)
 
@@ -218,7 +209,76 @@ class TestValueIteration:
             else:
                 game = prime_game(rng, n, min(n1, 2), min(n2, 2))
             lam, tol = lams[index % 5], tols[index // 5 % 3]
-            assert value_iteration(game, lam, tol) == oracle_refs.value_iteration(game, lam, tol)
+            got = value_iteration(game, lam, tol)
+            assert (got, got.polished) == oracle_refs.value_iteration(game, lam, tol)
+
+
+def moved_alike_game(rng: random.Random, n: int, n1: int, n2: int) -> Game:
+    """A seeded game whose state 1 moves by one transition row under every action pair."""
+    base = rand_game(rng, n, n1, n2)
+    dist = rand_stochastic_row(rng, n)
+    return Game(base.rewards, [[[dist] * n2] * n1] + list(base.transitions[1:]))
+
+
+class TestFixedRows:
+    """States no action moves: one reward-game value per operator call, not one game per step.
+
+    Each case pairs a rate with a tolerance; at lam = 1/1000 the iterates
+    contract by 0.999 a step, and a tolerance of 1/2 keeps the runs short
+    (2 to 1,100 steps on these games).
+    """
+
+    CASES = ((Fraction(1), Fraction(1, 64)), (Fraction(1, 4), Fraction(1, 64)),
+             (Fraction(1, 1000), Fraction(1, 2)))
+
+    @pytest.fixture(scope="class")
+    def games(self) -> list[Game]:
+        # absorbing games, every third with 3x3 absorbed states, and games
+        # whose one live state moves alike under every action pair
+        rng = random.Random(62)
+        out = []
+        for index in range(12):
+            n = rng.randint(2, 3)
+            if index % 3 == 0:
+                out.append(rand_absorbing_game(rng, n, 3, 3))
+            elif index % 3 == 1:
+                out.append(rand_absorbing_game(rng, n, rng.randint(1, 3), rng.randint(1, 3)))
+            else:
+                out.append(moved_alike_game(rng, n, rng.randint(2, 3), rng.randint(2, 3)))
+        return out
+
+    def test_fixed_states_are_found_and_a_reward_game_pivots(self, games, monkeypatch):
+        pivots = []
+        simplex = matrixgame._simplex
+        monkeypatch.setattr(
+            matrixgame, "_simplex", lambda *args: pivots.append(args) or simplex(*args)
+        )
+        for index, game in enumerate(games):
+            fixed = _fixed_rows(game)
+            expected = range(1, game.n_states) if index % 3 < 2 else (0,)
+            for l in expected:
+                dist, value = fixed[l]
+                assert {q for row in game.int_transitions[l] for q in row} == {dist}
+                assert Fraction(*value) == solve_matrix_game(RatMatrix(game.int_rewards[l])).value
+        assert pivots
+
+    def test_operator_matches_the_lp_reference(self, games):
+        rng = random.Random(63)
+        for game in games:
+            for lam, _ in self.CASES:
+                for _ in range(3):
+                    u = tuple(rand_fraction(rng) for _ in range(game.n_states))
+                    assert shapley_operator(game, lam, u) == lp_shapley_operator(game, lam, u)
+
+    def test_value_iteration_matches_the_lp_reference(self, games):
+        verdicts = set()
+        for game in games:
+            for lam, tol in self.CASES:
+                got = value_iteration(game, lam, tol)
+                ref = oracle_refs.value_iteration(game, lam, tol, operator=lp_shapley_operator)
+                assert (got, got.polished) == ref
+                verdicts.add(got.polished)
+        assert verdicts == {True, False}
 
 
 @given(
