@@ -268,11 +268,11 @@ MUTANTS = (
         ("tests/test_matrixgame.py::TestTwoActionGames::test_value_is_the_least_two_column_value",),
     ),
     Mutant(
-        "fixed-row-drops-continuation-weight",
-        "oracle.py",
-        "num = ad * num + c * sum(map(mul, dist, du)) * den",
-        "num = ad * num + sum(map(mul, dist, du)) * den",
-        "a state no action moves weighs its continuation by 1, not by 1 - lam",
-        ("tests/test_oracle.py::TestFixedRows::test_operator_matches_the_lp_reference",),
+        "two-row-closed-form-uncapped",
+        "matrixgame.py",
+        "if len(rows) == 2 and len(col_max) <= 3:",
+        "if len(rows) == 2:",
+        "a 2 x q game of any width takes the closed form, which checks every pair of columns",
+        ("tests/test_matrixgame.py::TestTwoActionGames::test_wide_game_pivots_as_before",),
     ),
 )

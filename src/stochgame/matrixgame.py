@@ -25,11 +25,12 @@ Every entry point that pivots runs that one pivot loop (`_simplex`).
 optimal strategies.  `matrix_game_value` takes an integer grid (a game
 scaled by a positive integer, as the oracle and the pencil build them)
 and returns only its exact value; `matrix_game_ratio` returns that value
-as an integer pair.  It reads a saddle entry without pivoting, and a game
-with two rows or two columns in closed form: the least value among its
-two-column subgames, each a saddle entry or (ad - bc) / (a + d - b - c)
-(`_two_row_ratio`; a two-column game A as -val(-A^T)).  Only games with
-at least three actions per player and no saddle point reach the loop.
+as an integer pair.  It reads a saddle entry without pivoting, and a 2x2,
+2x3 or 3x2 game in closed form: the least value among its two-column
+subgames, each a saddle entry or (ad - bc) / (a + d - b - c)
+(`_two_row_ratio`; a two-column game A as -val(-A^T)).  That reading
+checks every pair of columns, so a wider two-action game pivots instead:
+the loop takes a few pivots of O(q) each on it, not O(q^2).
 `positive_ratio` is the loop's one entry for strictly positive rows over
 any ordered ring with exact division: it returns the value as (det,
 total).  `matrix_game_ratio` reaches it after a per-call shift
@@ -261,7 +262,7 @@ def _two_row_ratio(top, bottom) -> tuple[int, int]:
     subgame [[a, b], [c, d]] has no saddle point exactly when one diagonal
     lies strictly above the other, and then its value is (ad - bc) /
     (a + d - b - c) (Shapley and Snow 1950); otherwise its maximin entry
-    is its value.  Needs at least two columns.
+    is its value.  Needs at least two columns; checks every pair of them.
     """
     best_num, best_den = None, 1
     for j, (a, c) in enumerate(zip(top, bottom)):
@@ -281,17 +282,19 @@ def matrix_game_ratio(rows: list[list[int]]) -> tuple[int, int]:
     """(numerator, positive denominator) of an integer matrix game's exact value, not reduced.
 
     A saddle entry (maximin = minimax) is the value over 1, with no pivot.
-    A game with two rows is read in closed form (`_two_row_ratio`), and one
-    with two columns through the same helper as -val(-A^T).  Otherwise the
-    column maxima of the saddle test pick the first pivot.
+    A game with two rows and at most three columns is read in closed form
+    (`_two_row_ratio`), and one with two columns and at most three rows
+    through the same helper as -val(-A^T); the helper checks every pair of
+    columns, so wider games pivot.  Otherwise the column maxima of the
+    saddle test pick the first pivot.
     """
     col_max = [max(col) for col in zip(*rows)]
     maximin = max(min(row) for row in rows)
     if maximin == min(col_max):
         return maximin, 1
-    if len(rows) == 2:
+    if len(rows) == 2 and len(col_max) <= 3:
         return _two_row_ratio(*rows)
-    if len(col_max) == 2:
+    if len(col_max) == 2 and len(rows) <= 3:
         num, den = _two_row_ratio(*([-x for x in col] for col in zip(*rows)))
         return -num, den
     return _value_ratio(rows, col_max)

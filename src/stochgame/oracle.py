@@ -12,12 +12,7 @@ continuation vector u, entry (i, j) of state l is
 where L g and L q_t are the game's integer form (`Game.int_rewards`,
 `Game.int_transitions`), so `matrixgame.matrix_game_ratio` reads the
 exact value as an integer pair, and the oracle divides by the scale,
-with no Fraction matrix in between.  A state whose transition row q is
-the same under every action pair (an absorbed state, for one) adds the
-same continuation to every entry, so its image is
-a*d*val(L g) + (b-a) * (L q . d u) over the same scale: `_fixed_rows`
-solves its reward game once per `shapley_operator` or `value_iteration`
-call, and no step builds its grid.  Value
+with no Fraction matrix in between.  Value
 iteration stays on integers too: each iterate is a vector of reduced
 (num, den) pairs, snapped to a dyadic grid fine enough that the rounding
 is absorbed by the stopping certificate (raw fixed-point iterates roughly
@@ -85,43 +80,12 @@ def _one_shot_grids(
     return grids, lam.denominator * game.denominator_lcm() * d
 
 
-def _fixed_rows(game: Game) -> list:
-    """Per state, (its transition row, val(L g) as (num, den > 0)) if no action moves it, else None.
-
-    A state whose transition row is the same under every action pair adds
-    one continuation to every entry of its one-shot grid, so that grid's
-    value is a*d*val(L g) plus that continuation: the reward game is
-    solved here, once per operator call, instead of once per step.
-    """
-    fixed = []
-    for rewards, rows in zip(game.int_rewards, game.int_transitions):
-        dist = rows[0][0]
-        if all(q == dist for row in rows for q in row):
-            fixed.append((dist, matrix_game_ratio(rewards)))
-        else:
-            fixed.append(None)
-    return fixed
-
-
-def _shapley_step(
-    game: Game, lam: Fraction, du: Sequence[int], d: int, fixed: Sequence
-) -> list[tuple[int, int]]:
-    """The Shapley operator at u = du/d, each state's value as a reduced (num, den > 0).
-
-    `fixed` is `_fixed_rows(game)`: a state it answers takes no matrix game.
-    """
-    grids, scale = _one_shot_grids(
-        game, lam, du, d, [l for l, known in enumerate(fixed) if known is None]
-    )
-    grids = iter(grids)
-    ad, c = lam.numerator * d, lam.denominator - lam.numerator
+def _shapley_step(game: Game, lam: Fraction, du: Sequence[int], d: int) -> list[tuple[int, int]]:
+    """The Shapley operator at u = du/d, each state's value as a reduced (num, den > 0)."""
+    grids, scale = _one_shot_grids(game, lam, du, d, range(game.n_states))
     image = []
-    for known in fixed:
-        if known is None:
-            num, den = matrix_game_ratio(next(grids))
-        else:
-            dist, (num, den) = known
-            num = ad * num + c * sum(map(mul, dist, du)) * den
+    for grid in grids:
+        num, den = matrix_game_ratio(grid)
         den *= scale
         g = math.gcd(num, den)
         image.append((num // g, den // g))
@@ -134,9 +98,7 @@ def shapley_operator(
     """Per-state value of the one-shot games; a (1-lam)-contraction in u."""
     lam = check_discount(lam)
     du, d = _integer_vector(game, u)
-    return tuple(
-        Fraction(num, den) for num, den in _shapley_step(game, lam, du, d, _fixed_rows(game))
-    )
+    return tuple(Fraction(num, den) for num, den in _shapley_step(game, lam, du, d))
 
 
 def _grid_bits(tol: Fraction, lam: Fraction) -> int:
@@ -192,7 +154,6 @@ def value_iteration(
         raise GameValidationError(f"tolerance must be positive, got {rational_text(tol)}")
     a, b = lam.numerator, lam.denominator
     grid = 2 ** _grid_bits(tol, lam)
-    fixed = _fixed_rows(game)
 
     def polish(u: list[tuple[int, int]], bn: int, bd: int) -> OracleValues | None:
         # the simplest rational within bn/bd of each entry, kept if it is
@@ -201,9 +162,7 @@ def value_iteration(
             simplest_between(n * bd - bn * d, d * bd, n * bd + bn * d, d * bd) for n, d in u
         ]
         cd = math.lcm(*(den for _, den in candidate))
-        if _shapley_step(
-            game, lam, [num * (cd // den) for num, den in candidate], cd, fixed
-        ) == candidate:
+        if _shapley_step(game, lam, [num * (cd // den) for num, den in candidate], cd) == candidate:
             exact = OracleValues(Fraction(num, den) for num, den in candidate)
             exact.polished = True
             return exact
@@ -214,7 +173,7 @@ def value_iteration(
     while True:
         step += 1
         d = math.lcm(*(den for _, den in u))
-        image = _shapley_step(game, lam, [num * (d // den) for num, den in u], d, fixed)
+        image = _shapley_step(game, lam, [num * (d // den) for num, den in u], d)
         snapped = []
         for num, den in image:
             if den > grid:

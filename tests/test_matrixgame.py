@@ -188,8 +188,8 @@ class TestMatrixGameSign:
         assert matrix_game_sign(rows) == sign(value) == sign(solve_matrix_game(m).value)
 
     def test_saddle_point_skips_the_pivot_loop(self, monkeypatch):
-        # saddle points and games with two rows or two columns are read
-        # without pivoting; a 3x3 game with no saddle point still pivots
+        # saddle points and 2x2, 2x3 and 3x2 games are read without
+        # pivoting; a 3x3 game with no saddle point still pivots
         def pivot_loop(rows, scale, col_max):
             raise AssertionError("pivot loop reached")
 
@@ -235,7 +235,7 @@ two_row_grids = st.sampled_from((
 
 
 class TestTwoActionGames:
-    """Games with two rows or two columns, read in closed form (`matrixgame._two_row_ratio`)."""
+    """2x2, 2x3 and 3x2 games, read in closed form (`matrixgame._two_row_ratio`); wider ones pivot."""
 
     @settings(max_examples=150, deadline=None)
     @given(two_row_grids, st.booleans())
@@ -247,6 +247,11 @@ class TestTwoActionGames:
     @example([[3], [-1]], True)  # 1x2
     @example([[2**61, -(2**62)], [-(2**63), 2**60]], True)
     def test_value_matches_the_pivot_loop_and_the_kernel(self, rows, transpose):
+        if len(rows[0]) >= 2:
+            # the helper itself, also at the widths that pivot instead
+            num, den = matrixgame._two_row_ratio(*rows)
+            assert den > 0
+            assert Fraction(num, den) == Fraction(*matrixgame._value_ratio(rows, column_maxima(rows)))
         if transpose:
             rows = transposed(rows)
         num, den = matrixgame.matrix_game_ratio(rows)
@@ -264,6 +269,23 @@ class TestTwoActionGames:
         assert matrix_game_value([row[1:] for row in rows]) == 1
         assert matrix_game_value(rows) == Fraction(3, 4)
         assert matrix_game_value([[-x for x in col] for col in zip(*rows)]) == Fraction(-3, 4)
+
+    @pytest.mark.parametrize("transpose", (False, True))
+    def test_wide_game_pivots_as_before(self, monkeypatch, transpose):
+        # the closed form checks every pair of columns, so on 2 x 3000 it
+        # would check 4.5e6 pairs; the game takes the pivot loop instead, a
+        # few pivots of O(q) each.  Columns (k, -k) and (-k, k) for
+        # k = 1..1500: no saddle point, and both players' half-half
+        # strategies hold the value to 0
+        def closed_form(top, bottom):
+            raise AssertionError("closed form reached")
+
+        monkeypatch.setattr(matrixgame, "_two_row_ratio", closed_form)
+        top = [x for k in range(1, 1501) for x in (k, -k)]
+        rows = [top, [-x for x in top]]
+        if transpose:
+            rows = transposed(rows)
+        assert matrix_game_value(rows) == 0
 
 
 germs = st.lists(st.integers(min_value=-3, max_value=3), max_size=3).map(IntPoly)

@@ -7,9 +7,7 @@ from hypothesis import given, settings, strategies as st
 from stochgame.errors import GameValidationError
 from stochgame.gamecore import Game
 from stochgame import matrixgame
-from stochgame.matrixgame import solve_matrix_game
 from stochgame.oracle import (
-    _fixed_rows,
     _grid_bits,
     _integer_vector,
     _one_shot_grids,
@@ -220,10 +218,13 @@ def moved_alike_game(rng: random.Random, n: int, n1: int, n2: int) -> Game:
     return Game(base.rewards, [[[dist] * n2] * n1] + list(base.transitions[1:]))
 
 
-class TestFixedRows:
-    """States no action moves: one reward-game value per operator call, not one game per step.
+class TestOneShotShapes:
+    """The oracle against the LP reference where its one-shot games take both routes.
 
-    Each case pairs a rate with a tolerance; at lam = 1/1000 the iterates
+    Absorbed states of 3x3 actions give one-shot games with no saddle
+    point that reach the pivot loop; two-action states are read in closed
+    form; a live state that moves alike under every action pair adds one
+    continuation to every entry.  Each case pairs a rate with a tolerance; at lam = 1/1000 the iterates
     contract by 0.999 a step, and a tolerance of 1/2 keeps the runs short
     (2 to 1,100 steps on these games).
     """
@@ -247,20 +248,17 @@ class TestFixedRows:
                 out.append(moved_alike_game(rng, n, rng.randint(2, 3), rng.randint(2, 3)))
         return out
 
-    def test_fixed_states_are_found_and_a_reward_game_pivots(self, games, monkeypatch):
-        pivots = []
-        simplex = matrixgame._simplex
-        monkeypatch.setattr(
-            matrixgame, "_simplex", lambda *args: pivots.append(args) or simplex(*args)
-        )
-        for index, game in enumerate(games):
-            fixed = _fixed_rows(game)
-            expected = range(1, game.n_states) if index % 3 < 2 else (0,)
-            for l in expected:
-                dist, value = fixed[l]
-                assert {q for row in game.int_transitions[l] for q in row} == {dist}
-                assert Fraction(*value) == solve_matrix_game(RatMatrix(game.int_rewards[l])).value
-        assert pivots
+    def test_games_reach_the_pivot_loop_and_the_closed_form(self, games, monkeypatch):
+        reached = set()
+        for name in ("_simplex", "_two_row_ratio"):
+            original = getattr(matrixgame, name)
+            monkeypatch.setattr(
+                matrixgame, name,
+                lambda *args, name=name, original=original: reached.add(name) or original(*args),
+            )
+        for game in games:
+            shapley_operator(game, Fraction(1, 4), [0] * game.n_states)
+        assert reached == {"_simplex", "_two_row_ratio"}
 
     def test_operator_matches_the_lp_reference(self, games):
         rng = random.Random(63)
